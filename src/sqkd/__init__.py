@@ -1,37 +1,4 @@
 """Key-rate analysis and simulation for measure-resend semi-quantum key
 distribution under collective attacks."""
 
-from .attack import (AttackVectors, CollectiveAttack, exact_collective_rate,
-                     extract_vectors, identity_attack, overlap_e000_e131,
-                     random_attack, rho_be, rho_bec, statistics,
-                     symmetric_realizing_attack, unitarity_residuals,
-                     validate_attack, z_measurement_attack)
-from .keyrate import (ChannelStatistics, KeyRateReport, ScenarioParams,
-                      TooNoisyError, cap_cal_b, cross_overlap_lower_bound,
-                      h_b_given_a, key_rate_bound, lambda_tilde,
-                      noise_threshold, p_alice_zero, s_bec, s_ec_upper,
-                      sweep, symmetric_stats, validate_statistics)
-from .linalg import (binary_entropy, block_diag_entropy,
-                     hermitian_eigenvalues, partial_trace, shannon_entropy,
-                     tensor, von_neumann_entropy)
-from .simulate import (InsufficientDataError, ProtocolConfig, RawKeys,
-                       SimulationError, StatisticsUncertainty, TallyCounts,
-                       estimate_statistics, permute_keys, qber, run_protocol)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttackVectors", "ChannelStatistics", "CollectiveAttack",
-    "InsufficientDataError", "KeyRateReport", "ProtocolConfig", "RawKeys",
-    "ScenarioParams", "SimulationError", "StatisticsUncertainty",
-    "TallyCounts", "TooNoisyError", "binary_entropy", "block_diag_entropy",
-    "cap_cal_b", "cross_overlap_lower_bound", "estimate_statistics",
-    "exact_collective_rate", "extract_vectors", "h_b_given_a",
-    "hermitian_eigenvalues", "identity_attack", "key_rate_bound",
-    "lambda_tilde", "noise_threshold", "overlap_e000_e131", "p_alice_zero",
-    "partial_trace", "permute_keys", "qber", "random_attack", "rho_be",
-    "rho_bec", "run_protocol", "s_bec", "s_ec_upper", "shannon_entropy",
-    "statistics", "sweep", "symmetric_realizing_attack", "symmetric_stats",
-    "tensor", "unitarity_residuals", "validate_attack", "validate_statistics",
-    "von_neumann_entropy", "z_measurement_attack",
-]

@@ -11,6 +11,10 @@ ancilla vectors obtained by projecting the unitaries' action on |0>_E:
   f[j]           components of (u_f u_e) |i, 0> on Z inputs (reflected rounds)
   g[j]           components of (u_f u_e) |+/-, 0> on X inputs
 
+f is summed from e_ijk while g comes from the unitaries directly, so the
+identity that makes g a Hadamard combination of f
+(``unitarity_residuals()['g_combo']``) cross-checks the e_ijk extraction.
+
 Transit is the most significant tensor factor throughout (see linalg).
 """
 
@@ -24,10 +28,20 @@ from .keyrate import ChannelStatistics
 UNITARY_TOL = 1e-10
 MAX_ANCILLA_DIM = 32
 
-# Agreement-register basis ordering: (correct, 0 flips), (correct, 1 flip),
-# (wrong, 1 flip), (wrong, 2 flips).  Internal layout only; no entropy
-# depends on it.
+# Key-round record [i, j, k] (sent i, Bob j, Alice k) is e_ijk[j, 2i+j, k];
+# e_ijk[_RECORDS] gathers all eight as a (2, 2, 2, d) array.
+_I, _J, _K = np.indices((2, 2, 2))
+_RECORDS = (_J, 2 * _I + _J, _K)
+
+# Agreement register: Bob's bit j vs Alice's bit k, plus the number of Z
+# flips along (i -> j -> k).  Basis ordering: (correct, 0 flips),
+# (correct, 1 flip), (wrong, 1 flip), (wrong, 2 flips).  Internal layout
+# only; no entropy depends on it.
 _C_DIM = 4
+_C_LABEL = np.array([[[0, 2], [3, 1]], [[1, 3], [2, 0]]])
+
+# Columns are sqrt(2)|+> and sqrt(2)|->.
+_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -76,30 +90,20 @@ def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> Colle
 def extract_vectors(attack: CollectiveAttack) -> AttackVectors:
     """Project the attack unitaries into Eve's conditional ancilla vectors."""
     d = attack.ancilla_dim
-    e = np.empty((4, d), dtype=complex)
-    for sent in (0, 1):
-        col = attack.u_e[:, sent * d]          # u_e acting on |sent, 0>
-        e[2 * sent] = col[:d]
-        e[2 * sent + 1] = col[d:]
-    e_ijk = np.empty((2, 4, 2, d), dtype=complex)
-    for i in (0, 1):
-        for j in range(4):
-            vin = np.zeros(2 * d, dtype=complex)
-            vin[i * d:(i + 1) * d] = e[j]
-            out = attack.u_f @ vin             # u_f acting on |i, e[j]>
-            e_ijk[i, j, 0] = out[:d]
-            e_ijk[i, j, 1] = out[d:]
-    f = np.stack([e_ijk[0, 0, 0] + e_ijk[1, 1, 0],
-                  e_ijk[0, 0, 1] + e_ijk[1, 1, 1],
-                  e_ijk[0, 2, 0] + e_ijk[1, 3, 0],
-                  e_ijk[0, 2, 1] + e_ijk[1, 3, 1]])
-    g = 0.5 * np.stack([f[0] + f[1] + f[2] + f[3],
-                        f[0] - f[1] + f[2] - f[3],
-                        f[0] + f[1] - f[2] - f[3],
-                        f[0] - f[1] - f[2] + f[3]])
+    forward = attack.u_e[:, [0, d]]            # u_e |0,0> and u_e |1,0>
+    e = forward.T.reshape(4, d)
+    e_ijk = np.einsum("kaib,jb->ijka", attack.u_f.reshape(2, d, 2, d), e)
+    f = (e_ijk[0, 0::2] + e_ijk[1, 1::2]).reshape(4, d)
+    # u_f u_e |+/-,0> projected onto <+| and <-|, each carrying 1/sqrt(2).
+    x_round = (attack.u_f @ (forward @ _PLUS_MINUS)).reshape(2, d, 2)
+    g = 0.5 * np.einsum("ky,kax->xya", _PLUS_MINUS, x_round).reshape(4, d)
     for arr in (e, e_ijk, f, g):
         arr.setflags(write=False)
     return AttackVectors(e=e, e_ijk=e_ijk, f=f, g=g)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("...a,...a->...", x.conj(), x).real
 
 
 def unitarity_residuals(vectors: AttackVectors) -> dict[str, float]:
@@ -107,23 +111,19 @@ def unitarity_residuals(vectors: AttackVectors) -> dict[str, float]:
 
     Keys: 'e_norms' and 'e_orth' (forward unitarity), 'e_split' (each
     forward norm splits across Alice's outcomes), 'f_norms' and 'f_orth'
-    (round-trip unitarity), 'g_combo' (X components as combinations of f).
+    (round-trip unitarity), 'g_combo' (the X components, computed from the
+    unitaries, against the Hadamard combinations of f, summed from e_ijk).
     """
-    e, e_ijk, f, g = vectors.e, vectors.e_ijk, vectors.f, vectors.g
+    e, f, g = vectors.e, vectors.f, vectors.g
 
-    def ip(a, b):
-        return complex(np.vdot(a, b))
+    def norms_and_orth(x):
+        gram = x.conj() @ x.T
+        norms = gram.diagonal().real.reshape(2, 2).sum(axis=1)
+        return float(np.max(np.abs(norms - 1.0))), float(abs(gram[0, 2] + gram[1, 3]))
 
-    e_norms = max(abs(ip(e[0], e[0]).real + ip(e[1], e[1]).real - 1.0),
-                  abs(ip(e[2], e[2]).real + ip(e[3], e[3]).real - 1.0))
-    e_orth = abs(ip(e[0], e[2]) + ip(e[1], e[3]))
-    e_split = max(abs(ip(e[j], e[j]).real
-                      - ip(e_ijk[i, j, 0], e_ijk[i, j, 0]).real
-                      - ip(e_ijk[i, j, 1], e_ijk[i, j, 1]).real)
-                  for i in (0, 1) for j in range(4))
-    f_norms = max(abs(ip(f[0], f[0]).real + ip(f[1], f[1]).real - 1.0),
-                  abs(ip(f[2], f[2]).real + ip(f[3], f[3]).real - 1.0))
-    f_orth = abs(ip(f[0], f[2]) + ip(f[1], f[3]))
+    e_norms, e_orth = norms_and_orth(e)
+    f_norms, f_orth = norms_and_orth(f)
+    e_split = float(np.max(np.abs(_sq_norms(e) - _sq_norms(vectors.e_ijk).sum(axis=-1))))
     combos = 0.5 * np.array([f[0] + f[1] + f[2] + f[3],
                              f[0] - f[1] + f[2] - f[3],
                              f[0] + f[1] - f[2] - f[3],
@@ -131,6 +131,23 @@ def unitarity_residuals(vectors: AttackVectors) -> dict[str, float]:
     g_combo = float(np.max(np.abs(g - combos)))
     return {"e_norms": e_norms, "e_orth": e_orth, "e_split": e_split,
             "f_norms": f_norms, "f_orth": f_orth, "g_combo": g_combo}
+
+
+def _statistics(records: np.ndarray, g: np.ndarray) -> ChannelStatistics:
+    p_pm, p_mp = np.clip(_sq_norms(g[1:3]), 0.0, 1.0)
+    return ChannelStatistics(p=np.clip(_sq_norms(records), 0.0, 1.0),
+                             p_pm=p_pm, p_mp=p_mp)
+
+
+def _block_diagonal(records: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
+    """State whose block b is the sum of |r><r|/2 over the records r in block b."""
+    d = records.shape[-1]
+    rec = records.reshape(8, d)
+    diag = np.zeros((n_blocks, d, d), dtype=complex)
+    np.add.at(diag, blocks.reshape(8), 0.5 * (rec[:, :, None] * rec[:, None, :].conj()))
+    rho = np.zeros((n_blocks, d, n_blocks, d), dtype=complex)
+    rho[np.arange(n_blocks), :, np.arange(n_blocks), :] = diag
+    return rho.reshape(n_blocks * d, n_blocks * d)
 
 
 def statistics(attack: CollectiveAttack) -> ChannelStatistics:
@@ -141,16 +158,7 @@ def statistics(attack: CollectiveAttack) -> ChannelStatistics:
     norms of the basis-flipping components on reflected rounds.
     """
     v = extract_vectors(attack)
-    p = np.empty((2, 2, 2))
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                vec = v.e_ijk[j, 2 * i + j, k]
-                p[i, j, k] = np.vdot(vec, vec).real
-    p = np.clip(p, 0.0, 1.0)
-    p_pm = min(max(float(np.vdot(v.g[1], v.g[1]).real), 0.0), 1.0)
-    p_mp = min(max(float(np.vdot(v.g[2], v.g[2]).real), 0.0), 1.0)
-    return ChannelStatistics(p=p, p_pm=p_pm, p_mp=p_mp)
+    return _statistics(v.e_ijk[_RECORDS], v.g)
 
 
 def overlap_e000_e131(attack: CollectiveAttack) -> complex:
@@ -160,15 +168,6 @@ def overlap_e000_e131(attack: CollectiveAttack) -> complex:
     return complex(np.vdot(v.e_ijk[0, 0, 0], v.e_ijk[1, 3, 1]))
 
 
-def _c_label(i: int, j: int, k: int) -> int:
-    # Agreement register: Bob's bit j vs Alice's bit k, plus the number of
-    # Z flips along (i -> j -> k).  Ordering: (C,0), (C,1), (W,1), (W,2).
-    flips = (i != j) + (j != k)
-    if j == k:
-        return 0 if flips == 0 else 1
-    return 2 if flips == 1 else 3
-
-
 def rho_be(attack: CollectiveAttack) -> np.ndarray:
     """Post-protocol state of Bob's key bit and Eve's ancilla on key rounds.
 
@@ -176,16 +175,7 @@ def rho_be(attack: CollectiveAttack) -> np.ndarray:
     ancilla records that end with that bit, with overall weight 1/2 per sent
     bit.
     """
-    d = attack.ancilla_dim
-    v = extract_vectors(attack)
-    rho = np.zeros((2 * d, 2 * d), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                vec = v.e_ijk[j, 2 * i + j, k]
-                blk = slice(j * d, (j + 1) * d)
-                rho[blk, blk] += 0.5 * np.outer(vec, vec.conj())
-    return rho
+    return _block_diagonal(extract_vectors(attack).e_ijk[_RECORDS], _J, 2)
 
 
 def rho_bec(attack: CollectiveAttack) -> np.ndarray:
@@ -195,17 +185,8 @@ def rho_bec(attack: CollectiveAttack) -> np.ndarray:
     register labels whether the raw key bits agree and how many Z flips the
     transit suffered.  Tracing out the register recovers rho_be.
     """
-    d = attack.ancilla_dim
-    v = extract_vectors(attack)
-    rho = np.zeros((2 * _C_DIM * d, 2 * _C_DIM * d), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                vec = v.e_ijk[j, 2 * i + j, k]
-                base = (j * _C_DIM + _c_label(i, j, k)) * d
-                blk = slice(base, base + d)
-                rho[blk, blk] += 0.5 * np.outer(vec, vec.conj())
-    return rho
+    return _block_diagonal(extract_vectors(attack).e_ijk[_RECORDS],
+                           _C_DIM * _J + _C_LABEL, 2 * _C_DIM)
 
 
 def exact_collective_rate(attack: CollectiveAttack) -> float:
@@ -214,11 +195,12 @@ def exact_collective_rate(attack: CollectiveAttack) -> float:
     This is what the statistics-only bound must never exceed; the entropies
     come from full eigendecompositions of the post-protocol state.
     """
-    d = attack.ancilla_dim
-    rho = rho_be(attack)
-    rho_e = linalg.partial_trace(rho, (2, d), keep=1)
+    v = extract_vectors(attack)
+    records = v.e_ijk[_RECORDS]
+    rho = _block_diagonal(records, _J, 2)
+    rho_e = linalg.partial_trace(rho, (2, attack.ancilla_dim), keep=1)
     s_b_given_e = linalg.von_neumann_entropy(rho) - linalg.von_neumann_entropy(rho_e)
-    return s_b_given_e - keyrate.h_b_given_a(statistics(attack))
+    return s_b_given_e - keyrate.h_b_given_a(_statistics(records, v.g))
 
 
 def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:
@@ -269,20 +251,12 @@ def symmetric_realizing_attack(q_fwd: float, q_rev: float) -> CollectiveAttack:
     # Forward: rotation on (transit, first ancilla qubit), identity on the
     # second.  Index order is |t, a1, a2>.
     u_e = np.kron(_flip_recorder(q_fwd), np.eye(2))
-    # Return: rotation on (transit, second ancilla qubit) with the first as
-    # spectator; embed by explicit index bookkeeping.
-    grot = _flip_recorder(q_rev)
-    u_f = np.zeros((8, 8), dtype=complex)
-    for t_out in (0, 1):
-        for t_in in (0, 1):
-            for r_out in (0, 1):
-                for r_in in (0, 1):
-                    amp = grot[2 * t_out + r_out, 2 * t_in + r_in]
-                    if amp == 0.0:
-                        continue
-                    for spectator in (0, 1):
-                        u_f[4 * t_out + 2 * spectator + r_out,
-                            4 * t_in + 2 * spectator + r_in] = amp
+    # Return: the same construction with the two ancilla qubits swapped on
+    # both sides, so the rotation acts on (transit, second ancilla qubit).
+    # kron leaves -0.0 where -sqrt(q) meets a zero of the identity; adding
+    # 0.0 makes every zero of u_f +0.0.
+    u_f = (np.kron(_flip_recorder(q_rev), np.eye(2)).reshape((2,) * 6)
+           .transpose(0, 2, 1, 3, 5, 4).reshape(8, 8) + 0.0)
     return validate_attack(u_e, u_f, 4)
 
 

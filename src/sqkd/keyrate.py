@@ -52,7 +52,7 @@ class ChannelStatistics:
 
 def validate_statistics(stats: ChannelStatistics, *, sum_tol: float = STATS_SUM_TOL,
                         renormalize: bool = False) -> ChannelStatistics:
-    """Check ranges and per-i normalization; optionally rescale each i-block.
+    """Check entries (finite, in [0, 1]) and per-i sums; optionally rescale blocks.
 
     Attack-derived statistics satisfy the constraints to rounding error;
     Monte Carlo estimates satisfy them to sampling error, hence the
@@ -61,6 +61,10 @@ def validate_statistics(stats: ChannelStatistics, *, sum_tol: float = STATS_SUM_
     """
     p = np.asarray(stats.p, dtype=float)
     entries = np.concatenate([p.reshape(-1), [stats.p_pm, stats.p_mp]])
+    finite = np.isfinite(entries)
+    if not finite.all():
+        names = [f"p[{i},{j},{k}]" for i, j, k in np.ndindex(2, 2, 2)] + ["p_pm", "p_mp"]
+        raise ValueError(f"statistics entry {names[int(np.argmin(finite))]} is not finite")
     if entries.min() < -1e-9 or entries.max() > 1.0 + 1e-9:
         raise ValueError("statistics entries must lie in [0, 1]")
     p = np.clip(p, 0.0, 1.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ class TestExtractVectors:
             residuals = attack.unitarity_residuals(attack.extract_vectors(atk))
             worst = max(residuals.values())
             assert worst <= 1e-9, f"residuals {residuals}"
+
+    def test_g_combo_compares_two_routes(self, attack_pool):
+        # g comes from u_f u_e |+/-,0> and f from the e_ijk records, so the
+        # two agree only to rounding: never worse, but not always exactly.
+        combos = [attack.unitarity_residuals(attack.extract_vectors(atk))["g_combo"]
+                  for atk in attack_pool]
+        assert max(combos) <= 1e-12
+        assert any(c != 0.0 for c in combos)
+
+    def test_g_combo_detects_wrong_x_components(self, attack_pool):
+        vectors = attack.extract_vectors(attack_pool[0])
+        bad = dataclasses.replace(vectors, g=vectors.g[::-1])
+        assert attack.unitarity_residuals(bad)["g_combo"] > 1e-9
 
 
 class TestStatistics:
@@ -184,6 +199,18 @@ class TestExactCollectiveRate:
         for atk in attack_pool[:100]:
             bound = keyrate.key_rate_bound(attack.statistics(atk)).rate
             assert bound <= attack.exact_collective_rate(atk) + 1e-9
+
+    def test_extracts_vectors_once(self, monkeypatch):
+        calls = []
+        extract = attack.extract_vectors
+
+        def counting(atk):
+            calls.append(atk)
+            return extract(atk)
+
+        monkeypatch.setattr(attack, "extract_vectors", counting)
+        attack.exact_collective_rate(attack.random_attack(2, 5))
+        assert len(calls) == 1
 
 
 class TestSymmetricRealizingAttack:

@@ -62,9 +62,15 @@ class TestValidateStatistics:
         assert fixed.p[0, 0, 0] == pytest.approx(0.5)
         assert fixed.p[1, 1, 1] == pytest.approx(2.0 / 3.0)
 
-    def test_rejects_out_of_range_entry(self):
-        bad = stats_from_blocks([1.5, -0.5, 0, 0], [0, 0, 0, 1.0])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad, match", [
+        (stats_from_blocks([1.5, -0.5, 0, 0], [0, 0, 0, 1.0]), None),
+        (stats_from_blocks([1, 0, 0, 0], [0, 0, 0, 1.0], p_pm=math.nan),
+         r"p_pm is not finite"),
+        (stats_from_blocks([math.nan, 0, 0, 0], [0, 0, 0, 1.0]),
+         r"p\[0,0,0\] is not finite"),
+    ], ids=["out-of-range", "nan-p_pm", "nan-p000"])
+    def test_rejects_out_of_range_entry(self, bad, match):
+        with pytest.raises(ValueError, match=match):
             keyrate.validate_statistics(bad)
 
 
