@@ -156,9 +156,11 @@ def _build_attack(spec: str, seed: int) -> attack_mod.CollectiveAttack:
 
 def cmd_simulate(args) -> int:
     try:
+        if args.workers < 1:
+            raise ValueError("workers must be positive")
         atk = _build_attack(args.attack, args.seed)
         config = simulate.ProtocolConfig(iterations=args.iterations,
-                                         seed=args.seed, workers=args.workers)
+                                         seed=args.seed)
         tally, keys = simulate.run_protocol(atk, config)
         stats, err = simulate.estimate_statistics(tally)
         write_stats_file(args.out, stats)
@@ -194,18 +196,21 @@ def cmd_validate(args) -> int:
         dims = [int(x) for x in args.ancilla_dims.split(",")]
         if args.attacks < 1 or any(d < 1 for d in dims):
             raise ValueError("need at least one attack and positive dimensions")
+        if args.seed < 0:
+            raise ValueError("seed must be non-negative")
+        cases: list[tuple[str, attack_mod.CollectiveAttack]] = [
+            ("identity", attack_mod.identity_attack()),
+            ("zmeasure", attack_mod.z_measurement_attack()),
+        ]
+        for idx in range(args.attacks):
+            d_e = dims[idx % len(dims)]
+            seed = [args.seed, idx]
+            cases.append((f"random seed={seed}",
+                          attack_mod.random_attack(d_e, seed)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    cases: list[tuple[str, attack_mod.CollectiveAttack]] = [
-        ("identity", attack_mod.identity_attack()),
-        ("zmeasure", attack_mod.z_measurement_attack()),
-    ]
-    for idx in range(args.attacks):
-        d_e = dims[idx % len(dims)]
-        seed = [args.seed, idx]
-        cases.append((f"random seed={seed}", attack_mod.random_attack(d_e, seed)))
     if args.corrupt:
         atk = cases[-1][1]
         u_bad = atk.u_e.copy()
@@ -294,7 +299,9 @@ def _build_parser() -> _Parser:
                        help="identity | zmeasure | symmetric:Qf,Qr | random:dE")
     p_sim.add_argument("--iterations", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; has no effect "
+                            "(must be positive)")
     p_sim.add_argument("--out", required=True, metavar="STATSFILE")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -1,30 +1,34 @@
 """Monte Carlo simulation of the quantum communication stage.
 
-Each iteration evolves a pure state on (transit qubit) x (fresh ancilla):
-Alice prepares |0>, |1>, |+> or |->, Eve applies u_e, Bob either performs a
-projective Z measurement (collapsing the joint state, which leaves the
-transit register exactly in the resent basis state) or reflects, Eve
-applies u_f, and Alice measures in her preparation basis.
+Alice prepares |0>, |1>, |+> or |-> with Eve's ancilla in |0>, Eve applies
+u_e, Bob either performs a projective Z measurement (collapsing the joint
+state, which leaves the transit register exactly in the resent basis state)
+or reflects, Eve applies u_f, and Alice measures in her preparation basis.
+Four preparations and three branches of Bob's (reflect, collapse onto |0>,
+collapse onto |1>) give twelve pure final states, so the Born probabilities
+are computed once per run and each iteration only compares uniform draws
+against that table.
 
 Reproducibility contract: iterations are processed in fixed chunks of
 CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
 SeedSequence([seed, c]).  Tallies merge by addition and key bits by chunk
-order, so results are bit-identical for any worker count.  Workers are
-threads; the heavy lifting is batched matrix products where numpy releases
-the GIL.
+order, so the output is a pure function of (attack, config).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import CollectiveAttack
+from .attack import UNITARY_TOL, CollectiveAttack
 from .keyrate import ChannelStatistics
 
 CHUNK_SIZE = 1 << 14  # fixed; changing it changes every sampled trajectory
 
-BORN_TOL = 1e-12
+BORN_TOL = 1e-12  # rounding allowance on top of the unitarity tolerance
+
+# Amplitudes of |0,0> and |1,0> for Alice's preparations |0>, |1>, |+>, |->.
+_PREPARED = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+_PREPARED[2:] /= np.sqrt(2.0)
 
 
 class SimulationError(RuntimeError):
@@ -49,7 +53,6 @@ class ProtocolConfig:
     prob_z_basis: float = 0.5
     prob_measure_resend: float = 0.5
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -60,8 +63,6 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,56 @@ class StatisticsUncertainty:
 
 
 def _born_pair(psi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    # Squared norms of the |0>- and |1>-transit blocks, per batch row.
+    # Squared norms of the |0>- and |1>-transit blocks, per row.
     mag = psi.real ** 2 + psi.imag ** 2
     return mag[:, :d].sum(axis=1), mag[:, d:].sum(axis=1)
 
 
-def _check_born(p0: np.ndarray, p1: np.ndarray) -> None:
-    if p0.size and np.max(np.abs(p0 + p1 - 1.0)) > BORN_TOL:
+def _check_born(totals: np.ndarray, d: int) -> None:
+    # validate_attack bounds every entry of U^dag U - I by UNITARY_TOL, so
+    # one unitary moves a unit state's squared norm by at most
+    # 2d * UNITARY_TOL; a reflected round passes two.  BORN_TOL is rounding.
+    # Phrased so that NaN fails.
+    if not np.all(np.abs(totals - 1.0) <= 2 * 2 * d * UNITARY_TOL + BORN_TOL):
         raise SimulationError("Born probabilities do not sum to 1; "
                               "the attack operators are not unitary enough")
 
 
-def _simulate_chunk(u_e: np.ndarray, u_f: np.ndarray, d: int, n: int,
+def _outcome_table(u_e: np.ndarray, u_f: np.ndarray, d: int):
+    """Bit-1 probabilities of Bob's and Alice's measurements.
+
+    Returns bob[prep], the probability that Bob's Z measurement reads 1, and
+    alice[prep, branch], the probability that Alice's measurement in her
+    preparation basis reads 1 (|1> or |->).  prep indexes |0>, |1>, |+>,
+    |->; branch 0 is Bob reflecting, 1 and 2 are Bob's collapse onto
+    transit |0> and |1>.  Collapses Bob never samples stay at 0.
+    """
+    psi = np.zeros((4, 2 * d), dtype=complex)
+    psi[:, [0, d]] = _PREPARED
+    psi = psi @ u_e.T
+    p0, p1 = _born_pair(psi, d)
+    _check_born(p0 + p1, d)
+    bob = p1 / (p0 + p1)
+
+    # A collapse keeps one transit block, which is exactly the resent state.
+    # An outcome Bob never samples (bob exactly 0 or 1) is left out, so no
+    # state is divided by a zero norm.
+    states = np.repeat(psi[:, None], 3, axis=1)
+    states[:, 1, d:] = 0.0
+    states[:, 2, :d] = 0.0
+    norms = np.column_stack([np.ones(4), p0, p1])
+    reached = np.column_stack([np.ones(4, dtype=bool), bob < 1.0, bob > 0.0])
+    psi = (states[reached] / np.sqrt(norms[reached])[:, None]) @ u_f.T
+    p0, p1 = _born_pair(psi, d)
+    _check_born(p0 + p1, d)
+    minus = psi[:, :d] - psi[:, d:]
+    q_minus = 0.5 * (minus.real ** 2 + minus.imag ** 2).sum(axis=1)
+    alice = np.zeros((4, 3))
+    alice[reached] = np.where(np.nonzero(reached)[0] < 2, p1, q_minus) / (p0 + p1)
+    return bob, alice
+
+
+def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
                     prob_z: float, prob_measure: float, seed: int, chunk: int):
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
     # Fixed draw order is part of the reproducibility contract.
@@ -144,44 +183,10 @@ def _simulate_chunk(u_e: np.ndarray, u_f: np.ndarray, d: int, n: int,
     u_bob = rng.random(n)
     u_alice = rng.random(n)
 
-    # Alice's preparation: Z rows get |bit, 0>, X rows (|0,0> +/- |1,0>)/sqrt2.
-    psi = np.zeros((n, 2 * d), dtype=complex)
-    rows = np.arange(n)
-    z_rows = rows[z_mask]
-    psi[z_rows, bits[z_mask].astype(np.int64) * d] = 1.0
-    x_rows = rows[~z_mask]
-    psi[x_rows, 0] = 1.0 / np.sqrt(2.0)
-    psi[x_rows, d] = np.where(bits[~z_mask] == 0, 1.0, -1.0) / np.sqrt(2.0)
-
-    psi = psi @ u_e.T
-
-    # Bob: projective Z measurement with collapse on measuring rows; the
-    # collapsed transit register is exactly the resent state.
-    p0, p1 = _born_pair(psi, d)
-    _check_born(p0[measure_mask], p1[measure_mask])
-    ratio1 = np.divide(p1, p0 + p1, out=np.zeros_like(p1), where=(p0 + p1) > 0)
-    bob_bits = np.zeros(n, dtype=np.uint8)
-    bob_bits[measure_mask] = u_bob[measure_mask] < ratio1[measure_mask]
-    sel1 = measure_mask & (bob_bits == 1)
-    psi[sel1, :d] = 0.0
-    psi[sel1] /= np.sqrt(p1[sel1])[:, None]
-    sel0 = measure_mask & (bob_bits == 0)
-    psi[sel0, d:] = 0.0
-    psi[sel0] /= np.sqrt(p0[sel0])[:, None]
-
-    psi = psi @ u_f.T
-
-    # Alice measures in her preparation basis.
-    p0, p1 = _born_pair(psi, d)
-    _check_born(p0, p1)
-    alice_bits = np.zeros(n, dtype=np.uint8)
-    ratio1 = np.divide(p1, p0 + p1, out=np.zeros_like(p1), where=(p0 + p1) > 0)
-    alice_bits[z_mask] = u_alice[z_mask] < ratio1[z_mask]
-    if x_rows.size:
-        minus = psi[x_rows, :d] - psi[x_rows, d:]
-        q_minus = 0.5 * (minus.real ** 2 + minus.imag ** 2).sum(axis=1)
-        totals = (p0 + p1)[x_rows]
-        alice_bits[x_rows] = u_alice[x_rows] < q_minus / totals
+    prep = np.where(z_mask, bits, bits + 2)
+    bob_bits = (measure_mask & (u_bob < bob[prep])).astype(np.uint8)
+    branch = np.where(measure_mask, bob_bits + 1, 0)
+    alice_bits = (u_alice < alice[prep, branch]).astype(np.uint8)
 
     key_mask = z_mask & measure_mask
     cells = (bits.astype(np.int64) * 4 + bob_bits * 2 + alice_bits)[key_mask]
@@ -198,30 +203,19 @@ def run_protocol(attack: CollectiveAttack, config: ProtocolConfig) -> tuple[Tall
 
     Returns the per-class tallies and the sifted raw keys (Z-prepared,
     measured-and-resent iterations only).  Output is a pure function of
-    (attack, config); the worker count changes only the wall clock.
+    (attack, config).
     """
+    bob, alice = _outcome_table(attack.u_e, attack.u_f, attack.ancilla_dim)
     n_total = config.iterations
-    chunks = [(c, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE))
-              for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE)]
-
-    def job(chunk_and_size):
-        c, size = chunk_and_size
-        return _simulate_chunk(attack.u_e, attack.u_f, attack.ancilla_dim,
-                               size, config.prob_z_basis,
-                               config.prob_measure_resend, config.seed, c)
-
-    if config.workers == 1 or len(chunks) == 1:
-        results = [job(cs) for cs in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(job, chunks))
-
     z_counts = np.zeros((2, 2, 2), dtype=np.int64)
     x_counts = np.zeros((2, 2), dtype=np.int64)
     other = 0
     alice_parts = []
     bob_parts = []
-    for z, x, o, a_bits, b_bits in results:
+    for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE):
+        z, x, o, a_bits, b_bits = _simulate_chunk(
+            bob, alice, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
+            config.prob_z_basis, config.prob_measure_resend, config.seed, c)
         z_counts += z
         x_counts += x
         other += o
@@ -271,16 +265,3 @@ def qber(keys: RawKeys) -> float:
     if len(keys) == 0:
         raise ValueError("cannot compute the error rate of empty keys")
     return float(np.mean(keys.alice_bits != keys.bob_bits))
-
-
-def permute_keys(keys: RawKeys, seed) -> RawKeys:
-    """Apply one shared random permutation to both key strings.
-
-    Symmetrizes the raw key after the fact; the disagreement rate and the
-    multiset of aligned bit pairs are unchanged.
-    """
-    if len(keys) == 0:
-        raise ValueError("cannot permute empty keys")
-    perm = np.random.default_rng(seed).permutation(len(keys))
-    return RawKeys(alice_bits=keys.alice_bits[perm],
-                   bob_bits=keys.bob_bits[perm])

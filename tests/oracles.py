@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from cyclic Jacobi rotations instead of LAPACK, partial traces from
-explicit index loops, and the rate bound from a direct transcription with
-scalar math.
+explicit index loops, the rate bound from a direct transcription with
+scalar math, and Monte Carlo chunks from evolving one state vector per
+iteration instead of sampling a table of outcomes.
 """
 
 import math
@@ -114,3 +115,69 @@ def born_x_flip_probabilities(u_e, u_f, d):
         flipped = (psi[:d] - sign * psi[d:]) / math.sqrt(2.0)
         out.append(float(np.vdot(flipped, flipped).real))
     return tuple(out)
+
+
+def born_rule_chunk(u_e, u_f, d, n, prob_z, prob_measure, seed, chunk):
+    """One Monte Carlo chunk by batched state-vector evolution.
+
+    Same draws, in the same order, as ``simulate._simulate_chunk``; every
+    row's state is prepared, evolved through u_e, collapsed by Bob's
+    measurement, evolved through u_f and measured by Alice.  Returns the
+    same five values (Z tallies, reflected X tallies, other count, Alice's
+    and Bob's key bits).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
+    z_mask = rng.random(n) < prob_z
+    bits = rng.integers(0, 2, size=n).astype(np.uint8)
+    measure_mask = rng.random(n) < prob_measure
+    u_bob = rng.random(n)
+    u_alice = rng.random(n)
+
+    def born_pair(psi):
+        mag = psi.real ** 2 + psi.imag ** 2
+        return mag[:, :d].sum(axis=1), mag[:, d:].sum(axis=1)
+
+    # Alice's preparation: Z rows get |bit, 0>, X rows (|0,0> +/- |1,0>)/sqrt2.
+    psi = np.zeros((n, 2 * d), dtype=complex)
+    rows = np.arange(n)
+    z_rows = rows[z_mask]
+    psi[z_rows, bits[z_mask].astype(np.int64) * d] = 1.0
+    x_rows = rows[~z_mask]
+    psi[x_rows, 0] = 1.0 / np.sqrt(2.0)
+    psi[x_rows, d] = np.where(bits[~z_mask] == 0, 1.0, -1.0) / np.sqrt(2.0)
+
+    psi = psi @ u_e.T
+
+    # Bob: projective Z measurement with collapse on measuring rows.
+    p0, p1 = born_pair(psi)
+    ratio1 = np.divide(p1, p0 + p1, out=np.zeros_like(p1), where=(p0 + p1) > 0)
+    bob_bits = np.zeros(n, dtype=np.uint8)
+    bob_bits[measure_mask] = u_bob[measure_mask] < ratio1[measure_mask]
+    sel1 = measure_mask & (bob_bits == 1)
+    psi[sel1, :d] = 0.0
+    psi[sel1] /= np.sqrt(p1[sel1])[:, None]
+    sel0 = measure_mask & (bob_bits == 0)
+    psi[sel0, d:] = 0.0
+    psi[sel0] /= np.sqrt(p0[sel0])[:, None]
+
+    psi = psi @ u_f.T
+
+    # Alice measures in her preparation basis.
+    p0, p1 = born_pair(psi)
+    alice_bits = np.zeros(n, dtype=np.uint8)
+    ratio1 = np.divide(p1, p0 + p1, out=np.zeros_like(p1), where=(p0 + p1) > 0)
+    alice_bits[z_mask] = u_alice[z_mask] < ratio1[z_mask]
+    if x_rows.size:
+        minus = psi[x_rows, :d] - psi[x_rows, d:]
+        q_minus = 0.5 * (minus.real ** 2 + minus.imag ** 2).sum(axis=1)
+        totals = (p0 + p1)[x_rows]
+        alice_bits[x_rows] = u_alice[x_rows] < q_minus / totals
+
+    key_mask = z_mask & measure_mask
+    cells = (bits.astype(np.int64) * 4 + bob_bits * 2 + alice_bits)[key_mask]
+    z_counts = np.bincount(cells, minlength=8).reshape(2, 2, 2)
+    x_reflect = ~z_mask & ~measure_mask
+    x_cells = (bits.astype(np.int64) * 2 + alice_bits)[x_reflect]
+    x_counts = np.bincount(x_cells, minlength=4).reshape(2, 2)
+    other = n - int(key_mask.sum()) - int(x_reflect.sum())
+    return z_counts, x_counts, other, alice_bits[key_mask], bob_bits[key_mask]

@@ -173,6 +173,18 @@ class TestSimulateCommand:
                            "--workers", "2", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_flag_has_no_effect(self, tmp_path, capsys):
+        outs = [tmp_path / "w1.txt", tmp_path / "w2.txt"]
+        for workers, out in zip(("1", "2"), outs):
+            assert run_cli("simulate", "--attack", "symmetric:0.1,0.05",
+                           "--iterations", "60000", "--seed", "8",
+                           "--workers", workers, "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert run_cli("simulate", "--attack", "identity",
+                       "--iterations", "100", "--workers", "0",
+                       "--out", str(tmp_path / "w0.txt")) == 1
+        assert "workers must be positive" in capsys.readouterr().err
+
     def test_random_attack_spec(self, tmp_path, capsys):
         out = tmp_path / "stats.txt"
         assert run_cli("simulate", "--attack", "random:2",
@@ -203,6 +215,15 @@ class TestValidateCommand:
         # there, so the reported worst slack is zero.
         slack_part = text.split("worst slack (exact - bound)")[1]
         assert float(slack_part.split()[0]) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("option,value", [
+        ("--ancilla-dims", "1,64"),
+        ("--seed", "-1"),
+    ], ids=["ancilla-dim-64", "negative-seed"])
+    def test_bad_input_exit_one(self, capsys, option, value):
+        assert run_cli("validate", "--attacks", "3", option, value) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_corrupted_unitary_detected(self, capsys):
         assert run_cli("validate", "--attacks", "3", "--seed", "9",

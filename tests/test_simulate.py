@@ -1,14 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import born_rule_chunk
 from sqkd import attack, keyrate, simulate
 from sqkd.simulate import ProtocolConfig, RawKeys, TallyCounts
 
 
-def run(atk, iterations, seed, workers=1, **kwargs):
-    cfg = ProtocolConfig(iterations=iterations, seed=seed, workers=workers,
-                         **kwargs)
+def run(atk, iterations, seed, **kwargs):
+    cfg = ProtocolConfig(iterations=iterations, seed=seed, **kwargs)
     return simulate.run_protocol(atk, cfg)
+
+
+ORACLE_ATTACKS = {
+    "identity": attack.identity_attack(),
+    "zmeasure": attack.z_measurement_attack(),
+    "symmetric": attack.symmetric_realizing_attack(0.1, 0.05),
+    **{f"haar-d{d}": attack.random_attack(d, [d, 5]) for d in (1, 2, 4, 32)},
+}
 
 
 class TestRunProtocol:
@@ -37,14 +47,18 @@ class TestRunProtocol:
         assert np.array_equal(k1.alice_bits, k2.alice_bits)
         assert np.array_equal(k1.bob_bits, k2.bob_bits)
 
-    def test_worker_count_does_not_change_results(self):
-        atk = attack.symmetric_realizing_attack(0.1, 0.05)
-        t1, k1 = run(atk, 60_000, seed=8, workers=1)
-        t4, k4 = run(atk, 60_000, seed=8, workers=4)
-        assert np.array_equal(t1.z_counts, t4.z_counts)
-        assert np.array_equal(t1.x_reflect_counts, t4.x_reflect_counts)
-        assert np.array_equal(k1.alice_bits, k4.alice_bits)
-        assert np.array_equal(k1.bob_bits, k4.bob_bits)
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.9, 0.8)],
+                             ids=["unbiased", "biased"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
+    def test_chunks_match_born_rule_oracle(self, name, probs):
+        atk = ORACLE_ATTACKS[name]
+        bob, alice = simulate._outcome_table(atk.u_e, atk.u_f, atk.ancilla_dim)
+        for chunk in range(2):
+            args = (simulate.CHUNK_SIZE, *probs, 12345, chunk)
+            got = simulate._simulate_chunk(bob, alice, *args)
+            want = born_rule_chunk(atk.u_e, atk.u_f, atk.ancilla_dim, *args)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
     def test_empirical_statistics_converge_to_analytic(self):
         atk = attack.symmetric_realizing_attack(0.05, 0.05)
@@ -67,19 +81,37 @@ class TestRunProtocol:
         assert n_key == pytest.approx(40_000 * 0.9 * 0.8, rel=0.05)
 
     def test_non_unitary_attack_caught(self):
-        bad_u = np.eye(2, dtype=complex)
-        bad_u[0, 0] = 0.9
-        bad = attack.CollectiveAttack(1, bad_u, np.eye(2, dtype=complex))
-        with pytest.raises(simulate.SimulationError):
-            run(bad, 1000, seed=0)
+        for entry in (0.9, np.nan):
+            bad_u = np.eye(2, dtype=complex)
+            bad_u[0, 0] = entry
+            bad = attack.CollectiveAttack(1, bad_u, np.eye(2, dtype=complex))
+            with pytest.raises(simulate.SimulationError):
+                run(bad, 1000, seed=0)
+
+    @pytest.mark.parametrize("d,scale", [(1, 1 + 4e-11), (32, 1 + 4.9e-11)],
+                             ids=["d1", "d32"])
+    def test_validated_attack_simulates(self, d, scale):
+        # Both unitaries pass validate_attack's tolerance; a reflected round
+        # compounds their norm errors.
+        atk = attack.random_attack(d, 3)
+        near = attack.validate_attack(atk.u_e * scale, atk.u_f * scale, d)
+        tally, _ = run(near, 1000, seed=0)
+        assert tally.total == 1000
+
+    def test_unreachable_collapse_is_finite_and_silent(self):
+        # Identity: Bob never reads 1 on |0> nor 0 on |1>.
+        atk = attack.identity_attack()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bob, alice = simulate._outcome_table(atk.u_e, atk.u_f, 1)
+        assert np.array_equal(bob, [0.0, 1.0, 0.5, 0.5])
+        assert np.all(np.isfinite(alice))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProtocolConfig(iterations=0)
         with pytest.raises(ValueError):
             ProtocolConfig(iterations=10, prob_z_basis=1.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(iterations=10, workers=0)
         with pytest.raises(ValueError):
             ProtocolConfig(iterations=10, seed=-1)
 
@@ -150,38 +182,6 @@ class TestQber:
         assert expected == pytest.approx(0.05, abs=1e-12)
         se = np.sqrt(expected * (1 - expected) / len(keys))
         assert abs(simulate.qber(keys) - expected) <= 3 * se
-
-
-class TestPermuteKeys:
-    def test_single_bit_unchanged(self):
-        keys = RawKeys(np.array([1], dtype=np.uint8),
-                       np.array([0], dtype=np.uint8))
-        out = simulate.permute_keys(keys, seed=123)
-        assert out.alice_bits[0] == 1 and out.bob_bits[0] == 0
-
-    def test_pair_multiset_preserved(self, rng):
-        a = rng.integers(0, 2, 500).astype(np.uint8)
-        b = rng.integers(0, 2, 500).astype(np.uint8)
-        keys = RawKeys(a, b)
-        out = simulate.permute_keys(keys, seed=7)
-        before = sorted(zip(a.tolist(), b.tolist()))
-        after = sorted(zip(out.alice_bits.tolist(), out.bob_bits.tolist()))
-        assert before == after
-        assert simulate.qber(out) == simulate.qber(keys)
-
-    def test_seed_determinism(self, rng):
-        a = rng.integers(0, 2, 100).astype(np.uint8)
-        b = rng.integers(0, 2, 100).astype(np.uint8)
-        keys = RawKeys(a, b)
-        one = simulate.permute_keys(keys, seed=55)
-        two = simulate.permute_keys(keys, seed=55)
-        assert np.array_equal(one.alice_bits, two.alice_bits)
-        assert np.array_equal(one.bob_bits, two.bob_bits)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            simulate.permute_keys(RawKeys(np.array([], dtype=np.uint8),
-                                          np.array([], dtype=np.uint8)), 1)
 
 
 class TestTallyCounts:
