@@ -79,7 +79,7 @@ def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> Colle
         if u.shape != (d, d):
             raise ValueError(f"{name} must have shape ({d}, {d}), got {u.shape}")
         residual = np.max(np.abs(u.conj().T @ u - np.eye(d)))
-        if residual > UNITARY_TOL:
+        if not residual <= UNITARY_TOL:     # NaN fails too
             raise ValueError(f"{name} is not unitary: residual {residual}")
         u = u.copy()
         u.setflags(write=False)
@@ -140,14 +140,13 @@ def _statistics(records: np.ndarray, g: np.ndarray) -> ChannelStatistics:
 
 
 def _block_diagonal(records: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
-    """State whose block b is the sum of |r><r|/2 over the records r in block b."""
+    """Stack of n_blocks diagonal blocks; block b sums |r><r|/2 over the
+    records r that ``blocks`` assigns to it."""
     d = records.shape[-1]
     rec = records.reshape(8, d)
-    diag = np.zeros((n_blocks, d, d), dtype=complex)
-    np.add.at(diag, blocks.reshape(8), 0.5 * (rec[:, :, None] * rec[:, None, :].conj()))
-    rho = np.zeros((n_blocks, d, n_blocks, d), dtype=complex)
-    rho[np.arange(n_blocks), :, np.arange(n_blocks), :] = diag
-    return rho.reshape(n_blocks * d, n_blocks * d)
+    rho = np.zeros((n_blocks, d, d), dtype=complex)
+    np.add.at(rho, blocks.reshape(8), 0.5 * (rec[:, :, None] * rec[:, None, :].conj()))
+    return rho
 
 
 def statistics(attack: CollectiveAttack) -> ChannelStatistics:
@@ -171,9 +170,10 @@ def overlap_e000_e131(attack: CollectiveAttack) -> complex:
 def rho_be(attack: CollectiveAttack) -> np.ndarray:
     """Post-protocol state of Bob's key bit and Eve's ancilla on key rounds.
 
-    Block-diagonal in Bob's bit; each block mixes the four unnormalized
-    ancilla records that end with that bit, with overall weight 1/2 per sent
-    bit.
+    Block-diagonal in Bob's bit, so it is returned as the (2, d, d) stack of
+    its blocks indexed by that bit; each block mixes the four unnormalized
+    ancilla records that end with the bit, with overall weight 1/2 per sent
+    bit.  Eve's marginal is ``rho_be(attack).sum(axis=0)``.
     """
     return _block_diagonal(extract_vectors(attack).e_ijk[_RECORDS], _J, 2)
 
@@ -181,25 +181,28 @@ def rho_be(attack: CollectiveAttack) -> np.ndarray:
 def rho_bec(attack: CollectiveAttack) -> np.ndarray:
     """Post-protocol state extended by the agreement register.
 
-    Index order (Bob bit) x (agreement register, dim 4) x (ancilla); the
-    register labels whether the raw key bits agree and how many Z flips the
-    transit suffered.  Tracing out the register recovers rho_be.
+    Block-diagonal in (Bob bit, register), so it is returned as the
+    (2, 4, d, d) stack of its blocks indexed by Bob's bit and then the
+    register; the register labels whether the raw key bits agree and how
+    many Z flips the transit suffered.  Each block holds one key-round
+    record.  Summing over axis 1 (tracing out the register) recovers rho_be.
     """
+    d = attack.ancilla_dim
     return _block_diagonal(extract_vectors(attack).e_ijk[_RECORDS],
-                           _C_DIM * _J + _C_LABEL, 2 * _C_DIM)
+                           _C_DIM * _J + _C_LABEL, 2 * _C_DIM).reshape(2, _C_DIM, d, d)
 
 
 def exact_collective_rate(attack: CollectiveAttack) -> float:
     """Exact S(B|E) - H(B|A) for this attack (bits per sifted signal).
 
     This is what the statistics-only bound must never exceed; the entropies
-    come from full eigendecompositions of the post-protocol state.
+    come from eigendecompositions of the blocks of the post-protocol state.
     """
     v = extract_vectors(attack)
     records = v.e_ijk[_RECORDS]
     rho = _block_diagonal(records, _J, 2)
-    rho_e = linalg.partial_trace(rho, (2, attack.ancilla_dim), keep=1)
-    s_b_given_e = linalg.von_neumann_entropy(rho) - linalg.von_neumann_entropy(rho_e)
+    s_b_given_e = (linalg.von_neumann_entropy(rho)
+                   - linalg.von_neumann_entropy(rho.sum(axis=0)))
     return s_b_given_e - keyrate.h_b_given_a(_statistics(records, v.g))
 
 

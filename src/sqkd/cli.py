@@ -158,9 +158,9 @@ def cmd_simulate(args) -> int:
     try:
         if args.workers < 1:
             raise ValueError("workers must be positive")
-        atk = _build_attack(args.attack, args.seed)
         config = simulate.ProtocolConfig(iterations=args.iterations,
                                          seed=args.seed)
+        atk = _build_attack(args.attack, args.seed)
         tally, keys = simulate.run_protocol(atk, config)
         stats, err = simulate.estimate_statistics(tally)
         write_stats_file(args.out, stats)

@@ -232,8 +232,10 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
     entropy_ec = s_ec_upper(stats, lam)
     pa0 = p_alice_zero(stats)
     joint = _joint_key_distribution(stats)
-    h_cond = shannon_entropy(joint) - binary_entropy(pa0)
-    rate = entropy_bec - entropy_ec + binary_entropy(pa0) - shannon_entropy(joint)
+    h_a = binary_entropy(pa0)
+    h_ab = shannon_entropy(joint)
+    h_cond = h_ab - h_a
+    rate = entropy_bec - entropy_ec + h_a - h_ab
     return KeyRateReport(b=b, cal_b=cal_b, lambda_tilde=lam, s_bec=entropy_bec,
                          s_ec_upper=entropy_ec, p_a0=pa0, joint=joint,
                          h_b_given_a=h_cond, rate=rate)

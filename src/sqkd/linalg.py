@@ -3,10 +3,12 @@
 Operators and kets are plain numpy arrays of complex numbers; entropies are
 in bits (base-2 logarithms everywhere).  Composite systems follow one fixed
 convention, inherited by every other module: the first tensor factor is the
-most significant index, i.e. ``tensor(a, b)[i * dim_b + j] == a[i] * b[j]``.
+most significant index, as in ``np.kron(a, b)[i * dim_b + j] == a[i] * b[j]``.
 
-Dimensions in this package stay small (a few hundred at most), so everything
-is dense and eigendecompositions go through LAPACK via numpy.
+A block-diagonal operator is passed as the ``(..., n, n)`` stack of its
+diagonal blocks; a plain 2-D matrix is a stack of one block.  Blocks stay
+small (a few dozen rows at most), so they are dense and all of them are
+eigendecomposed by one LAPACK call through numpy.
 """
 
 import numpy as np
@@ -20,9 +22,9 @@ PROB_SUM_TOL = 1e-9        # allowed excess of a probability sum over 1
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True if max entrywise |M - M^dagger| <= tol."""
+    """True if max entrywise |M - M^dagger| <= tol over every block."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)
 
 
 def _clean_probabilities(p) -> np.ndarray:
@@ -56,23 +58,27 @@ def binary_entropy(p: float) -> float:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, in descending order."""
+    """Real eigenvalues of a Hermitian block-diagonal operator, descending.
+
+    ``m`` is the ``(..., n, n)`` stack of its diagonal blocks.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square blocks, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)[::-1]
+    return np.sort(np.linalg.eigvalsh(m).reshape(-1))[::-1]
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy of a density operator in bits: -sum lambda_i log2 lambda_i.
 
-    Requires rho Hermitian, positive semi-definite and of unit trace within
-    tolerance.  Eigenvalues in [-1e-10, 0) are treated as rounding noise and
-    clamped to 0; anything more negative is an error.
+    ``rho`` is the stack of diagonal blocks of a block-diagonal operator
+    (see ``hermitian_eigenvalues``).  Requires rho Hermitian, positive
+    semi-definite and of unit trace within tolerance.  Eigenvalues in
+    [-1e-10, 0) are treated as rounding noise and clamped to 0; anything
+    more negative is an error.
     """
-    rho = np.asarray(rho, dtype=complex)
     lam = hermitian_eigenvalues(rho)
     if abs(lam.sum() - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {lam.sum()} deviates from 1 beyond tolerance")
@@ -81,55 +87,3 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     lam = np.clip(lam, 0.0, None)
     nz = lam[lam > 0.0]
     return max(float(-(nz * np.log2(nz)).sum()), 0.0)
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Reduced operator of one factor of a bipartite system.
-
-    ``dims = (d_first, d_second)`` are the factor dimensions in the package's
-    index convention; ``keep`` is 0 to trace out the second factor, 1 to
-    trace out the first.
-    """
-    d0, d1 = dims
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d0 * d1, d0 * d1):
-        raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 (first factor) or 1 (second factor)")
-    r = rho.reshape(d0, d1, d0, d1)
-    return np.einsum("ijkj->ik", r) if keep == 0 else np.einsum("ijil->jl", r)
-
-
-def block_diag_entropy(weights, blocks) -> float:
-    """Entropy in bits of a block-diagonal mixture sum_j w_j |j><j| x sigma_j.
-
-    Each sigma_j must be a unit-trace density operator; the weights must form
-    a probability distribution.  Equals H(weights) + sum_j w_j S(sigma_j);
-    zero-weight blocks contribute nothing and are skipped entirely.
-    """
-    weights = _clean_probabilities(weights)
-    if abs(weights.sum() - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"weights sum to {weights.sum()}, expected 1")
-    if len(weights) != len(blocks):
-        raise ValueError("one weight per block required")
-    out = shannon_entropy(weights)
-    for w, sigma in zip(weights, blocks):
-        if w == 0.0:
-            continue
-        tr = float(np.trace(np.asarray(sigma)).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"block trace {tr} deviates from 1 beyond tolerance")
-        out += w * von_neumann_entropy(sigma)
-    return out
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two kets or two operators.
-
-    The first operand is the most significant subsystem in the result.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("operands must both be vectors or both be matrices")
-    return np.kron(a, b)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from cyclic Jacobi rotations instead of LAPACK, partial traces from
-explicit index loops, the rate bound from a direct transcription with
+explicit index loops, block-diagonal operators from copying each block into
+place, the rate bound from a direct transcription with
 scalar math, and Monte Carlo chunks from evolving one state vector per
 iteration instead of sampling a table of outcomes.
 """
@@ -60,6 +61,20 @@ def partial_trace_bruteforce(rho, dims, keep):
             for l in range(d1):
                 for i in range(d0):
                     out[j, l] += rho[i * d1 + j, i * d1 + l]
+    return out
+
+
+def assemble_block_diagonal(blocks):
+    """Dense block-diagonal matrix with the given square blocks, in order.
+
+    The blocks may differ in size; ``blocks`` may be a list or a stack.
+    """
+    sizes = [len(b) for b in blocks]
+    out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    at = 0
+    for blk, n in zip(blocks, sizes):
+        out[at:at + n, at:at + n] = blk
+        at += n
     return out
 
 

@@ -71,11 +71,13 @@ def test_criterion_4_block_entropy_equivalence(rng):
         weights /= weights.sum()
         blocks = [random_density(int(d), rng) for d in dims]
         full = np.zeros((dims.sum(), dims.sum()), dtype=complex)
+        stack = np.zeros((n, dims.max(), dims.max()), dtype=complex)
         at = 0
-        for w, blk, d in zip(weights, blocks, dims):
+        for j, (w, blk, d) in enumerate(zip(weights, blocks, dims)):
             full[at:at + d, at:at + d] = w * blk
+            stack[j, :d, :d] = w * blk
             at += d
-        diff = abs(linalg.block_diag_entropy(weights, blocks)
+        diff = abs(linalg.von_neumann_entropy(stack)
                    - linalg.von_neumann_entropy(full))
         worst = max(worst, diff)
     report(4, worst <= 1e-9, f"1000 instances, worst deviation {worst:.3e}")

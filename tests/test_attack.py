@@ -5,13 +5,8 @@ import pytest
 
 from sqkd import attack, keyrate, linalg
 from conftest import make_attack_pool
-from oracles import born_x_flip_probabilities
-
-
-def trace_out_register(rho, d):
-    """Independent index-level removal of the middle (dim 4) register."""
-    r = rho.reshape(2, 4, d, 2, 4, d)
-    return np.einsum("icjkcl->ijkl", r).reshape(2 * d, 2 * d)
+from oracles import (assemble_block_diagonal, born_x_flip_probabilities,
+                     partial_trace_bruteforce)
 
 
 class TestValidateAttack:
@@ -20,8 +15,11 @@ class TestValidateAttack:
         assert atk.ancilla_dim == 1
 
     def test_scaled_identity_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            attack.validate_attack(2.0 * np.eye(2), np.eye(2), 1)
+        nan_entry = np.eye(2)
+        nan_entry[0, 0] = np.nan
+        for u in (2.0 * np.eye(2), nan_entry):
+            with pytest.raises(ValueError, match="not unitary"):
+                attack.validate_attack(u, np.eye(2), 1)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -124,39 +122,48 @@ class TestOverlap:
             assert attack.overlap_e000_e131(atk).real >= bound - 1e-9
 
 
+def block_traces(rho):
+    return np.trace(rho, axis1=-2, axis2=-1).real
+
+
 class TestRhoBE:
     def test_identity_attack_state(self):
         rho = attack.rho_be(attack.identity_attack())
-        np.testing.assert_allclose(rho, np.diag([0.5, 0.5]), atol=1e-15)
+        np.testing.assert_allclose(rho, [[[0.5]], [[0.5]]], atol=1e-15)
 
     def test_hygiene_and_bob_marginal(self, attack_pool):
         for atk in attack_pool[:60]:
             d = atk.ancilla_dim
             rho = attack.rho_be(atk)
-            assert abs(np.trace(rho).real - 1.0) <= 1e-10
+            # One d x d block per bit of Bob's.
+            assert rho.shape == (2, d, d)
+            assert abs(block_traces(rho).sum() - 1.0) <= 1e-10
             assert linalg.hermitian_eigenvalues(rho).min() >= -1e-10
-            # Off-diagonal blocks in Bob's bit vanish by construction.
-            assert np.max(np.abs(rho[:d, d:])) == 0.0
             # Bob's diagonal equals his bit marginals from the statistics.
             s = attack.statistics(atk)
-            rho_b = linalg.partial_trace(rho, (2, d), keep=0)
             want = 0.5 * s.p.sum(axis=(0, 2))
-            np.testing.assert_allclose(np.diag(rho_b).real, want, atol=1e-10)
-            np.testing.assert_allclose(np.diag(rho_b).real.sum(), 1.0,
-                                       atol=1e-10)
+            np.testing.assert_allclose(block_traces(rho), want, atol=1e-10)
+
+    def test_eve_marginal_matches_bruteforce_partial_trace(self):
+        for d in (1, 2, 4, 32):
+            for seed in range(5):
+                rho = attack.rho_be(attack.random_attack(d, [31, seed]))
+                want = partial_trace_bruteforce(assemble_block_diagonal(rho), (2, d), 1)
+                np.testing.assert_allclose(rho.sum(axis=0), want, atol=1e-12)
+                assert np.trace(want).real == pytest.approx(1.0, abs=1e-10)
 
 
 class TestRhoBEC:
     def test_identity_attack_weights(self):
         rho = attack.rho_bec(attack.identity_attack())
-        want = np.zeros(8)
-        want[0 * 4 + 0] = 0.5   # Bob 0, (correct, 0 flips)
-        want[1 * 4 + 0] = 0.5   # Bob 1, (correct, 0 flips)
-        np.testing.assert_allclose(rho, np.diag(want), atol=1e-15)
+        want = np.zeros((2, 4, 1, 1))
+        want[0, 0] = 0.5   # Bob 0, (correct, 0 flips)
+        want[1, 0] = 0.5   # Bob 1, (correct, 0 flips)
+        np.testing.assert_allclose(rho, want, atol=1e-15)
 
     def test_tracing_register_recovers_rho_be(self, attack_pool):
         for atk in attack_pool[:60]:
-            got = trace_out_register(attack.rho_bec(atk), atk.ancilla_dim)
+            got = attack.rho_bec(atk).sum(axis=1)
             np.testing.assert_allclose(got, attack.rho_be(atk), atol=1e-10)
 
     def test_entropy_matches_halved_statistics(self, attack_pool):
@@ -168,21 +175,18 @@ class TestRhoBEC:
     def test_hygiene(self, attack_pool):
         for atk in attack_pool[:60]:
             rho = attack.rho_bec(atk)
-            assert abs(np.trace(rho).real - 1.0) <= 1e-10
+            assert abs(block_traces(rho).sum() - 1.0) <= 1e-10
             assert linalg.hermitian_eigenvalues(rho).min() >= -1e-10
 
     def test_conditioning_cannot_help_bob(self, attack_pool):
         # S(B|EC) <= S(B|E): extra conditioning never increases entropy.
         for atk in attack_pool[:40]:
-            d = atk.ancilla_dim
             rho_bec_ = attack.rho_bec(atk)
             rho_be_ = attack.rho_be(atk)
             s_b_ec = (linalg.von_neumann_entropy(rho_bec_)
-                      - linalg.von_neumann_entropy(
-                          linalg.partial_trace(rho_bec_, (2, 4 * d), keep=1)))
+                      - linalg.von_neumann_entropy(rho_bec_.sum(axis=0)))
             s_b_e = (linalg.von_neumann_entropy(rho_be_)
-                     - linalg.von_neumann_entropy(
-                         linalg.partial_trace(rho_be_, (2, d), keep=1)))
+                     - linalg.von_neumann_entropy(rho_be_.sum(axis=0)))
             assert s_b_ec <= s_b_e + 1e-9
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqkd import cli, keyrate
+from sqkd import attack, cli, keyrate
 from sqkd.keyrate import ChannelStatistics
 
 
@@ -204,6 +204,11 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "x.txt")) == 1
         assert "no samples in class" in capsys.readouterr().err
 
+    def test_negative_seed_named(self, tmp_path, capsys):
+        assert run_cli("simulate", "--attack", "random:4", "--seed", "-3",
+                       "--iterations", "100", "--out", str(tmp_path / "x.txt")) == 1
+        assert "seed" in capsys.readouterr().err
+
 
 class TestValidateCommand:
     def test_small_suite_passes(self, capsys):
@@ -229,3 +234,12 @@ class TestValidateCommand:
         assert run_cli("validate", "--attacks", "3", "--seed", "9",
                        "--corrupt") == 4
         assert "FAIL" in capsys.readouterr().out
+
+    def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
+        # Records (0, 0, 0) and (0, 0, 1) share a block of rho_bec, so its
+        # eigenvalues no longer equal the halved statistics.
+        label = attack._C_LABEL.copy()
+        label[0, 0, 1] = label[0, 0, 0]
+        monkeypatch.setattr(attack, "_C_LABEL", label)
+        assert run_cli("validate", "--attacks", "3", "--seed", "9") == 4
+        assert "S(BEC) mismatch" in capsys.readouterr().out

@@ -160,8 +160,7 @@ class TestEntropyPieces:
         for atk in make_attack_pool(40, seed=772):
             stats = attack.statistics(atk)
             report = keyrate.key_rate_bound(stats)
-            rho = attack.rho_bec(atk)
-            rho_ec = linalg.partial_trace(rho, (2, 4 * atk.ancilla_dim), keep=1)
+            rho_ec = attack.rho_bec(atk).sum(axis=0)
             assert report.s_ec_upper >= linalg.von_neumann_entropy(rho_ec) - 1e-9
 
     def test_s_ec_upper_monotone_in_overlap_bound(self):

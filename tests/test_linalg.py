@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sqkd import linalg
-from oracles import jacobi_hermitian_eigenvalues, partial_trace_bruteforce
+from oracles import assemble_block_diagonal, jacobi_hermitian_eigenvalues
 
 # -sum p log2 p for (1/4, 3/4), evaluated with 30-digit arithmetic.
 H_QUARTER = 0.8112781244591328
@@ -17,6 +17,19 @@ def random_density(dim, rng):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = z @ z.conj().T
     return rho / np.trace(rho).real
+
+
+def random_density_stack(n, dim, rng):
+    """Blocks w_j sigma_j of a random block-diagonal density operator."""
+    weights = rng.random(n)
+    weights /= weights.sum()
+    return np.stack([w * random_density(dim, rng) for w in weights])
+
+
+def jacobi_entropy(m):
+    lam = jacobi_hermitian_eigenvalues(m)
+    lam = lam[lam > 0.0]
+    return float(-(lam * np.log2(lam)).sum())
 
 
 class TestShannonEntropy:
@@ -87,9 +100,24 @@ class TestHermitianEigenvalues:
             assert linalg.hermitian_eigenvalues(m).sum() == pytest.approx(
                 np.trace(m).real, abs=1e-9)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_rejects_non_hermitian(self, rng):
+        # A plain matrix, and a stack with one non-Hermitian block.
+        stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        stack[2, 0, 1] += 1e-6
+        for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), stack):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                linalg.hermitian_eigenvalues(m)
+
+    def test_stack_matches_assembled_matrix(self, rng):
+        for n, dim in ((1, 5), (2, 3), (4, 2), (8, 1)):
+            stack = np.stack([random_hermitian(dim, rng) for _ in range(n)])
+            got = linalg.hermitian_eigenvalues(stack)
+            assert got.shape == (n * dim,)
+            full = assemble_block_diagonal(stack)
+            np.testing.assert_allclose(got, jacobi_hermitian_eigenvalues(full),
+                                       atol=1e-9)
+            np.testing.assert_allclose(got, linalg.hermitian_eigenvalues(full),
+                                       atol=1e-12)
 
 
 class TestVonNeumannEntropy:
@@ -112,101 +140,63 @@ class TestVonNeumannEntropy:
             s = linalg.von_neumann_entropy(random_density(dim, rng))
             assert 0.0 <= s <= np.log2(dim) + 1e-12
 
-    def test_trace_deviation_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.von_neumann_entropy(np.eye(2))
+    def test_trace_deviation_rejected(self, rng):
+        for rho in (np.eye(2), 1.01 * random_density_stack(3, 2, rng)):
+            with pytest.raises(ValueError, match="trace"):
+                linalg.von_neumann_entropy(rho)
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.von_neumann_entropy(np.diag([1.5, -0.5]))
+        stack = np.stack([np.diag([0.75, 0.0]), np.diag([0.5, -0.25])])
+        for rho in (np.diag([1.5, -0.5]), stack):
+            with pytest.raises(ValueError, match="PSD"):
+                linalg.von_neumann_entropy(rho)
 
-
-class TestPartialTrace:
-    def test_bell_state_both_sides(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-        rho = np.outer(bell, bell.conj())
-        for keep in (0, 1):
-            np.testing.assert_allclose(
-                linalg.partial_trace(rho, (2, 2), keep), np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state_recovers_factor(self, rng):
-        rho_a = random_density(2, rng)
-        rho_b = random_density(3, rng)
-        rho = linalg.tensor(rho_a, rho_b)
-        np.testing.assert_allclose(
-            linalg.partial_trace(rho, (2, 3), 0), rho_a, atol=1e-12)
-        np.testing.assert_allclose(
-            linalg.partial_trace(rho, (2, 3), 1), rho_b, atol=1e-12)
-
-    def test_matches_bruteforce_and_preserves_trace(self, rng):
-        for dims in ((2, 3), (3, 4), (2, 8)):
-            rho = random_density(dims[0] * dims[1], rng)
-            for keep in (0, 1):
-                reduced = linalg.partial_trace(rho, dims, keep)
-                np.testing.assert_allclose(
-                    reduced, partial_trace_bruteforce(rho, dims, keep), atol=1e-12)
-                assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.partial_trace(np.eye(6) / 6, (2, 2), 0)
+    def test_stack_matches_assembled_matrix(self, rng):
+        for n, dim in ((1, 4), (2, 3), (4, 2), (8, 1)):
+            stack = random_density_stack(n, dim, rng)
+            full = assemble_block_diagonal(stack)
+            s = linalg.von_neumann_entropy(stack)
+            assert s == pytest.approx(jacobi_entropy(full), abs=1e-9)
+            assert s == pytest.approx(linalg.von_neumann_entropy(full), abs=1e-12)
 
 
 class TestBlockDiagEntropy:
+    """Entropy of sum_j w_j |j><j| x sigma_j, passed as the stack of the
+    blocks w_j sigma_j."""
+
     def test_two_pure_blocks(self):
         pure = np.diag([1.0, 0.0])
-        assert linalg.block_diag_entropy([0.5, 0.5], [pure, pure]) == pytest.approx(
-            1.0, abs=1e-12)
+        assert linalg.von_neumann_entropy(np.stack([0.5 * pure, 0.5 * pure])) \
+            == pytest.approx(1.0, abs=1e-12)
 
     def test_single_maximally_mixed_block(self):
-        assert linalg.block_diag_entropy([1.0], [np.eye(2) / 2]) == pytest.approx(
+        assert linalg.von_neumann_entropy((np.eye(2) / 2)[None]) == pytest.approx(
             1.0, abs=1e-12)
 
     def test_zero_weight_block_skipped(self):
-        garbage = np.diag([5.0, 5.0])  # not unit trace, but weight is zero
-        assert linalg.block_diag_entropy([1.0, 0.0], [np.eye(2) / 2, garbage]) \
+        garbage = np.diag([5.0, 5.0])  # any operator, but its weight is zero
+        assert linalg.von_neumann_entropy(np.stack([np.eye(2) / 2, 0.0 * garbage])) \
             == pytest.approx(1.0, abs=1e-12)
 
     def test_non_unit_trace_block_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.block_diag_entropy([1.0], [np.eye(2)])
+        with pytest.raises(ValueError, match="trace"):
+            linalg.von_neumann_entropy(np.eye(2)[None])
 
     def test_matches_assembled_matrix(self, rng):
+        # Blocks of unequal size are zero-padded to a common one; the sum
+        # also equals H(weights) + sum_j w_j S(sigma_j).
         for _ in range(50):
             n = int(rng.integers(1, 5))
             dims = rng.integers(1, 9, size=n)
             weights = rng.random(n)
             weights /= weights.sum()
             blocks = [random_density(int(d), rng) for d in dims]
-            full = np.zeros((dims.sum(), dims.sum()), dtype=complex)
-            at = 0
-            for w, blk, d in zip(weights, blocks, dims):
-                full[at:at + d, at:at + d] = w * blk
-                at += d
-            assert linalg.block_diag_entropy(weights, blocks) == pytest.approx(
-                linalg.von_neumann_entropy(full), abs=1e-9)
-
-
-class TestTensor:
-    def test_basis_kets(self):
-        ket0 = np.array([1.0, 0.0])
-        ket1 = np.array([0.0, 1.0])
-        np.testing.assert_allclose(linalg.tensor(ket0, ket1),
-                                   [0.0, 1.0, 0.0, 0.0])
-
-    def test_identity_operators(self):
-        np.testing.assert_allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_mixed_product_rule(self, rng):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        np.testing.assert_allclose(
-            linalg.tensor(a, b) @ linalg.tensor(x, y),
-            linalg.tensor(a @ x, b @ y), atol=1e-12)
-
-    def test_rejects_mixed_kinds(self):
-        with pytest.raises(ValueError):
-            linalg.tensor(np.eye(2), np.array([1.0, 0.0]))
+            stack = np.zeros((n, dims.max(), dims.max()), dtype=complex)
+            for j, (w, blk, d) in enumerate(zip(weights, blocks, dims)):
+                stack[j, :d, :d] = w * blk
+            full = assemble_block_diagonal([w * blk for w, blk in zip(weights, blocks)])
+            mixture = linalg.shannon_entropy(weights) + sum(
+                w * linalg.von_neumann_entropy(blk) for w, blk in zip(weights, blocks))
+            s = linalg.von_neumann_entropy(stack)
+            assert s == pytest.approx(linalg.von_neumann_entropy(full), abs=1e-9)
+            assert s == pytest.approx(mixture, abs=1e-9)
