@@ -4,26 +4,30 @@ An attack is a pair of unitaries (u_e, u_f) on the transit qubit joined to
 Eve's private ancilla; u_e acts on the way from Alice to Bob, u_f on the
 way back.  Everything Alice and Bob can observe, and everything Eve ends up
 holding, is determined by a family of (generally unnormalized) conditional
-ancilla vectors obtained by projecting the unitaries' action on |0>_E:
+ancilla vectors obtained by projecting the unitaries' action on |0>_E.  An
+attack carries them, computed once when it is built:
 
   e[j]           components of u_e |i, 0>:  u_e|i,0> = |0, e[2i]> + |1, e[2i+1]>
   e_ijk[i, j, k] components of u_f |i, e[j]> on Bob-resent bit i
   f[j]           components of (u_f u_e) |i, 0> on Z inputs (reflected rounds)
   g[j]           components of (u_f u_e) |+/-, 0> on X inputs
+  records[i, j, k]  the key-round record e_ijk[j, 2i+j, k] (sent i, Bob j,
+                    Alice k)
 
 f is summed from e_ijk while g comes from the unitaries directly, so the
 identity that makes g a Hadamard combination of f
-(``unitarity_residuals()['g_combo']``) cross-checks the e_ijk extraction.
+(``unitarity_residuals(attack)['g_combo']``) cross-checks the e_ijk
+extraction.
 
 Transit is the most significant tensor factor throughout (see linalg).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import keyrate, linalg
-from .keyrate import ChannelStatistics
+from .keyrate import REGISTER_LABEL, ChannelStatistics
 
 UNITARY_TOL = 1e-10
 MAX_ANCILLA_DIM = 32
@@ -33,39 +37,44 @@ MAX_ANCILLA_DIM = 32
 _I, _J, _K = np.indices((2, 2, 2))
 _RECORDS = (_J, 2 * _I + _J, _K)
 
-# Agreement register: Bob's bit j vs Alice's bit k, plus the number of Z
-# flips along (i -> j -> k).  Basis ordering: (correct, 0 flips),
-# (correct, 1 flip), (wrong, 1 flip), (wrong, 2 flips).  Internal layout
-# only; no entropy depends on it.
-_C_DIM = 4
-_C_LABEL = np.array([[[0, 2], [3, 1]], [[1, 3], [2, 0]]])
-
 # Columns are sqrt(2)|+> and sqrt(2)|->.
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
 class CollectiveAttack:
-    """A validated pair of attack unitaries with their ancilla dimension."""
+    """A pair of attack unitaries with their ancilla dimension.
+
+    Eve's conditional ancilla vectors are computed from the unitaries when
+    the attack is built and stored read-only; none is normalized.  e has
+    shape (4, d); e_ijk has shape (2, 4, 2, d) indexed by Bob's resent bit
+    i, the forward label j and Alice's final outcome k; f and g have shape
+    (4, d); records has shape (2, 2, 2, d), record [i, j, k] being the
+    ancilla vector on the key-round path (sent i) -> (Bob j) -> (Alice k).
+    """
 
     ancilla_dim: int
     u_e: np.ndarray
     u_f: np.ndarray
+    e: np.ndarray = field(init=False, repr=False, compare=False)
+    e_ijk: np.ndarray = field(init=False, repr=False, compare=False)
+    f: np.ndarray = field(init=False, repr=False, compare=False)
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    records: np.ndarray = field(init=False, repr=False, compare=False)
 
-
-@dataclass(frozen=True)
-class AttackVectors:
-    """Eve's conditional ancilla vectors, all possibly unnormalized.
-
-    e has shape (4, d); e_ijk has shape (2, 4, 2, d) indexed by Bob's resent
-    bit i, the forward label j and Alice's final outcome k; f and g have
-    shape (4, d).  No normalization is ever applied.
-    """
-
-    e: np.ndarray
-    e_ijk: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
+    def __post_init__(self):
+        d = self.ancilla_dim
+        forward = self.u_e[:, [0, d]]              # u_e |0,0> and u_e |1,0>
+        e = forward.T.reshape(4, d)
+        e_ijk = np.einsum("kaib,jb->ijka", self.u_f.reshape(2, d, 2, d), e)
+        f = (e_ijk[0, 0::2] + e_ijk[1, 1::2]).reshape(4, d)
+        # u_f u_e |+/-,0> projected onto <+| and <-|, each carrying 1/sqrt(2).
+        x_round = (self.u_f @ (forward @ _PLUS_MINUS)).reshape(2, d, 2)
+        g = 0.5 * np.einsum("ky,kax->xya", _PLUS_MINUS, x_round).reshape(4, d)
+        for name, arr in (("e", e), ("e_ijk", e_ijk), ("f", f), ("g", g),
+                          ("records", e_ijk[_RECORDS])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> CollectiveAttack:
@@ -87,34 +96,19 @@ def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> Colle
     return CollectiveAttack(ancilla_dim=int(ancilla_dim), u_e=out[0], u_f=out[1])
 
 
-def extract_vectors(attack: CollectiveAttack) -> AttackVectors:
-    """Project the attack unitaries into Eve's conditional ancilla vectors."""
-    d = attack.ancilla_dim
-    forward = attack.u_e[:, [0, d]]            # u_e |0,0> and u_e |1,0>
-    e = forward.T.reshape(4, d)
-    e_ijk = np.einsum("kaib,jb->ijka", attack.u_f.reshape(2, d, 2, d), e)
-    f = (e_ijk[0, 0::2] + e_ijk[1, 1::2]).reshape(4, d)
-    # u_f u_e |+/-,0> projected onto <+| and <-|, each carrying 1/sqrt(2).
-    x_round = (attack.u_f @ (forward @ _PLUS_MINUS)).reshape(2, d, 2)
-    g = 0.5 * np.einsum("ky,kax->xya", _PLUS_MINUS, x_round).reshape(4, d)
-    for arr in (e, e_ijk, f, g):
-        arr.setflags(write=False)
-    return AttackVectors(e=e, e_ijk=e_ijk, f=f, g=g)
-
-
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...a->...", x.conj(), x).real
 
 
-def unitarity_residuals(vectors: AttackVectors) -> dict[str, float]:
-    """Max deviation of each identity group the vectors must satisfy.
+def unitarity_residuals(attack: CollectiveAttack) -> dict[str, float]:
+    """Max deviation of each identity group the attack's vectors must satisfy.
 
     Keys: 'e_norms' and 'e_orth' (forward unitarity), 'e_split' (each
     forward norm splits across Alice's outcomes), 'f_norms' and 'f_orth'
     (round-trip unitarity), 'g_combo' (the X components, computed from the
     unitaries, against the Hadamard combinations of f, summed from e_ijk).
     """
-    e, f, g = vectors.e, vectors.f, vectors.g
+    e, f, g = attack.e, attack.f, attack.g
 
     def norms_and_orth(x):
         gram = x.conj() @ x.T
@@ -123,7 +117,7 @@ def unitarity_residuals(vectors: AttackVectors) -> dict[str, float]:
 
     e_norms, e_orth = norms_and_orth(e)
     f_norms, f_orth = norms_and_orth(f)
-    e_split = float(np.max(np.abs(_sq_norms(e) - _sq_norms(vectors.e_ijk).sum(axis=-1))))
+    e_split = float(np.max(np.abs(_sq_norms(e) - _sq_norms(attack.e_ijk).sum(axis=-1))))
     combos = 0.5 * np.array([f[0] + f[1] + f[2] + f[3],
                              f[0] - f[1] + f[2] - f[3],
                              f[0] + f[1] - f[2] - f[3],
@@ -133,63 +127,43 @@ def unitarity_residuals(vectors: AttackVectors) -> dict[str, float]:
             "f_norms": f_norms, "f_orth": f_orth, "g_combo": g_combo}
 
 
-def _statistics(records: np.ndarray, g: np.ndarray) -> ChannelStatistics:
-    p_pm, p_mp = np.clip(_sq_norms(g[1:3]), 0.0, 1.0)
-    return ChannelStatistics(p=np.clip(_sq_norms(records), 0.0, 1.0),
-                             p_pm=p_pm, p_mp=p_mp)
-
-
-def _block_diagonal(records: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Stack of n_blocks diagonal blocks; block b sums |r><r|/2 over the
-    records r that ``blocks`` assigns to it."""
-    d = records.shape[-1]
-    rec = records.reshape(8, d)
-    rho = np.zeros((n_blocks, d, d), dtype=complex)
-    np.add.at(rho, blocks.reshape(8), 0.5 * (rec[:, :, None] * rec[:, None, :].conj()))
-    return rho
-
-
 def statistics(attack: CollectiveAttack) -> ChannelStatistics:
     """The ten observables induced by an attack.
 
-    p[i, j, k] is the squared norm of the ancilla vector on the path
+    p[i, j, k] is the squared norm of the record on the path
     (sent i) -> (Bob j) -> (Alice k); the X disturbances are the squared
     norms of the basis-flipping components on reflected rounds.
     """
-    v = extract_vectors(attack)
-    return _statistics(v.e_ijk[_RECORDS], v.g)
+    p_pm, p_mp = np.clip(_sq_norms(attack.g[1:3]), 0.0, 1.0)
+    return ChannelStatistics(p=np.clip(_sq_norms(attack.records), 0.0, 1.0),
+                             p_pm=p_pm, p_mp=p_mp)
 
 
-def overlap_e000_e131(attack: CollectiveAttack) -> complex:
-    """Eve's critical overlap <e_{0,0}^0 | e_{1,3}^1> (the two "all went
-    right" records); its real part is what the X statistics lower-bound."""
-    v = extract_vectors(attack)
-    return complex(np.vdot(v.e_ijk[0, 0, 0], v.e_ijk[1, 3, 1]))
+def rho_bec(attack: CollectiveAttack) -> np.ndarray:
+    """Post-protocol state of Bob's key bit, the agreement register and Eve.
+
+    Block-diagonal in (Bob bit, register), so it is returned as the
+    (2, 4, d, d) stack of its blocks indexed by Bob's bit and then the
+    register (``keyrate.REGISTER_LABEL``), which labels whether the raw key
+    bits agree and how many Z flips the transit suffered.  Each block holds
+    exactly one key-round record r, as |r><r|/2 (weight 1/2 per sent bit).
+    Eve's marginal with the register is ``rho_bec(attack).sum(axis=0)``.
+    """
+    d = attack.ancilla_dim
+    r = attack.records
+    rho = np.zeros((2, 4, d, d), dtype=complex)
+    rho[_J, REGISTER_LABEL] = 0.5 * (r[..., :, None] * r[..., None, :].conj())
+    return rho
 
 
 def rho_be(attack: CollectiveAttack) -> np.ndarray:
     """Post-protocol state of Bob's key bit and Eve's ancilla on key rounds.
 
-    Block-diagonal in Bob's bit, so it is returned as the (2, d, d) stack of
-    its blocks indexed by that bit; each block mixes the four unnormalized
-    ancilla records that end with the bit, with overall weight 1/2 per sent
+    ``rho_bec`` with the register traced out: the (2, d, d) stack of blocks
+    indexed by Bob's bit, each mixing the four records that end with that
     bit.  Eve's marginal is ``rho_be(attack).sum(axis=0)``.
     """
-    return _block_diagonal(extract_vectors(attack).e_ijk[_RECORDS], _J, 2)
-
-
-def rho_bec(attack: CollectiveAttack) -> np.ndarray:
-    """Post-protocol state extended by the agreement register.
-
-    Block-diagonal in (Bob bit, register), so it is returned as the
-    (2, 4, d, d) stack of its blocks indexed by Bob's bit and then the
-    register; the register labels whether the raw key bits agree and how
-    many Z flips the transit suffered.  Each block holds one key-round
-    record.  Summing over axis 1 (tracing out the register) recovers rho_be.
-    """
-    d = attack.ancilla_dim
-    return _block_diagonal(extract_vectors(attack).e_ijk[_RECORDS],
-                           _C_DIM * _J + _C_LABEL, 2 * _C_DIM).reshape(2, _C_DIM, d, d)
+    return rho_bec(attack).sum(axis=1)
 
 
 def exact_collective_rate(attack: CollectiveAttack) -> float:
@@ -198,12 +172,10 @@ def exact_collective_rate(attack: CollectiveAttack) -> float:
     This is what the statistics-only bound must never exceed; the entropies
     come from eigendecompositions of the blocks of the post-protocol state.
     """
-    v = extract_vectors(attack)
-    records = v.e_ijk[_RECORDS]
-    rho = _block_diagonal(records, _J, 2)
+    rho = rho_be(attack)
     s_b_given_e = (linalg.von_neumann_entropy(rho)
                    - linalg.von_neumann_entropy(rho.sum(axis=0)))
-    return s_b_given_e - keyrate.h_b_given_a(_statistics(records, v.g))
+    return s_b_given_e - keyrate.h_b_given_a(statistics(attack))
 
 
 def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:

@@ -88,11 +88,20 @@ def _print_report(report: keyrate.KeyRateReport) -> None:
         print(f"{name:<13} = {float(value):.12g}")
 
 
+def _parse_number(kind, text: str, what: str):
+    """``kind(text)`` for kind int or float; an error names ``what``."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what}: {text!r} is not {noun}") from None
+
+
 def _parse_triple(text: str) -> ScenarioParams:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated values Qf,Qr,Qx")
-    qf, qr, qx = (float(x) for x in parts)
+    qf, qr, qx = (_parse_number(float, x, "--symmetric") for x in parts)
     return ScenarioParams(q_fwd=qf, q_rev=qr, q_x=qx)
 
 
@@ -146,9 +155,10 @@ def _build_attack(spec: str, seed: int) -> attack_mod.CollectiveAttack:
         parts = spec.split(":", 1)[1].split(",")
         if len(parts) != 2:
             raise ValueError("symmetric attack needs two values: symmetric:Qf,Qr")
-        return attack_mod.symmetric_realizing_attack(float(parts[0]), float(parts[1]))
+        qf, qr = (_parse_number(float, x, f"attack spec {spec!r}") for x in parts)
+        return attack_mod.symmetric_realizing_attack(qf, qr)
     if spec.startswith("random:"):
-        d_e = int(spec.split(":", 1)[1])
+        d_e = _parse_number(int, spec.split(":", 1)[1], f"attack spec {spec!r}")
         return attack_mod.random_attack(d_e, seed)
     raise ValueError(f"unknown attack spec {spec!r}; expected identity, "
                      "zmeasure, symmetric:Qf,Qr or random:dE")
@@ -193,7 +203,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        dims = [int(x) for x in args.ancilla_dims.split(",")]
+        dims = [_parse_number(int, x, "--ancilla-dims")
+                for x in args.ancilla_dims.split(",")]
         if args.attacks < 1 or any(d < 1 for d in dims):
             raise ValueError("need at least one attack and positive dimensions")
         if args.seed < 0:
@@ -222,8 +233,7 @@ def cmd_validate(args) -> int:
     worst_slack = np.inf
     worst_residual = 0.0
     for label, atk in cases:
-        vectors = attack_mod.extract_vectors(atk)
-        residual = max(attack_mod.unitarity_residuals(vectors).values())
+        residual = max(attack_mod.unitarity_residuals(atk).values())
         worst_residual = max(worst_residual, residual)
         if residual > 1e-9:
             print(f"FAIL {label}: unitarity identity residual {residual:.3e}")

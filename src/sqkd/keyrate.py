@@ -22,6 +22,14 @@ from .linalg import binary_entropy, shannon_entropy
 # Per-i blocks of user-supplied statistics must sum to 1 within this.
 STATS_SUM_TOL = 1e-6
 
+# Agreement register: REGISTER_LABEL[i, j, k] labels the key round (sent i,
+# Bob j, Alice k) by whether Bob's and Alice's raw key bits agree and how
+# many Z flips the transit suffered along i -> j -> k: 0 (agree, 0 flips),
+# 1 (agree, 1 flip), 2 (disagree, 1 flip), 3 (disagree, 2 flips).  Each
+# label covers exactly two rounds.
+REGISTER_LABEL = np.array([[[0, 2], [3, 1]], [[1, 3], [2, 0]]])
+REGISTER_LABEL.setflags(write=False)
+
 
 class TooNoisyError(Exception):
     """Raised when p[0,0,0] vanishes: the channel is too noisy to proceed."""
@@ -175,11 +183,11 @@ def s_bec(stats: ChannelStatistics) -> float:
     return shannon_entropy(0.5 * stats.p.reshape(-1))
 
 
-def _pair_sums(p: np.ndarray) -> tuple[float, float, float, float]:
-    # Traces of the four agreement-register blocks: (agree, 0 flips),
-    # (agree, 1 flip), (disagree, 1 flip), (disagree, 2 flips).
-    return (float(p[0, 0, 0] + p[1, 1, 1]), float(p[1, 0, 0] + p[0, 1, 1]),
-            float(p[0, 0, 1] + p[1, 1, 0]), float(p[1, 0, 1] + p[0, 1, 0]))
+def _pair_sums(p: np.ndarray) -> list[float]:
+    # p summed over the two rounds of each REGISTER_LABEL: twice the traces
+    # of the four agreement-register blocks.
+    return np.bincount(REGISTER_LABEL.reshape(-1), weights=p.reshape(-1),
+                       minlength=4).tolist()
 
 
 def s_ec_upper(stats: ChannelStatistics, lam: float) -> float:
@@ -286,8 +294,8 @@ def noise_threshold(scenario: str, qx_ratio: float) -> float:
     that q_x = qx_ratio * Q stays within [0, 1/2].  Raises ValueError if the
     rate is already non-positive at Q = 0.
     """
-    if qx_ratio <= 0.0:
-        raise ValueError("qx_ratio must be positive")
+    if not 0.0 < qx_ratio < math.inf:       # NaN fails too
+        raise ValueError(f"qx_ratio = {qx_ratio} must be positive and finite")
     q_max = min(0.25, 0.5 / qx_ratio)
     if _scenario_rate(scenario, qx_ratio, 0.0) <= 0.0:
         raise ValueError("key rate is non-positive even at Q = 0")
@@ -319,6 +327,8 @@ def sweep(scenario: str, qx_ratio: float, q_max: float, steps: int) -> list[tupl
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if not math.isfinite(qx_ratio):
+        raise ValueError(f"qx_ratio = {qx_ratio} is not finite")
     rows = []
     for q in np.linspace(0.0, q_max, steps):
         rows.append((float(q), _scenario_rate(scenario, qx_ratio, float(q))))

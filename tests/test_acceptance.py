@@ -86,8 +86,7 @@ def test_criterion_4_block_entropy_equivalence(rng):
 def test_criterion_5_sigma1_closed_form(attack_pool):
     worst = 0.0
     for atk in attack_pool[:200]:
-        v = attack.extract_vectors(atk)
-        e000, e131 = v.e_ijk[0, 0, 0], v.e_ijk[1, 3, 1]
+        e000, e131 = atk.records[0, 0, 0], atk.records[1, 1, 1]
         sigma1 = np.outer(e000, e000.conj()) + np.outer(e131, e131.conj())
         t1 = np.trace(sigma1).real
         numeric = linalg.hermitian_eigenvalues(sigma1 / t1)
@@ -105,7 +104,8 @@ def test_criterion_6_x_bound_soundness(attack_pool):
     worst = np.inf
     for atk in attack_pool:
         b = keyrate.cross_overlap_lower_bound(attack.statistics(atk))
-        worst = min(worst, attack.overlap_e000_e131(atk).real - b)
+        overlap = np.vdot(atk.records[0, 0, 0], atk.records[1, 1, 1])
+        worst = min(worst, overlap.real - b)
     report(6, worst >= -1e-9,
            f"{len(attack_pool)} attacks, min Re(overlap) - B = {worst:.3e}")
 
@@ -154,9 +154,8 @@ def test_criterion_8_unitarity_and_state_hygiene(attack_pool):
     worst_eig = 0.0
     worst_trace = 0.0
     for atk in attack_pool:
-        vectors = attack.extract_vectors(atk)
         worst_residual = max(worst_residual,
-                             max(attack.unitarity_residuals(vectors).values()))
+                             max(attack.unitarity_residuals(atk).values()))
         for rho in (attack.rho_be(atk), attack.rho_bec(atk)):
             lam = linalg.hermitian_eigenvalues(rho)
             worst_eig = min(worst_eig, float(lam.min()))

@@ -1,4 +1,4 @@
-import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ class TestValidateAttack:
 
 class TestExtractVectors:
     def test_identity_attack_vectors(self):
-        v = attack.extract_vectors(attack.identity_attack())
+        v = attack.identity_attack()
         np.testing.assert_allclose(v.e[0], [1.0])
         np.testing.assert_allclose(v.e[1], [0.0])
         np.testing.assert_allclose(v.e[2], [0.0])
@@ -48,7 +48,7 @@ class TestExtractVectors:
         np.testing.assert_allclose(v.g[2], [0.0])
 
     def test_copy_attack_vectors(self):
-        v = attack.extract_vectors(attack.z_measurement_attack())
+        v = attack.z_measurement_attack()
         np.testing.assert_allclose(v.e[0], [1.0, 0.0])
         np.testing.assert_allclose(v.e[1], [0.0, 0.0])
         np.testing.assert_allclose(v.e[2], [0.0, 0.0])
@@ -57,22 +57,34 @@ class TestExtractVectors:
 
     def test_identity_groups_hold_for_random_attacks(self):
         for atk in make_attack_pool(1000):
-            residuals = attack.unitarity_residuals(attack.extract_vectors(atk))
+            residuals = attack.unitarity_residuals(atk)
             worst = max(residuals.values())
             assert worst <= 1e-9, f"residuals {residuals}"
 
     def test_g_combo_compares_two_routes(self, attack_pool):
         # g comes from u_f u_e |+/-,0> and f from the e_ijk records, so the
         # two agree only to rounding: never worse, but not always exactly.
-        combos = [attack.unitarity_residuals(attack.extract_vectors(atk))["g_combo"]
+        combos = [attack.unitarity_residuals(atk)["g_combo"]
                   for atk in attack_pool]
         assert max(combos) <= 1e-12
         assert any(c != 0.0 for c in combos)
 
     def test_g_combo_detects_wrong_x_components(self, attack_pool):
-        vectors = attack.extract_vectors(attack_pool[0])
-        bad = dataclasses.replace(vectors, g=vectors.g[::-1])
+        atk = attack_pool[0]
+        bad = types.SimpleNamespace(e=atk.e, e_ijk=atk.e_ijk, f=atk.f, g=atk.g[::-1])
         assert attack.unitarity_residuals(bad)["g_combo"] > 1e-9
+
+    def test_vector_fields_are_read_only(self):
+        atk = attack.random_attack(2, 5)
+        assert atk.records.shape == (2, 2, 2, 2)
+        for name in ("e", "e_ijk", "f", "g", "records"):
+            arr = getattr(atk, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(AttributeError):
+                setattr(atk, name, arr.copy())
+        with pytest.raises(TypeError):
+            attack.CollectiveAttack(2, atk.u_e, atk.u_f, g=atk.g)
 
 
 class TestStatistics:
@@ -110,16 +122,20 @@ class TestStatistics:
 
 
 class TestOverlap:
+    # Eve's critical overlap between the two "all went right" records.
     def test_identity(self):
-        assert attack.overlap_e000_e131(attack.identity_attack()) == 1.0
+        atk = attack.identity_attack()
+        assert np.vdot(atk.records[0, 0, 0], atk.records[1, 1, 1]) == 1.0
 
     def test_copy_attack_records_orthogonal(self):
-        assert attack.overlap_e000_e131(attack.z_measurement_attack()) == 0.0
+        atk = attack.z_measurement_attack()
+        assert np.vdot(atk.records[0, 0, 0], atk.records[1, 1, 1]) == 0.0
 
     def test_x_bound_is_sound(self, attack_pool):
         for atk in attack_pool:
             bound = keyrate.cross_overlap_lower_bound(attack.statistics(atk))
-            assert attack.overlap_e000_e131(atk).real >= bound - 1e-9
+            overlap = np.vdot(atk.records[0, 0, 0], atk.records[1, 1, 1])
+            assert overlap.real >= bound - 1e-9
 
 
 def block_traces(rho):
@@ -178,6 +194,14 @@ class TestRhoBEC:
             assert abs(block_traces(rho).sum() - 1.0) <= 1e-10
             assert linalg.hermitian_eigenvalues(rho).min() >= -1e-10
 
+    def test_register_blocks_match_keyrate_pair_sums(self, attack_pool):
+        # keyrate bounds S(EC) from the pair sums of its register labels;
+        # attack places each record in the block of the same label.
+        for atk in attack_pool:
+            rho_ec = attack.rho_bec(atk).sum(axis=0)
+            want = 0.5 * np.array(keyrate._pair_sums(attack.statistics(atk).p))
+            np.testing.assert_allclose(block_traces(rho_ec), want, rtol=0, atol=1e-12)
+
     def test_conditioning_cannot_help_bob(self, attack_pool):
         # S(B|EC) <= S(B|E): extra conditioning never increases entropy.
         for atk in attack_pool[:40]:
@@ -203,18 +227,6 @@ class TestExactCollectiveRate:
         for atk in attack_pool[:100]:
             bound = keyrate.key_rate_bound(attack.statistics(atk)).rate
             assert bound <= attack.exact_collective_rate(atk) + 1e-9
-
-    def test_extracts_vectors_once(self, monkeypatch):
-        calls = []
-        extract = attack.extract_vectors
-
-        def counting(atk):
-            calls.append(atk)
-            return extract(atk)
-
-        monkeypatch.setattr(attack, "extract_vectors", counting)
-        attack.exact_collective_rate(attack.random_attack(2, 5))
-        assert len(calls) == 1
 
 
 class TestSymmetricRealizingAttack:
@@ -244,7 +256,7 @@ class TestSymmetricRealizingAttack:
             qf, qr = rng.random(2) * 0.5
             atk = attack.symmetric_realizing_attack(qf, qr)
             assert atk.ancilla_dim == 4
-            residuals = attack.unitarity_residuals(attack.extract_vectors(atk))
+            residuals = attack.unitarity_residuals(atk)
             assert max(residuals.values()) <= 1e-9
 
     def test_rejects_out_of_range(self):

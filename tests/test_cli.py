@@ -89,6 +89,8 @@ class TestRateCommand:
         path.write_text("p000 = 1.0\n")
         assert run_cli("rate", "--stats", str(path)) == 1
         assert "p001" in capsys.readouterr().err
+        assert run_cli("rate", "--symmetric", "a,0.1,0.1") == 1
+        assert "--symmetric: 'a' is not a number" in capsys.readouterr().err
 
     def test_file_and_symmetric_agree(self, tmp_path, capsys):
         stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.02, 0.04, 0.03))
@@ -126,6 +128,12 @@ class TestThresholdCommand:
     def test_invalid_tag_exit_one(self, capsys):
         assert run_cli("threshold", "--scenario", "diagonal",
                        "--qx-ratio", "1") == 1
+
+    def test_non_finite_ratio_named(self, capsys):
+        assert run_cli("threshold", "--scenario", "equal",
+                       "--qx-ratio", "nan") == 1
+        assert capsys.readouterr().err == (
+            "error: qx_ratio = nan must be positive and finite\n")
 
 
 class TestSweepCommand:
@@ -193,10 +201,12 @@ class TestSimulateCommand:
         assert "analytic" in capsys.readouterr().out
 
     def test_bad_attack_spec_exit_one(self, tmp_path, capsys):
-        assert run_cli("simulate", "--attack", "teleport",
-                       "--iterations", "100", "--out",
-                       str(tmp_path / "x.txt")) == 1
-        assert "attack spec" in capsys.readouterr().err
+        for spec in ("teleport", "random:x", "symmetric:a,0.1"):
+            assert run_cli("simulate", "--attack", spec,
+                           "--iterations", "100", "--out",
+                           str(tmp_path / "x.txt")) == 1
+            err = capsys.readouterr().err
+            assert "attack spec" in err and repr(spec) in err
 
     def test_insufficient_data_named(self, tmp_path, capsys):
         assert run_cli("simulate", "--attack", "identity",
@@ -221,14 +231,16 @@ class TestValidateCommand:
         slack_part = text.split("worst slack (exact - bound)")[1]
         assert float(slack_part.split()[0]) == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("option,value", [
-        ("--ancilla-dims", "1,64"),
-        ("--seed", "-1"),
-    ], ids=["ancilla-dim-64", "negative-seed"])
-    def test_bad_input_exit_one(self, capsys, option, value):
+    @pytest.mark.parametrize("option,value,named", [
+        ("--ancilla-dims", "1,64", "ancilla_dim"),
+        ("--seed", "-1", "seed"),
+        ("--ancilla-dims", ",1", "--ancilla-dims"),
+    ], ids=["ancilla-dim-64", "negative-seed", "ancilla-dims-empty-entry"])
+    def test_bad_input_exit_one(self, capsys, option, value, named):
         assert run_cli("validate", "--attacks", "3", option, value) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert named in err[0]
 
     def test_corrupted_unitary_detected(self, capsys):
         assert run_cli("validate", "--attacks", "3", "--seed", "9",
@@ -238,8 +250,15 @@ class TestValidateCommand:
     def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
         # Records (0, 0, 0) and (0, 0, 1) share a block of rho_bec, so its
         # eigenvalues no longer equal the halved statistics.
-        label = attack._C_LABEL.copy()
-        label[0, 0, 1] = label[0, 0, 0]
-        monkeypatch.setattr(attack, "_C_LABEL", label)
+        rho_bec = attack.rho_bec
+        c000, c001 = keyrate.REGISTER_LABEL[0, 0]
+
+        def merged(atk):
+            rho = rho_bec(atk)
+            rho[0, c000] += rho[0, c001]
+            rho[0, c001] = 0.0
+            return rho
+
+        monkeypatch.setattr(attack, "rho_bec", merged)
         assert run_cli("validate", "--attacks", "3", "--seed", "9") == 4
         assert "S(BEC) mismatch" in capsys.readouterr().out

@@ -121,9 +121,8 @@ class TestLambdaTilde:
         # With the true squared overlap, the closed form reproduces both
         # eigenvalues of the normalized "agree, no flips" ancilla block.
         for atk in make_attack_pool(40, seed=771):
-            v = attack.extract_vectors(atk)
-            e000 = v.e_ijk[0, 0, 0]
-            e131 = v.e_ijk[1, 3, 1]
+            e000 = atk.records[0, 0, 0]
+            e131 = atk.records[1, 1, 1]
             sigma1 = np.outer(e000, e000.conj()) + np.outer(e131, e131.conj())
             t1 = np.trace(sigma1).real
             lam_top = linalg.hermitian_eigenvalues(sigma1 / t1)[0]
@@ -265,9 +264,15 @@ class TestThresholdAndSweep:
         with pytest.raises(ValueError):
             keyrate.noise_threshold("sideways", 1.0)
 
-    def test_nonpositive_ratio(self):
-        with pytest.raises(ValueError):
-            keyrate.noise_threshold("equal", 0.0)
+    @pytest.mark.parametrize("ratio", [0.0, math.nan, math.inf])
+    def test_nonpositive_ratio(self, ratio):
+        with pytest.raises(ValueError, match="qx_ratio"):
+            keyrate.noise_threshold("equal", ratio)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf])
+    def test_sweep_rejects_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match="qx_ratio"):
+            keyrate.sweep("equal", ratio, 0.1, 11)
 
     def test_sweep_starts_at_one_and_brackets_threshold(self):
         rows = keyrate.sweep("equal", 1.0, 0.1, 101)
