@@ -19,6 +19,12 @@ identity that makes g a Hadamard combination of f
 (``unitarity_residuals(attack)['g_combo']``) cross-checks the e_ijk
 extraction.
 
+Eve's post-protocol states are mixtures of the eight records, |r><r|/2
+each, block diagonal in Bob's bit and the agreement register.  Their
+entropies are taken from the 8x8 Gram matrix of the records (``gram``),
+whose principal submatrices share the blocks' non-zero spectra, so no d x d
+state is ever built.
+
 Transit is the most significant tensor factor throughout (see linalg).
 """
 
@@ -36,6 +42,22 @@ MAX_ANCILLA_DIM = 32
 # e_ijk[_RECORDS] gathers all eight as a (2, 2, 2, d) array.
 _I, _J, _K = np.indices((2, 2, 2))
 _RECORDS = (_J, 2 * _I + _J, _K)
+
+
+def _group_records(key: np.ndarray) -> np.ndarray:
+    # Record indices (C order of [i, j, k]) grouped by key, row m holding the
+    # records with key m; keys 0, 1, ... must each cover as many records.
+    key = key.reshape(-1)
+    groups = np.argsort(key, kind="stable").reshape(key.max() + 1, -1)
+    groups.setflags(write=False)
+    return groups
+
+
+# The post-protocol state is block diagonal in Bob's bit (state BE) and in
+# Bob's bit and the agreement register (state BEC); each row lists the
+# records of one block.  Every register block holds exactly one record.
+BOB_GROUPS = _group_records(_J)
+BOB_REGISTER_GROUPS = _group_records(4 * _J + REGISTER_LABEL)
 
 # Columns are sqrt(2)|+> and sqrt(2)|->.
 _PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -139,42 +161,40 @@ def statistics(attack: CollectiveAttack) -> ChannelStatistics:
                              p_pm=p_pm, p_mp=p_mp)
 
 
-def rho_bec(attack: CollectiveAttack) -> np.ndarray:
-    """Post-protocol state of Bob's key bit, the agreement register and Eve.
+def gram(attack: CollectiveAttack) -> np.ndarray:
+    """Hermitian 8x8 Gram matrix G = <r|r'>/2 of the key-round records.
 
-    Block-diagonal in (Bob bit, register), so it is returned as the
-    (2, 4, d, d) stack of its blocks indexed by Bob's bit and then the
-    register (``keyrate.REGISTER_LABEL``), which labels whether the raw key
-    bits agree and how many Z flips the transit suffered.  Each block holds
-    exactly one key-round record r, as |r><r|/2 (weight 1/2 per sent bit).
-    Eve's marginal with the register is ``rho_bec(attack).sum(axis=0)``.
+    Rows and columns follow the C order of ``records[i, j, k]``.  A state
+    sum_r |label(r)><label(r)| (x) |r><r|/2 of classical labels and Eve's
+    ancilla is block diagonal in the label, and the block of each label has
+    the non-zero spectrum of the principal submatrix of G on the records
+    carrying that label (``gram_blocks``); Eve's marginal has the spectrum
+    of G itself.  The diagonal holds p[i, j, k]/2 and G[0, 7] is half the
+    critical overlap <r000|r111>.
     """
-    d = attack.ancilla_dim
-    r = attack.records
-    rho = np.zeros((2, 4, d, d), dtype=complex)
-    rho[_J, REGISTER_LABEL] = 0.5 * (r[..., :, None] * r[..., None, :].conj())
-    return rho
+    r = attack.records.reshape(8, -1)
+    return 0.5 * (r.conj() @ r.T)
 
 
-def rho_be(attack: CollectiveAttack) -> np.ndarray:
-    """Post-protocol state of Bob's key bit and Eve's ancilla on key rounds.
+def gram_blocks(g: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Stack of the principal submatrices of ``g`` on each row of ``groups``.
 
-    ``rho_bec`` with the register traced out: the (2, d, d) stack of blocks
-    indexed by Bob's bit, each mixing the four records that end with that
-    bit.  Eve's marginal is ``rho_be(attack).sum(axis=0)``.
+    ``groups`` is an (m, n) array of record indices; the stack is (m, n, n).
     """
-    return rho_bec(attack).sum(axis=1)
+    return g[groups[:, :, None], groups[:, None, :]]
 
 
 def exact_collective_rate(attack: CollectiveAttack) -> float:
     """Exact S(B|E) - H(B|A) for this attack (bits per sifted signal).
 
-    This is what the statistics-only bound must never exceed; the entropies
-    come from eigendecompositions of the blocks of the post-protocol state.
+    This is what the statistics-only bound must never exceed.  S(BE) comes
+    from the 4x4 blocks of the records' Gram matrix grouped by Bob's bit
+    and S(E) from the whole 8x8 matrix, so the eigen-work does not grow
+    with the ancilla dimension.
     """
-    rho = rho_be(attack)
-    s_b_given_e = (linalg.von_neumann_entropy(rho)
-                   - linalg.von_neumann_entropy(rho.sum(axis=0)))
+    g = gram(attack)
+    s_b_given_e = (linalg.von_neumann_entropy(gram_blocks(g, BOB_GROUPS))
+                   - linalg.von_neumann_entropy(g))
     return s_b_given_e - keyrate.h_b_given_a(statistics(attack))
 
 

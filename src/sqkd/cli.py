@@ -248,7 +248,8 @@ def cmd_validate(args) -> int:
             print(f"FAIL {label}: bound {bound:.9f} exceeds exact rate {exact:.9f}")
             failures += 1
         s_direct = keyrate.s_bec(stats)
-        s_eigen = von_neumann_entropy(attack_mod.rho_bec(atk))
+        s_eigen = von_neumann_entropy(attack_mod.gram_blocks(
+            attack_mod.gram(atk), attack_mod.BOB_REGISTER_GROUPS))
         if abs(s_direct - s_eigen) > 1e-9:
             print(f"FAIL {label}: S(BEC) mismatch {abs(s_direct - s_eigen):.3e}")
             failures += 1

@@ -276,12 +276,16 @@ _SCAN_STEP = 1e-3
 _BISECT_TOL = 1e-6
 
 
-def _scenario_rate(scenario: str, qx_ratio: float, q: float) -> float:
+def _scenario(scenario: str):
     try:
-        fwd, rev = SCENARIOS[scenario]
+        return SCENARIOS[scenario]
     except KeyError:
         raise ValueError(f"unknown scenario {scenario!r}; "
                          f"expected one of {sorted(SCENARIOS)}") from None
+
+
+def _scenario_rate(scenario: str, qx_ratio: float, q: float) -> float:
+    fwd, rev = _scenario(scenario)
     params = ScenarioParams(q_fwd=fwd(q), q_rev=rev(q), q_x=qx_ratio * q)
     return key_rate_bound(symmetric_stats(params)).rate
 
@@ -323,12 +327,25 @@ def sweep(scenario: str, qx_ratio: float, q_max: float, steps: int) -> list[tupl
     """Evenly spaced (Q, rate) table over [0, q_max]; rates kept as-is.
 
     ``steps`` grid points including both endpoints; negative rates are
-    reported unmodified so zero crossings stay visible.
+    reported unmodified so zero crossings stay visible.  A negative or
+    non-finite ``qx_ratio`` or ``q_max``, or a ``q_max`` that takes q_fwd,
+    q_rev or q_x beyond 1/2, is rejected up front by the name it was given.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if not math.isfinite(qx_ratio):
         raise ValueError(f"qx_ratio = {qx_ratio} is not finite")
+    if qx_ratio < 0.0:
+        raise ValueError(f"qx_ratio = {qx_ratio} is negative")
+    if not 0.0 <= q_max < math.inf:         # NaN fails too
+        raise ValueError(f"q_max = {q_max} must be non-negative and finite")
+    # Every scenario's noise grows with Q, so the last grid point, q_max
+    # itself, sets the largest q_fwd, q_rev and q_x.
+    fwd, rev = _scenario(scenario)
+    try:
+        ScenarioParams(q_fwd=fwd(q_max), q_rev=rev(q_max), q_x=qx_ratio * q_max)
+    except ValueError as exc:
+        raise ValueError(f"q_max = {q_max} puts {exc}") from None
     rows = []
     for q in np.linspace(0.0, q_max, steps):
         rows.append((float(q), _scenario_rate(scenario, qx_ratio, float(q))))

@@ -7,8 +7,8 @@ most significant index, as in ``np.kron(a, b)[i * dim_b + j] == a[i] * b[j]``.
 
 A block-diagonal operator is passed as the ``(..., n, n)`` stack of its
 diagonal blocks; a plain 2-D matrix is a stack of one block.  Blocks stay
-small (a few dozen rows at most), so they are dense and all of them are
-eigendecomposed by one LAPACK call through numpy.
+small (the attack layer passes Gram blocks of at most 8 x 8), so they are
+dense and all of them are eigendecomposed by one LAPACK call through numpy.
 """
 
 import numpy as np

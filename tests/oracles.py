@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: eigenvalues
 come from cyclic Jacobi rotations instead of LAPACK, partial traces from
 explicit index loops, block-diagonal operators from copying each block into
 place, the rate bound from a direct transcription with
-scalar math, and Monte Carlo chunks from evolving one state vector per
-iteration instead of sampling a table of outcomes.
+scalar math, Monte Carlo chunks from evolving one state vector per
+iteration instead of sampling a table of outcomes, and the post-protocol
+states as dense d x d blocks instead of the records' 8 x 8 Gram matrix.
 """
 
 import math
@@ -196,3 +197,39 @@ def born_rule_chunk(u_e, u_f, d, n, prob_z, prob_measure, seed, chunk):
     x_counts = np.bincount(x_cells, minlength=4).reshape(2, 2)
     other = n - int(key_mask.sum()) - int(x_reflect.sum())
     return z_counts, x_counts, other, alice_bits[key_mask], bob_bits[key_mask]
+
+
+def register_label(i, j, k):
+    """Agreement-register label of key round (sent i, Bob j, Alice k).
+
+    0 (agree, 0 flips), 1 (agree, 1 flip), 2 (disagree, 1 flip),
+    3 (disagree, 2 flips), transcribed from the definition rather than read
+    from ``keyrate.REGISTER_LABEL``.
+    """
+    agree = j == k
+    flips = (i != j) + (j != k)
+    return {(True, 0): 0, (True, 1): 1, (False, 1): 2, (False, 2): 3}[agree, flips]
+
+
+def rho_bec(attack):
+    """Dense post-protocol state of Bob's key bit, the register and Eve.
+
+    The (2, 4, d, d) stack of its blocks, indexed by Bob's bit and then the
+    register label; each block holds one key-round record r as |r><r|/2.
+    Eve's marginal with the register is ``rho_bec(attack).sum(axis=0)``.
+    """
+    d = attack.ancilla_dim
+    rho = np.zeros((2, 4, d, d), dtype=complex)
+    for i, j, k in np.ndindex(2, 2, 2):
+        r = attack.records[i, j, k]
+        rho[j, register_label(i, j, k)] += 0.5 * np.outer(r, r.conj())
+    return rho
+
+
+def rho_be(attack):
+    """Dense post-protocol state of Bob's key bit and Eve's ancilla.
+
+    ``rho_bec`` with the register traced out: the (2, d, d) stack of blocks
+    indexed by Bob's bit.  Eve's marginal is ``rho_be(attack).sum(axis=0)``.
+    """
+    return rho_bec(attack).sum(axis=1)

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from sqkd import attack, cli, keyrate, linalg, simulate
+from oracles import rho_be, rho_bec
 from test_linalg import random_density
 
 # Published reference seed for the Monte Carlo convergence criterion.
 MC_SEED = 12345
+# Seed of the near-identity attacks of criterion 10.
+NEAR_IDENTITY_SEED = 271828
 
 # Threshold table, percent: rows Qx = Q/2, Q, 2Q; columns equal, fwd-half,
 # rev-half.  Tolerance 0.05 percentage points.
@@ -156,7 +159,7 @@ def test_criterion_8_unitarity_and_state_hygiene(attack_pool):
     for atk in attack_pool:
         worst_residual = max(worst_residual,
                              max(attack.unitarity_residuals(atk).values()))
-        for rho in (attack.rho_be(atk), attack.rho_bec(atk)):
+        for rho in (rho_be(atk), rho_bec(atk)):
             lam = linalg.hermitian_eigenvalues(rho)
             worst_eig = min(worst_eig, float(lam.min()))
             worst_trace = max(worst_trace, abs(float(lam.sum()) - 1.0))
@@ -191,3 +194,36 @@ def test_criterion_9_figure_curves(tmp_path):
         details.append(f"ratio {ratio}: crossing {crossings[0]:.3f} "
                        f"vs {threshold:.4f}, monotone={monotone}")
     report(9, ok, "; ".join(details))
+
+
+def near_identity_unitary(dim, eps, rng):
+    """exp(i eps H) for a random Hermitian H of unit operator norm."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    lam /= np.abs(lam).max()
+    return (v * np.exp(1j * eps * lam)) @ v.conj().T
+
+
+def test_criterion_10_soundness_where_bound_is_positive():
+    # Haar attacks almost never give a positive bound; attacks close to the
+    # identity do, and there the bound must still stay below the exact rate.
+    start = time.perf_counter()
+    count = positive = violations = 0
+    worst_slack = np.inf
+    for e_idx, eps in enumerate((0.02, 0.05)):
+        for d in (1, 2, 4, 32):
+            for idx in range(50):
+                rng = np.random.default_rng([NEAR_IDENTITY_SEED, e_idx, d, idx])
+                atk = attack.validate_attack(near_identity_unitary(2 * d, eps, rng),
+                                             near_identity_unitary(2 * d, eps, rng), d)
+                bound = keyrate.key_rate_bound(attack.statistics(atk)).rate
+                exact = attack.exact_collective_rate(atk)
+                count += 1
+                positive += bound > 0.0
+                violations += bound > exact + 1e-9
+                worst_slack = min(worst_slack, exact - bound)
+    elapsed = time.perf_counter() - start
+    report(10, positive == count and violations == 0,
+           f"{count} near-identity attacks (eps 0.02, 0.05; d = 1, 2, 4, 32): "
+           f"{positive} positive bounds, {violations} violations, "
+           f"min slack {worst_slack:.3e}; {elapsed:.1f}s")

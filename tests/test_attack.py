@@ -6,7 +6,7 @@ import pytest
 from sqkd import attack, keyrate, linalg
 from conftest import make_attack_pool
 from oracles import (assemble_block_diagonal, born_x_flip_probabilities,
-                     partial_trace_bruteforce)
+                     partial_trace_bruteforce, rho_be, rho_bec)
 
 
 class TestValidateAttack:
@@ -144,13 +144,13 @@ def block_traces(rho):
 
 class TestRhoBE:
     def test_identity_attack_state(self):
-        rho = attack.rho_be(attack.identity_attack())
+        rho = rho_be(attack.identity_attack())
         np.testing.assert_allclose(rho, [[[0.5]], [[0.5]]], atol=1e-15)
 
     def test_hygiene_and_bob_marginal(self, attack_pool):
         for atk in attack_pool[:60]:
             d = atk.ancilla_dim
-            rho = attack.rho_be(atk)
+            rho = rho_be(atk)
             # One d x d block per bit of Bob's.
             assert rho.shape == (2, d, d)
             assert abs(block_traces(rho).sum() - 1.0) <= 1e-10
@@ -163,7 +163,7 @@ class TestRhoBE:
     def test_eve_marginal_matches_bruteforce_partial_trace(self):
         for d in (1, 2, 4, 32):
             for seed in range(5):
-                rho = attack.rho_be(attack.random_attack(d, [31, seed]))
+                rho = rho_be(attack.random_attack(d, [31, seed]))
                 want = partial_trace_bruteforce(assemble_block_diagonal(rho), (2, d), 1)
                 np.testing.assert_allclose(rho.sum(axis=0), want, atol=1e-12)
                 assert np.trace(want).real == pytest.approx(1.0, abs=1e-10)
@@ -171,7 +171,7 @@ class TestRhoBE:
 
 class TestRhoBEC:
     def test_identity_attack_weights(self):
-        rho = attack.rho_bec(attack.identity_attack())
+        rho = rho_bec(attack.identity_attack())
         want = np.zeros((2, 4, 1, 1))
         want[0, 0] = 0.5   # Bob 0, (correct, 0 flips)
         want[1, 0] = 0.5   # Bob 1, (correct, 0 flips)
@@ -179,39 +179,84 @@ class TestRhoBEC:
 
     def test_tracing_register_recovers_rho_be(self, attack_pool):
         for atk in attack_pool[:60]:
-            got = attack.rho_bec(atk).sum(axis=1)
-            np.testing.assert_allclose(got, attack.rho_be(atk), atol=1e-10)
+            got = rho_bec(atk).sum(axis=1)
+            np.testing.assert_allclose(got, rho_be(atk), atol=1e-10)
 
     def test_entropy_matches_halved_statistics(self, attack_pool):
         for atk in attack_pool[:60]:
             s_direct = keyrate.s_bec(attack.statistics(atk))
-            s_eigen = linalg.von_neumann_entropy(attack.rho_bec(atk))
+            s_eigen = linalg.von_neumann_entropy(rho_bec(atk))
             assert s_direct == pytest.approx(s_eigen, abs=1e-9)
 
     def test_hygiene(self, attack_pool):
         for atk in attack_pool[:60]:
-            rho = attack.rho_bec(atk)
+            rho = rho_bec(atk)
             assert abs(block_traces(rho).sum() - 1.0) <= 1e-10
             assert linalg.hermitian_eigenvalues(rho).min() >= -1e-10
 
     def test_register_blocks_match_keyrate_pair_sums(self, attack_pool):
         # keyrate bounds S(EC) from the pair sums of its register labels;
-        # attack places each record in the block of the same label.
+        # the oracle places each record in the block its label's definition
+        # names.
         for atk in attack_pool:
-            rho_ec = attack.rho_bec(atk).sum(axis=0)
+            rho_ec = rho_bec(atk).sum(axis=0)
             want = 0.5 * np.array(keyrate._pair_sums(attack.statistics(atk).p))
             np.testing.assert_allclose(block_traces(rho_ec), want, rtol=0, atol=1e-12)
 
     def test_conditioning_cannot_help_bob(self, attack_pool):
         # S(B|EC) <= S(B|E): extra conditioning never increases entropy.
         for atk in attack_pool[:40]:
-            rho_bec_ = attack.rho_bec(atk)
-            rho_be_ = attack.rho_be(atk)
+            rho_bec_ = rho_bec(atk)
+            rho_be_ = rho_be(atk)
             s_b_ec = (linalg.von_neumann_entropy(rho_bec_)
                       - linalg.von_neumann_entropy(rho_bec_.sum(axis=0)))
             s_b_e = (linalg.von_neumann_entropy(rho_be_)
                      - linalg.von_neumann_entropy(rho_be_.sum(axis=0)))
             assert s_b_ec <= s_b_e + 1e-9
+
+
+class TestGramRoute:
+    # The entropies from the records' 8x8 Gram matrix against the dense
+    # d x d oracle states, which share no eigendecomposition with them.
+    @staticmethod
+    def attacks(attack_pool):
+        return (attack_pool + [attack.identity_attack(), attack.z_measurement_attack()]
+                + [attack.random_attack(d, [53, seed])
+                   for d in (1, 2, 4, 32) for seed in range(5)])
+
+    def test_entropies_match_dense_oracles(self, attack_pool):
+        for atk in self.attacks(attack_pool):
+            g = attack.gram(atk)
+            be, bec = rho_be(atk), rho_bec(atk)
+            s_be = linalg.von_neumann_entropy(attack.gram_blocks(g, attack.BOB_GROUPS))
+            s_e = linalg.von_neumann_entropy(g)
+            s_bec = linalg.von_neumann_entropy(
+                attack.gram_blocks(g, attack.BOB_REGISTER_GROUPS))
+            want_be = linalg.von_neumann_entropy(be)
+            want_e = linalg.von_neumann_entropy(be.sum(axis=0))
+            assert s_be == pytest.approx(want_be, abs=1e-12)
+            assert s_e == pytest.approx(want_e, abs=1e-12)
+            assert s_bec == pytest.approx(linalg.von_neumann_entropy(bec), abs=1e-12)
+            want_rate = (want_be - want_e
+                         - keyrate.h_b_given_a(attack.statistics(atk)))
+            assert attack.exact_collective_rate(atk) == pytest.approx(want_rate, abs=1e-12)
+
+    def test_register_groups_follow_the_labels(self, attack_pool):
+        # Block [j, c] of the register grouping holds the record the oracle
+        # places in rho_bec's block [j, c].
+        for atk in self.attacks(attack_pool):
+            blocks = attack.gram_blocks(attack.gram(atk), attack.BOB_REGISTER_GROUPS)
+            np.testing.assert_allclose(blocks.reshape(2, 4), block_traces(rho_bec(atk)),
+                                       rtol=0, atol=1e-12)
+
+    def test_diagonal_and_critical_overlap(self, attack_pool):
+        for atk in attack_pool[:60]:
+            g = attack.gram(atk)
+            np.testing.assert_allclose(g.diagonal().real,
+                                       0.5 * attack.statistics(atk).p.reshape(-1),
+                                       rtol=0, atol=1e-15)
+            overlap = np.vdot(atk.records[0, 0, 0], atk.records[1, 1, 1])
+            assert g[0, 7] == pytest.approx(0.5 * overlap, abs=1e-15)
 
 
 class TestExactCollectiveRate:

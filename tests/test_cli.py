@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqkd import attack, cli, keyrate
+from sqkd import attack, cli, keyrate, linalg
 from sqkd.keyrate import ChannelStatistics
 
 
@@ -156,6 +156,20 @@ class TestSweepCommand:
         assert qs[sign_flips[0]] <= threshold <= qs[sign_flips[0] + 1]
         assert out.read_text().endswith("\n")
 
+    @pytest.mark.parametrize("args,message", [
+        (("--qx-ratio", "1", "--qmax", "2"),
+         "error: q_max = 2.0 puts q_fwd = 2.0 outside [0, 1/2]"),
+        (("--qx-ratio", "1", "--qmax", "nan"),
+         "error: q_max = nan must be non-negative and finite"),
+        (("--qx-ratio", "-1"), "error: qx_ratio = -1.0 is negative"),
+    ], ids=["qmax-2", "qmax-nan", "ratio-negative"])
+    def test_bad_range_named(self, tmp_path, capsys, args, message):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--scenario", "equal", *args,
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     def test_unwritable_path_exit_one(self, tmp_path, capsys):
         assert run_cli("sweep", "--scenario", "equal", "--qx-ratio", "1",
                        "--out", str(tmp_path / "no" / "dir.csv")) == 1
@@ -227,9 +241,9 @@ class TestValidateCommand:
         text = capsys.readouterr().out
         assert "all checks passed" in text
         # The identity attack is always included and the bound is tight
-        # there, so the reported worst slack is zero.
-        slack_part = text.split("worst slack (exact - bound)")[1]
-        assert float(slack_part.split()[0]) == pytest.approx(0.0, abs=1e-9)
+        # there, so the reported worst slack is zero, printed without a
+        # minus sign.
+        assert "worst slack (exact - bound) 0.000000000\n" in text
 
     @pytest.mark.parametrize("option,value,named", [
         ("--ancilla-dims", "1,64", "ancilla_dim"),
@@ -248,17 +262,34 @@ class TestValidateCommand:
         assert "FAIL" in capsys.readouterr().out
 
     def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
-        # Records (0, 0, 0) and (0, 0, 1) share a block of rho_bec, so its
-        # eigenvalues no longer equal the halved statistics.
-        rho_bec = attack.rho_bec
-        c000, c001 = keyrate.REGISTER_LABEL[0, 0]
+        # Records (0, 0, 0) and (0, 0, 1), rows 0 and 1 of the Gram matrix,
+        # share one group, so the eigenvalues of that 2x2 block no longer
+        # equal the halved statistics.  Blocks are zero-padded to the
+        # largest group.
+        def gram_blocks(g, groups):
+            n = max(len(rows) for rows in groups)
+            blocks = np.zeros((len(groups), n, n), dtype=complex)
+            for b, rows in enumerate(groups):
+                blocks[b, :len(rows), :len(rows)] = g[np.ix_(rows, rows)]
+            return blocks
 
-        def merged(atk):
-            rho = rho_bec(atk)
-            rho[0, c000] += rho[0, c001]
-            rho[0, c001] = 0.0
-            return rho
-
-        monkeypatch.setattr(attack, "rho_bec", merged)
+        merged = [[0, 1]] + [[r] for r in range(2, 8)]
+        monkeypatch.setattr(attack, "gram_blocks", gram_blocks)
+        monkeypatch.setattr(attack, "BOB_REGISTER_GROUPS", merged)
         assert run_cli("validate", "--attacks", "3", "--seed", "9") == 4
         assert "S(BEC) mismatch" in capsys.readouterr().out
+
+    def test_eigen_blocks_at_most_8x8_at_d32(self, monkeypatch, capsys):
+        # The exact rate and the S(BEC) check eigendecompose Gram blocks of
+        # the eight records, never d x d blocks.
+        orders = []
+        eigvalsh = linalg.np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            orders.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.np.linalg, "eigvalsh", spy)
+        assert run_cli("validate", "--attacks", "2", "--ancilla-dims", "32") == 0
+        assert "checked 4 attacks" in capsys.readouterr().out
+        assert orders and max(orders) <= 8

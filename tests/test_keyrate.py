@@ -6,7 +6,7 @@ import pytest
 from sqkd import attack, keyrate, linalg
 from sqkd.keyrate import ChannelStatistics, ScenarioParams, TooNoisyError
 from conftest import make_attack_pool
-from oracles import independent_rate
+from oracles import independent_rate, rho_bec
 
 
 def stats_from_blocks(block0, block1, p_pm=0.0, p_mp=0.0):
@@ -159,7 +159,7 @@ class TestEntropyPieces:
         for atk in make_attack_pool(40, seed=772):
             stats = attack.statistics(atk)
             report = keyrate.key_rate_bound(stats)
-            rho_ec = attack.rho_bec(atk).sum(axis=0)
+            rho_ec = rho_bec(atk).sum(axis=0)
             assert report.s_ec_upper >= linalg.von_neumann_entropy(rho_ec) - 1e-9
 
     def test_s_ec_upper_monotone_in_overlap_bound(self):
@@ -273,6 +273,26 @@ class TestThresholdAndSweep:
     def test_sweep_rejects_non_finite_ratio(self, ratio):
         with pytest.raises(ValueError, match="qx_ratio"):
             keyrate.sweep("equal", ratio, 0.1, 11)
+
+    @pytest.mark.parametrize("scenario,ratio,q_max,message", [
+        ("equal", 1.0, math.nan, "q_max = nan must be non-negative and finite"),
+        ("equal", 1.0, math.inf, "q_max = inf must be non-negative and finite"),
+        ("equal", 1.0, -0.1, "q_max = -0.1 must be non-negative and finite"),
+        ("equal", -1.0, 0.1, "qx_ratio = -1.0 is negative"),
+        ("equal", 1.0, 2.0, "q_max = 2.0 puts q_fwd = 2.0 outside [0, 1/2]"),
+        ("fwd-half", 0.5, 0.8, "q_max = 0.8 puts q_rev = 0.8 outside [0, 1/2]"),
+        ("equal", 2.0, 0.3, "q_max = 0.3 puts q_x = 0.6 outside [0, 1/2]"),
+    ], ids=["q_max-nan", "q_max-inf", "q_max-negative", "ratio-negative",
+            "q_fwd", "q_rev", "q_x"])
+    def test_sweep_names_what_was_typed(self, scenario, ratio, q_max, message):
+        with pytest.raises(ValueError) as info:
+            keyrate.sweep(scenario, ratio, q_max, 11)
+        assert str(info.value) == message
+
+    def test_sweep_reaches_the_noise_limit(self):
+        # q_fwd = q_rev = q_x = 1/2 at q_max itself is still allowed.
+        rows = keyrate.sweep("equal", 1.0, 0.5, 3)
+        assert [q for q, _ in rows] == [0.0, 0.25, 0.5]
 
     def test_sweep_starts_at_one_and_brackets_threshold(self):
         rows = keyrate.sweep("equal", 1.0, 0.1, 101)
