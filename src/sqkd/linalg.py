@@ -30,6 +30,9 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 def _clean_probabilities(p) -> np.ndarray:
     """Clamp rounding-level negatives to 0; reject anything worse."""
     p = np.asarray(p, dtype=float).reshape(-1)
+    bad = p[~np.isfinite(p)]
+    if bad.size:
+        raise ValueError(f"non-finite probability {bad[0]}")
     if p.size and p.min() < PROB_NEG_TOL:
         raise ValueError(f"negative probability {p.min()} beyond tolerance")
     return np.clip(p, 0.0, None)

@@ -7,12 +7,18 @@ or reflects, Eve applies u_f, and Alice measures in her preparation basis.
 Four preparations and three branches of Bob's (reflect, collapse onto |0>,
 collapse onto |1>) give twelve pure final states, so the Born probabilities
 are computed once per run and each iteration only compares uniform draws
-against that table.
+against that table.  An iteration's event code is its cell of Alice's
+table (preparation x branch) followed by Alice's bit, 24 codes in all, so
+one bincount per chunk gives every tally.
 
 Reproducibility contract: iterations are processed in fixed chunks of
 CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
-SeedSequence([seed, c]).  Tallies merge by addition and key bits by chunk
-order, so the output is a pure function of (attack, config).
+SeedSequence([seed, c]).  Each chunk makes five draws in a fixed order and
+with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
+the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
+different dtype for the bits draws a different stream.  Tallies merge by
+addition and key bits by chunk order, so the output is a pure function of
+(attack, config).
 """
 
 from dataclasses import dataclass
@@ -176,26 +182,29 @@ def _outcome_table(u_e: np.ndarray, u_f: np.ndarray, d: int):
 def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
                     prob_z: float, prob_measure: float, seed: int, chunk: int):
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
-    # Fixed draw order is part of the reproducibility contract.
+    # Fixed draw order and dtypes are part of the reproducibility contract;
+    # bits stays the int64 array integers() returns.
     z_mask = rng.random(n) < prob_z
-    bits = rng.integers(0, 2, size=n).astype(np.uint8)
+    bits = rng.integers(0, 2, size=n)
     measure_mask = rng.random(n) < prob_measure
     u_bob = rng.random(n)
     u_alice = rng.random(n)
 
-    prep = np.where(z_mask, bits, bits + 2)
-    bob_bits = (measure_mask & (u_bob < bob[prep])).astype(np.uint8)
-    branch = np.where(measure_mask, bob_bits + 1, 0)
-    alice_bits = (u_alice < alice[prep, branch]).astype(np.uint8)
+    prep = bits + 2 * ~z_mask
+    bob_bits = measure_mask & (u_bob < bob.take(prep))
+    # Branch 0, 1 or 2, added to the int64 term first: bool + bool would be
+    # a logical or.
+    cell = 3 * prep + measure_mask + bob_bits
+    alice_bits = u_alice < alice.reshape(-1).take(cell)
 
-    key_mask = z_mask & measure_mask
-    cells = (bits.astype(np.int64) * 4 + bob_bits * 2 + alice_bits)[key_mask]
-    z_counts = np.bincount(cells, minlength=8).reshape(2, 2, 2)
-    x_reflect = ~z_mask & ~measure_mask
-    x_cells = (bits.astype(np.int64) * 2 + alice_bits)[x_reflect]
-    x_counts = np.bincount(x_cells, minlength=4).reshape(2, 2)
-    other = n - int(key_mask.sum()) - int(x_reflect.sum())
-    return z_counts, x_counts, other, alice_bits[key_mask], bob_bits[key_mask]
+    # Event code: the (prep, branch) cell of the table and Alice's bit.
+    counts = np.bincount(2 * cell + alice_bits, minlength=24).reshape(4, 3, 2)
+    z_counts = counts[:2, 1:]
+    x_counts = counts[2:, 0]
+    other = n - int(z_counts.sum()) - int(x_counts.sum())
+    key_rows = np.flatnonzero(z_mask & measure_mask)
+    return (z_counts, x_counts, other, alice_bits.take(key_rows).view(np.uint8),
+            bob_bits.take(key_rows).view(np.uint8))
 
 
 def run_protocol(attack: CollectiveAttack, config: ProtocolConfig) -> tuple[TallyCounts, RawKeys]:

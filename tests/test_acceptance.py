@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -14,6 +15,9 @@ from test_linalg import random_density
 
 # Published reference seed for the Monte Carlo convergence criterion.
 MC_SEED = 12345
+# sha256 of the stats file of `simulate --attack symmetric:0.05,0.05
+# --iterations 200000 --seed 12345`.
+STATS_DIGEST_200K = "910120b3c9174a15ca7e65dafe9c2f302b2a9f8aff2cfb1d31a7a54012791cad"
 # Seed of the near-identity attacks of criterion 10.
 NEAR_IDENTITY_SEED = 271828
 
@@ -150,6 +154,19 @@ def test_criterion_7_monte_carlo_convergence(tmp_path):
         within &= diff <= 3.0 * se if se > 0 else diff == 0.0
     report(7, identical and within,
            f"seed {MC_SEED}: byte-identical={identical}, worst |z|={worst_z:.2f}")
+
+
+def test_criterion_7_stats_file_matches_recorded_digest(tmp_path):
+    # Criterion 7 compares two runs of the same code, so a change to a
+    # draw's dtype or order would pass it; this digest was recorded once and
+    # changes only when the sampled stream does.
+    out = tmp_path / "mc.txt"
+    assert cli.main(["simulate", "--attack", "symmetric:0.05,0.05",
+                     "--iterations", "200000", "--seed", str(MC_SEED),
+                     "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    report(7, digest == STATS_DIGEST_200K,
+           f"seed {MC_SEED}, 200000 iterations: stats file sha256 {digest}")
 
 
 def test_criterion_8_unitarity_and_state_hygiene(attack_pool):

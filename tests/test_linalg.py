@@ -56,6 +56,11 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             linalg.shannon_entropy([0.7, 0.7])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"non-finite probability {bad}"):
+            linalg.shannon_entropy([bad, 0.5])
+
 
 class TestBinaryEntropy:
     def test_endpoints_and_half(self):

@@ -1,0 +1,68 @@
+"""Property tests over the statistics file and the key-rate bound."""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sqkd import cli, keyrate
+from sqkd.keyrate import ChannelStatistics, TooNoisyError
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0)
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+# Noiseless statistics: Bob and Alice always read what Alice sent.
+IDEAL = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+
+
+@st.composite
+def channel_statistics(draw):
+    """Noise ``t`` times ten entries in [0, 1] plus (1 - t) times IDEAL.
+
+    The entries' conditional blocks may first be rescaled to sum to 1, so
+    that many examples reach the whole bound, and small ``t`` gives positive
+    rates.  Sometimes one entry is then replaced by any float at all.
+    """
+    entries = np.array(draw(st.lists(unit_floats, min_size=10, max_size=10)))
+    if draw(st.booleans()):
+        sums = entries[:8].reshape(2, 4).sum(axis=1)
+        for i in np.flatnonzero(sums > 0.0):
+            entries[4 * i:4 * i + 4] /= sums[i]
+    t = draw(unit_floats)
+    entries = t * entries + (1.0 - t) * IDEAL
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, 9))] = draw(any_floats)
+    return ChannelStatistics(p=entries[:8].reshape(2, 2, 2),
+                             p_pm=entries[8], p_mp=entries[9])
+
+
+@PROPERTY_SETTINGS
+@given(entries=st.lists(unit_floats, min_size=10, max_size=10))
+def test_stats_file_round_trips_exactly(tmp_path, entries):
+    stats = ChannelStatistics(p=np.reshape(entries[:8], (2, 2, 2)),
+                              p_pm=entries[8], p_mp=entries[9])
+    path = str(tmp_path / "stats.txt")
+    cli.write_stats_file(path, stats)
+    back = cli.parse_stats_file(path)
+    got = np.append(back.p.reshape(-1), [back.p_pm, back.p_mp])
+    assert got.tobytes() == np.array(entries).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(stats=channel_statistics(), renormalize=st.booleans())
+def test_bound_is_finite_or_a_typed_error(stats, renormalize):
+    with warnings.catch_warnings():
+        # The documented clamp for statistics no attack realises.
+        warnings.filterwarnings("ignore", message="lambda_tilde = .* clamped to 1",
+                                category=UserWarning)
+        try:
+            report = keyrate.key_rate_bound(stats, renormalize=renormalize)
+        except (ValueError, TooNoisyError):
+            return
+    assert math.isfinite(report.rate)

@@ -47,18 +47,24 @@ class TestRunProtocol:
         assert np.array_equal(k1.alice_bits, k2.alice_bits)
         assert np.array_equal(k1.bob_bits, k2.bob_bits)
 
-    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.9, 0.8)],
-                             ids=["unbiased", "biased"])
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.9, 0.8), (0.1, 0.3)],
+                             ids=["unbiased", "biased", "low"])
     @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
     def test_chunks_match_born_rule_oracle(self, name, probs):
         atk = ORACLE_ATTACKS[name]
         bob, alice = simulate._outcome_table(atk.u_e, atk.u_f, atk.ancilla_dim)
-        for chunk in range(2):
-            args = (simulate.CHUNK_SIZE, *probs, 12345, chunk)
-            got = simulate._simulate_chunk(bob, alice, *args)
-            want = born_rule_chunk(atk.u_e, atk.u_f, atk.ancilla_dim, *args)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        for n in (simulate.CHUNK_SIZE, 1000, 1):
+            for chunk in range(2):
+                args = (n, *probs, 12345, chunk)
+                got = simulate._simulate_chunk(bob, alice, *args)
+                want = born_rule_chunk(atk.u_e, atk.u_f, atk.ancilla_dim, *args)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                # array_equal ignores dtype, so the dtypes are pinned here.
+                z, x, other, a_bits, b_bits = got
+                assert z.dtype == x.dtype == np.int64
+                assert type(other) is int
+                assert a_bits.dtype == b_bits.dtype == np.uint8
 
     def test_empirical_statistics_converge_to_analytic(self):
         atk = attack.symmetric_realizing_attack(0.05, 0.05)
