@@ -25,6 +25,14 @@ entropies are taken from the 8x8 Gram matrix of the records (``gram``),
 whose principal submatrices share the blocks' non-zero spectra, so no d x d
 state is ever built.
 
+Attacks stack: unitaries of shape (..., 2d, 2d) make one CollectiveAttack
+whose vectors, Gram matrices, statistics, residuals and entropies carry the
+same leading axes, one member per index, so a batch of attacks of one
+ancilla dimension takes a single vectorised pass.  A single attack is the
+same code with no leading axes.  Each member of a stack equals the attack
+built alone from its unitaries; ``keyrate`` stays scalar, so
+``statistics`` gives one ChannelStatistics per member.
+
 Transit is the most significant tensor factor throughout (see linalg).
 """
 
@@ -73,6 +81,8 @@ class CollectiveAttack:
     i, the forward label j and Alice's final outcome k; f and g have shape
     (4, d); records has shape (2, 2, 2, d), record [i, j, k] being the
     ancilla vector on the key-round path (sent i) -> (Bob j) -> (Alice k).
+    A stack of attacks has unitaries (..., 2d, 2d), and every vector field
+    carries the same leading axes.
     """
 
     ancilla_dim: int
@@ -86,35 +96,45 @@ class CollectiveAttack:
 
     def __post_init__(self):
         d = self.ancilla_dim
-        forward = self.u_e[:, [0, d]]              # u_e |0,0> and u_e |1,0>
-        e = forward.T.reshape(4, d)
-        e_ijk = np.einsum("kaib,jb->ijka", self.u_f.reshape(2, d, 2, d), e)
-        f = (e_ijk[0, 0::2] + e_ijk[1, 1::2]).reshape(4, d)
+        lead = self.u_e.shape[:-2]
+        forward = self.u_e[..., [0, d]]            # u_e |0,0> and u_e |1,0>
+        e = forward.swapaxes(-1, -2).reshape(lead + (4, d))
+        e_ijk = np.einsum("...kaib,...jb->...ijka",
+                          self.u_f.reshape(lead + (2, d, 2, d)), e)
+        f = (e_ijk[..., 0, 0::2, :, :] + e_ijk[..., 1, 1::2, :, :]).reshape(lead + (4, d))
         # u_f u_e |+/-,0> projected onto <+| and <-|, each carrying 1/sqrt(2).
-        x_round = (self.u_f @ (forward @ _PLUS_MINUS)).reshape(2, d, 2)
-        g = 0.5 * np.einsum("ky,kax->xya", _PLUS_MINUS, x_round).reshape(4, d)
+        x_round = (self.u_f @ (forward @ _PLUS_MINUS)).reshape(lead + (2, d, 2))
+        g = 0.5 * np.einsum("ky,...kax->...xya", _PLUS_MINUS, x_round).reshape(lead + (4, d))
+        records = e_ijk[(..., *_RECORDS, slice(None))]
         for name, arr in (("e", e), ("e_ijk", e_ijk), ("f", f), ("g", g),
-                          ("records", e_ijk[_RECORDS])):
+                          ("records", records)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
 def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> CollectiveAttack:
-    """Check shapes and unitarity, returning an immutable attack."""
+    """Check shapes and unitarity, returning an immutable attack.
+
+    ``u_e`` and ``u_f`` may carry the same leading axes, giving a stack; the
+    unitarity residual reported is the worst over the stack.
+    """
     if not 1 <= int(ancilla_dim) <= MAX_ANCILLA_DIM:
         raise ValueError(f"ancilla_dim must be in [1, {MAX_ANCILLA_DIM}]")
     d = 2 * int(ancilla_dim)
     out = []
     for name, u in (("u_e", u_e), ("u_f", u_f)):
         u = np.asarray(u, dtype=complex)
-        if u.shape != (d, d):
+        if u.shape[-2:] != (d, d):
             raise ValueError(f"{name} must have shape ({d}, {d}), got {u.shape}")
-        residual = np.max(np.abs(u.conj().T @ u - np.eye(d)))
+        residual = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)))
         if not residual <= UNITARY_TOL:     # NaN fails too
             raise ValueError(f"{name} is not unitary: residual {residual}")
         u = u.copy()
         u.setflags(write=False)
         out.append(u)
+    if out[0].shape != out[1].shape:
+        raise ValueError(f"u_e and u_f stack shapes differ: {out[0].shape} "
+                         f"and {out[1].shape}")
     return CollectiveAttack(ancilla_dim=int(ancilla_dim), u_e=out[0], u_f=out[1])
 
 
@@ -122,43 +142,55 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...a->...", x.conj(), x).real
 
 
-def unitarity_residuals(attack: CollectiveAttack) -> dict[str, float]:
+def unitarity_residuals(attack: CollectiveAttack) -> dict:
     """Max deviation of each identity group the attack's vectors must satisfy.
 
     Keys: 'e_norms' and 'e_orth' (forward unitarity), 'e_split' (each
     forward norm splits across Alice's outcomes), 'f_norms' and 'f_orth'
     (round-trip unitarity), 'g_combo' (the X components, computed from the
     unitaries, against the Hadamard combinations of f, summed from e_ijk).
+    Values are floats for a single attack and arrays over a stack's leading
+    axes.
     """
     e, f, g = attack.e, attack.f, attack.g
+    lead = e.shape[:-2]
 
     def norms_and_orth(x):
-        gram = x.conj() @ x.T
-        norms = gram.diagonal().real.reshape(2, 2).sum(axis=1)
-        return float(np.max(np.abs(norms - 1.0))), float(abs(gram[0, 2] + gram[1, 3]))
+        gram = x.conj() @ x.swapaxes(-1, -2)
+        norms = np.diagonal(gram, axis1=-2, axis2=-1).real.reshape(lead + (2, 2)).sum(axis=-1)
+        orth = gram[..., 0, 2] + gram[..., 1, 3]
+        # hypot rounds as abs of one complex number; abs of a complex array
+        # can differ in the last bit.
+        return np.max(np.abs(norms - 1.0), axis=-1), np.hypot(orth.real, orth.imag)
 
     e_norms, e_orth = norms_and_orth(e)
     f_norms, f_orth = norms_and_orth(f)
-    e_split = float(np.max(np.abs(_sq_norms(e) - _sq_norms(attack.e_ijk).sum(axis=-1))))
-    combos = 0.5 * np.array([f[0] + f[1] + f[2] + f[3],
-                             f[0] - f[1] + f[2] - f[3],
-                             f[0] + f[1] - f[2] - f[3],
-                             f[0] - f[1] - f[2] + f[3]])
-    g_combo = float(np.max(np.abs(g - combos)))
-    return {"e_norms": e_norms, "e_orth": e_orth, "e_split": e_split,
-            "f_norms": f_norms, "f_orth": f_orth, "g_combo": g_combo}
+    e_split = np.max(np.abs(_sq_norms(e)[..., None, :] - _sq_norms(attack.e_ijk).sum(axis=-1)),
+                     axis=(-2, -1))
+    f0, f1, f2, f3 = (f[..., j, :] for j in range(4))
+    combos = 0.5 * np.stack([f0 + f1 + f2 + f3,
+                             f0 - f1 + f2 - f3,
+                             f0 + f1 - f2 - f3,
+                             f0 - f1 - f2 + f3], axis=-2)
+    g_combo = np.max(np.abs(g - combos), axis=(-2, -1))
+    residuals = {"e_norms": e_norms, "e_orth": e_orth, "e_split": e_split,
+                 "f_norms": f_norms, "f_orth": f_orth, "g_combo": g_combo}
+    return {name: r if lead else float(r) for name, r in residuals.items()}
 
 
-def statistics(attack: CollectiveAttack) -> ChannelStatistics:
+def statistics(attack: CollectiveAttack):
     """The ten observables induced by an attack.
 
     p[i, j, k] is the squared norm of the record on the path
     (sent i) -> (Bob j) -> (Alice k); the X disturbances are the squared
-    norms of the basis-flipping components on reflected rounds.
+    norms of the basis-flipping components on reflected rounds.  A stack
+    gives a list with one ChannelStatistics per member, in C order.
     """
-    p_pm, p_mp = np.clip(_sq_norms(attack.g[1:3]), 0.0, 1.0)
-    return ChannelStatistics(p=np.clip(_sq_norms(attack.records), 0.0, 1.0),
-                             p_pm=p_pm, p_mp=p_mp)
+    p = np.clip(_sq_norms(attack.records), 0.0, 1.0).reshape(-1, 2, 2, 2)
+    flips = np.clip(_sq_norms(attack.g[..., 1:3, :]), 0.0, 1.0).reshape(-1, 2)
+    members = [ChannelStatistics(p=p_m, p_pm=p_pm, p_mp=p_mp)
+               for p_m, (p_pm, p_mp) in zip(p, flips)]
+    return members if attack.g.ndim > 2 else members[0]
 
 
 def gram(attack: CollectiveAttack) -> np.ndarray:
@@ -170,32 +202,41 @@ def gram(attack: CollectiveAttack) -> np.ndarray:
     the non-zero spectrum of the principal submatrix of G on the records
     carrying that label (``gram_blocks``); Eve's marginal has the spectrum
     of G itself.  The diagonal holds p[i, j, k]/2 and G[0, 7] is half the
-    critical overlap <r000|r111>.
+    critical overlap <r000|r111>.  A stack gives (..., 8, 8).
     """
-    r = attack.records.reshape(8, -1)
-    return 0.5 * (r.conj() @ r.T)
+    records = attack.records
+    r = records.reshape(records.shape[:-4] + (8, -1))
+    return 0.5 * (r.conj() @ r.swapaxes(-1, -2))
 
 
 def gram_blocks(g: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """Stack of the principal submatrices of ``g`` on each row of ``groups``.
 
-    ``groups`` is an (m, n) array of record indices; the stack is (m, n, n).
+    ``g`` is (..., 8, 8) and ``groups`` an (m, n) array of record indices;
+    the blocks are (..., m, n, n), one block-diagonal operator per leading
+    index of ``g``.
     """
-    return g[groups[:, :, None], groups[:, None, :]]
+    return g[..., groups[:, :, None], groups[:, None, :]]
+
+
+def s_b_given_e(g: np.ndarray):
+    """S(B|E) = S(BE) - S(E) in bits, from the Gram matrix ``g`` (..., 8, 8).
+
+    S(BE) comes from the 4x4 blocks of the records' Gram matrix grouped by
+    Bob's bit and S(E) from the whole 8x8 matrix, so the eigen-work does not
+    grow with the ancilla dimension.  A float for one matrix, an array over
+    the leading axes of a stack.
+    """
+    return (linalg.von_neumann_entropy(gram_blocks(g, BOB_GROUPS))
+            - linalg.von_neumann_entropy(g[..., None, :, :]))
 
 
 def exact_collective_rate(attack: CollectiveAttack) -> float:
-    """Exact S(B|E) - H(B|A) for this attack (bits per sifted signal).
+    """Exact S(B|E) - H(B|A) for one attack (bits per sifted signal).
 
-    This is what the statistics-only bound must never exceed.  S(BE) comes
-    from the 4x4 blocks of the records' Gram matrix grouped by Bob's bit
-    and S(E) from the whole 8x8 matrix, so the eigen-work does not grow
-    with the ancilla dimension.
+    This is what the statistics-only bound must never exceed.
     """
-    g = gram(attack)
-    s_b_given_e = (linalg.von_neumann_entropy(gram_blocks(g, BOB_GROUPS))
-                   - linalg.von_neumann_entropy(g))
-    return s_b_given_e - keyrate.h_b_given_a(statistics(attack))
+    return s_b_given_e(gram(attack)) - keyrate.h_b_given_a(statistics(attack))
 
 
 def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:
@@ -255,11 +296,20 @@ def symmetric_realizing_attack(q_fwd: float, q_rev: float) -> CollectiveAttack:
     return validate_attack(u_e, u_f, 4)
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+def _complex_gaussian_pair(dim: int, seed) -> np.ndarray:
+    # Two (dim, dim) standard complex Gaussian matrices, for u_e and u_f in
+    # that order, each drawn as its real part and then its imaginary part.
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                     for _ in range(2)])
+
+
+def _haar_unitary(z: np.ndarray) -> np.ndarray:
+    # Haar unitaries from complex Gaussian matrices z (..., dim, dim): QR
+    # with the phases of R's diagonal moved into Q.
     q, r = np.linalg.qr(z / np.sqrt(2.0))
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_attack(ancilla_dim: int, seed) -> CollectiveAttack:
@@ -268,7 +318,16 @@ def random_attack(ancilla_dim: int, seed) -> CollectiveAttack:
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
     an existing Generator.
     """
-    rng = np.random.default_rng(seed)
-    dim = 2 * ancilla_dim
-    return validate_attack(_haar_unitary(dim, rng), _haar_unitary(dim, rng),
-                           ancilla_dim)
+    u = _haar_unitary(_complex_gaussian_pair(2 * ancilla_dim, seed))
+    return validate_attack(u[0], u[1], ancilla_dim)
+
+
+def random_attacks(ancilla_dim: int, seeds) -> CollectiveAttack:
+    """Stack of ``random_attack(ancilla_dim, seed)`` for each of ``seeds``.
+
+    Member m equals ``random_attack(ancilla_dim, seeds[m])`` bit for bit;
+    every unitary of the stack is factorised by one batched QR.
+    """
+    u = _haar_unitary(np.stack([_complex_gaussian_pair(2 * ancilla_dim, seed)
+                                for seed in seeds]))
+    return validate_attack(u[:, 0], u[:, 1], ancilla_dim)

@@ -5,6 +5,7 @@ Exit codes: 0 success / positive rate, 1 input error, 2 non-positive rate,
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -201,62 +202,93 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Random attacks are checked in stacks of one ancilla dimension, cut so that
+# a stack's unitaries take at most this many bytes (eight attacks at d = 32).
+VALIDATE_STACK_BYTES = 1 << 20
+
+
+def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
+    """Yield (positions, labels, stack) covering every attack ``validate`` checks.
+
+    Positions number the attacks in report order: the identity, the Z
+    measurement, random attack idx (ancilla dimension dims[idx % len(dims)],
+    seed [seed, idx]) and, with ``corrupt``, a copy of the last random attack
+    with a broken u_e.  Each stack is built when it is reached.
+    """
+    fixed = [(0, "identity", attack_mod.identity_attack()),
+             (1, "zmeasure", attack_mod.z_measurement_attack())]
+    if corrupt:
+        last = attacks - 1
+        atk = attack_mod.random_attack(dims[last % len(dims)], [seed, last])
+        u_bad = atk.u_e.copy()
+        u_bad[0, 0] += 0.5
+        fixed.append((attacks + 2, "corrupted (test hook)", attack_mod.CollectiveAttack(
+            atk.ancilla_dim, u_bad, atk.u_f)))
+    for pos, label, atk in fixed:
+        yield [pos], [label], attack_mod.CollectiveAttack(
+            atk.ancilla_dim, atk.u_e[None], atk.u_f[None])
+    for d_e in dict.fromkeys(dims):
+        members = [idx for idx in range(attacks) if dims[idx % len(dims)] == d_e]
+        size = max(1, VALIDATE_STACK_BYTES // (2 * 16 * (2 * d_e) ** 2))
+        for start in range(0, len(members), size):
+            part = members[start:start + size]
+            seeds = [[seed, idx] for idx in part]
+            yield ([idx + 2 for idx in part], [f"random seed={s}" for s in seeds],
+                   attack_mod.random_attacks(d_e, seeds))
+
+
 def cmd_validate(args) -> int:
     try:
         dims = [_parse_number(int, x, "--ancilla-dims")
                 for x in args.ancilla_dims.split(",")]
         if args.attacks < 1 or any(d < 1 for d in dims):
             raise ValueError("need at least one attack and positive dimensions")
+        if max(dims) > attack_mod.MAX_ANCILLA_DIM:
+            raise ValueError(f"ancilla_dim must be in [1, {attack_mod.MAX_ANCILLA_DIM}]")
         if args.seed < 0:
             raise ValueError("seed must be non-negative")
-        cases: list[tuple[str, attack_mod.CollectiveAttack]] = [
-            ("identity", attack_mod.identity_attack()),
-            ("zmeasure", attack_mod.z_measurement_attack()),
-        ]
-        for idx in range(args.attacks):
-            d_e = dims[idx % len(dims)]
-            seed = [args.seed, idx]
-            cases.append((f"random seed={seed}",
-                          attack_mod.random_attack(d_e, seed)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.corrupt:
-        atk = cases[-1][1]
-        u_bad = atk.u_e.copy()
-        u_bad[0, 0] += 0.5
-        cases.append(("corrupted (test hook)",
-                      attack_mod.CollectiveAttack(atk.ancilla_dim, u_bad, atk.u_f)))
-
-    failures = 0
+    failures: list[tuple[int, str]] = []
+    checked = 0
     worst_slack = np.inf
     worst_residual = 0.0
-    for label, atk in cases:
-        residual = max(attack_mod.unitarity_residuals(atk).values())
-        worst_residual = max(worst_residual, residual)
-        if residual > 1e-9:
-            print(f"FAIL {label}: unitarity identity residual {residual:.3e}")
-            failures += 1
+    for positions, labels, stack in _validate_stacks(dims, args.attacks, args.seed,
+                                                      args.corrupt):
+        checked += len(positions)
+        residuals = np.max(list(attack_mod.unitarity_residuals(stack).values()), axis=0)
+        worst_residual = max(worst_residual, float(residuals.max()))
+        for pos, label, residual in zip(positions, labels, residuals):
+            if residual > 1e-9:
+                failures.append((pos, f"FAIL {label}: unitarity identity residual "
+                                      f"{residual:.3e}"))
+        # Only attacks whose identities hold have states to take entropies of.
+        sound = np.flatnonzero(~(residuals > 1e-9))
+        if not sound.size:
             continue
-        stats = attack_mod.statistics(atk)
-        bound = keyrate.key_rate_bound(stats).rate
-        exact = attack_mod.exact_collective_rate(atk)
-        slack = exact - bound
-        worst_slack = min(worst_slack, slack)
-        if bound > exact + 1e-9:
-            print(f"FAIL {label}: bound {bound:.9f} exceeds exact rate {exact:.9f}")
-            failures += 1
-        s_direct = keyrate.s_bec(stats)
+        stats = attack_mod.statistics(stack)
+        g = attack_mod.gram(stack)[sound]
+        s_b_given_e = attack_mod.s_b_given_e(g)
         s_eigen = von_neumann_entropy(attack_mod.gram_blocks(
-            attack_mod.gram(atk), attack_mod.BOB_REGISTER_GROUPS))
-        if abs(s_direct - s_eigen) > 1e-9:
-            print(f"FAIL {label}: S(BEC) mismatch {abs(s_direct - s_eigen):.3e}")
-            failures += 1
-    print(f"checked {len(cases)} attacks: worst identity residual "
+            g, attack_mod.BOB_REGISTER_GROUPS))
+        for m, s_be, s_bec in zip(sound, s_b_given_e, s_eigen):
+            report = keyrate.key_rate_bound(stats[m])
+            exact = s_be - report.h_b_given_a
+            worst_slack = min(worst_slack, exact - report.rate)
+            if report.rate > exact + 1e-9:
+                failures.append((positions[m], f"FAIL {labels[m]}: bound {report.rate:.9f} "
+                                               f"exceeds exact rate {exact:.9f}"))
+            if abs(report.s_bec - s_bec) > 1e-9:
+                failures.append((positions[m], f"FAIL {labels[m]}: S(BEC) mismatch "
+                                               f"{abs(report.s_bec - s_bec):.3e}"))
+    for _, line in sorted(failures, key=lambda failure: failure[0]):
+        print(line)
+    print(f"checked {checked} attacks: worst identity residual "
           f"{worst_residual:.3e}, worst slack (exact - bound) {worst_slack:.9f}")
     if failures:
-        print(f"{failures} violation(s) found")
+        print(f"{len(failures)} violation(s) found")
         return EXIT_VALIDATION
     print("all checks passed")
     return EXIT_OK
@@ -271,6 +303,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqkd",
                      description="Key-rate bounds and simulation for a "
@@ -287,14 +320,12 @@ def _build_parser() -> _Parser:
                      help="symmetric scenario parameters")
     p_rate.add_argument("--normalize", action="store_true",
                         help="rescale each conditional block to sum to 1")
-    p_rate.set_defaults(func=cmd_rate)
 
     p_thr = sub.add_parser("threshold", help="largest Q with positive rate")
     p_thr.add_argument("--scenario", required=True,
                        choices=sorted(keyrate.SCENARIOS))
     p_thr.add_argument("--qx-ratio", type=float, required=True,
                        help="X disturbance as a multiple of Q")
-    p_thr.set_defaults(func=cmd_threshold)
 
     p_sweep = sub.add_parser("sweep", help="rate-vs-Q table as CSV")
     p_sweep.add_argument("--scenario", required=True,
@@ -303,7 +334,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--qmax", type=float, default=0.1)
     p_sweep.add_argument("--steps", type=int, default=101)
     p_sweep.add_argument("--out", required=True, metavar="CSV")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo protocol run")
     p_sim.add_argument("--attack", required=True,
@@ -314,7 +344,6 @@ def _build_parser() -> _Parser:
                        help="accepted for compatibility; has no effect "
                             "(must be positive)")
     p_sim.add_argument("--out", required=True, metavar="STATSFILE")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="soundness and hygiene checks")
     p_val.add_argument("--attacks", type=int, default=100)
@@ -323,7 +352,6 @@ def _build_parser() -> _Parser:
     p_val.add_argument("--seed", type=int, default=0)
     p_val.add_argument("--corrupt", action="store_true",
                        help=argparse.SUPPRESS)  # test hook: inject a bad unitary
-    p_val.set_defaults(func=cmd_validate)
     return parser
 
 
@@ -332,7 +360,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse help/usage paths
         return int(exc.code or 0)
-    return args.func(args)
+    # Looked up by name on every call, so the cached parser holds no
+    # command function and a replaced cmd_* binding takes effect.
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

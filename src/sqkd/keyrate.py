@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import binary_entropy, shannon_entropy
+from .linalg import PROB_SUM_TOL, binary_entropy, shannon_entropy
 
 # Per-i blocks of user-supplied statistics must sum to 1 within this.
 STATS_SUM_TOL = 1e-6
@@ -62,6 +62,10 @@ def validate_statistics(stats: ChannelStatistics, *, sum_tol: float = STATS_SUM_
                         renormalize: bool = False) -> ChannelStatistics:
     """Check entries (finite, in [0, 1]) and per-i sums; optionally rescale blocks.
 
+    Each block must sum to 1 within ``sum_tol``, and the mean of the two
+    block sums may exceed 1 by at most ``linalg.PROB_SUM_TOL``, the excess
+    the entropies accept.
+
     Attack-derived statistics satisfy the constraints to rounding error;
     Monte Carlo estimates satisfy them to sampling error, hence the
     ``renormalize`` escape hatch that rescales each conditional block to sum
@@ -85,6 +89,12 @@ def validate_statistics(stats: ChannelStatistics, *, sum_tol: float = STATS_SUM_
         raise ValueError(
             f"conditional blocks sum to {sums[0]} and {sums[1]}, expected 1 "
             f"within {sum_tol} (pass renormalize to rescale)")
+    elif (0.5 * p.reshape(-1)).sum() > 1.0 + PROB_SUM_TOL:
+        # s_bec takes the Shannon entropy of exactly these halved entries.
+        raise ValueError(
+            f"conditional blocks p000..p011 and p100..p111 sum to {sums[0]} and "
+            f"{sums[1]}; their mean may exceed 1 by at most {PROB_SUM_TOL} "
+            f"(pass renormalize to rescale)")
     return ChannelStatistics(p=p, p_pm=min(max(stats.p_pm, 0.0), 1.0),
                              p_mp=min(max(stats.p_mp, 0.0), 1.0))
 

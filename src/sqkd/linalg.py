@@ -5,10 +5,13 @@ in bits (base-2 logarithms everywhere).  Composite systems follow one fixed
 convention, inherited by every other module: the first tensor factor is the
 most significant index, as in ``np.kron(a, b)[i * dim_b + j] == a[i] * b[j]``.
 
-A block-diagonal operator is passed as the ``(..., n, n)`` stack of its
-diagonal blocks; a plain 2-D matrix is a stack of one block.  Blocks stay
-small (the attack layer passes Gram blocks of at most 8 x 8), so they are
-dense and all of them are eigendecomposed by one LAPACK call through numpy.
+Operators follow the gufunc convention ``(..., m, n, n)``: the last three
+axes hold the m diagonal blocks of one block-diagonal operator, any leading
+axes index independent operators, and a plain 2-D matrix is one block.  A
+single operator gives a float, a batch an array over its leading axes, and
+both are the same code.  Blocks stay small (the attack layer passes Gram
+blocks of at most 8 x 8), so they are dense and every block of a batch is
+eigendecomposed by one LAPACK call through numpy.
 """
 
 import numpy as np
@@ -61,32 +64,38 @@ def binary_entropy(p: float) -> float:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian block-diagonal operator, descending.
+    """Real eigenvalues of Hermitian block-diagonal operators, descending.
 
-    ``m`` is the ``(..., n, n)`` stack of its diagonal blocks.
+    ``m`` is ``(..., k, n, n)`` (see the module docstring); the result is
+    ``(..., k * n)``, one row of eigenvalues per operator.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square blocks, got shape {m.shape}")
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.sort(np.linalg.eigvalsh(m).reshape(-1))[::-1]
+    lam = np.linalg.eigvalsh(m).reshape(m.shape[:-3] + (-1,))
+    return np.sort(lam, axis=-1)[..., ::-1]
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy of a density operator in bits: -sum lambda_i log2 lambda_i.
+def von_neumann_entropy(rho: np.ndarray):
+    """Entropy in bits, -sum lambda_i log2 lambda_i, of density operators.
 
-    ``rho`` is the stack of diagonal blocks of a block-diagonal operator
-    (see ``hermitian_eigenvalues``).  Requires rho Hermitian, positive
-    semi-definite and of unit trace within tolerance.  Eigenvalues in
-    [-1e-10, 0) are treated as rounding noise and clamped to 0; anything
-    more negative is an error.
+    ``rho`` is ``(..., k, n, n)``, the diagonal blocks of block-diagonal
+    operators (see ``hermitian_eigenvalues``); a single operator gives a
+    float and a batch an array over the leading axes.  Every operator must
+    be Hermitian, positive semi-definite and of unit trace within
+    tolerance.  Eigenvalues in [-1e-10, 0) are treated as rounding noise
+    and clamped to 0; anything more negative is an error.
     """
     lam = hermitian_eigenvalues(rho)
-    if abs(lam.sum() - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {lam.sum()} deviates from 1 beyond tolerance")
+    trace = lam.sum(axis=-1)
+    worst = np.ravel(trace)[np.argmax(np.abs(trace - 1.0))]
+    if abs(worst - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {worst} deviates from 1 beyond tolerance")
     if lam.min() < EIGENVALUE_CLAMP:
         raise ValueError(f"eigenvalue {lam.min()} below PSD tolerance")
     lam = np.clip(lam, 0.0, None)
-    nz = lam[lam > 0.0]
-    return max(float(-(nz * np.log2(nz)).sum()), 0.0)
+    plogp = lam * np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    s = np.maximum(-plogp.sum(axis=-1), 0.0)
+    return s if s.ndim else float(s)

@@ -176,7 +176,8 @@ def test_criterion_8_unitarity_and_state_hygiene(attack_pool):
     for atk in attack_pool:
         worst_residual = max(worst_residual,
                              max(attack.unitarity_residuals(atk).values()))
-        for rho in (rho_be(atk), rho_bec(atk)):
+        d = atk.ancilla_dim
+        for rho in (rho_be(atk), rho_bec(atk).reshape(8, d, d)):
             lam = linalg.hermitian_eigenvalues(rho)
             worst_eig = min(worst_eig, float(lam.min()))
             worst_trace = max(worst_trace, abs(float(lam.sum()) - 1.0))

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from sqkd import attack, keyrate, linalg
+from sqkd import attack, cli, keyrate, linalg
 from conftest import make_attack_pool
 from oracles import (assemble_block_diagonal, born_x_flip_probabilities,
                      partial_trace_bruteforce, rho_be, rho_bec)
@@ -29,6 +29,16 @@ class TestValidateAttack:
         atk = attack.random_attack(4, 2024)
         residual = np.max(np.abs(atk.u_e.conj().T @ atk.u_e - np.eye(8)))
         assert residual <= 1e-10
+
+    def test_stack_of_unitaries(self):
+        u = np.stack([np.eye(2)] * 3)
+        assert attack.validate_attack(u, u, 1).records.shape == (3, 2, 2, 2, 1)
+        with pytest.raises(ValueError, match="stack shapes differ"):
+            attack.validate_attack(u, u[:2], 1)
+        one_bad = u.copy()
+        one_bad[1] *= 2.0
+        with pytest.raises(ValueError, match="u_f is not unitary: residual 3.0"):
+            attack.validate_attack(u, one_bad, 1)
 
     def test_ancilla_cap(self):
         with pytest.raises(ValueError):
@@ -184,15 +194,17 @@ class TestRhoBEC:
 
     def test_entropy_matches_halved_statistics(self, attack_pool):
         for atk in attack_pool[:60]:
+            d = atk.ancilla_dim
             s_direct = keyrate.s_bec(attack.statistics(atk))
-            s_eigen = linalg.von_neumann_entropy(rho_bec(atk))
+            s_eigen = linalg.von_neumann_entropy(rho_bec(atk).reshape(8, d, d))
             assert s_direct == pytest.approx(s_eigen, abs=1e-9)
 
     def test_hygiene(self, attack_pool):
         for atk in attack_pool[:60]:
+            d = atk.ancilla_dim
             rho = rho_bec(atk)
             assert abs(block_traces(rho).sum() - 1.0) <= 1e-10
-            assert linalg.hermitian_eigenvalues(rho).min() >= -1e-10
+            assert linalg.hermitian_eigenvalues(rho.reshape(8, d, d)).min() >= -1e-10
 
     def test_register_blocks_match_keyrate_pair_sums(self, attack_pool):
         # keyrate bounds S(EC) from the pair sums of its register labels;
@@ -206,9 +218,10 @@ class TestRhoBEC:
     def test_conditioning_cannot_help_bob(self, attack_pool):
         # S(B|EC) <= S(B|E): extra conditioning never increases entropy.
         for atk in attack_pool[:40]:
+            d = atk.ancilla_dim
             rho_bec_ = rho_bec(atk)
             rho_be_ = rho_be(atk)
-            s_b_ec = (linalg.von_neumann_entropy(rho_bec_)
+            s_b_ec = (linalg.von_neumann_entropy(rho_bec_.reshape(8, d, d))
                       - linalg.von_neumann_entropy(rho_bec_.sum(axis=0)))
             s_b_e = (linalg.von_neumann_entropy(rho_be_)
                      - linalg.von_neumann_entropy(rho_be_.sum(axis=0)))
@@ -236,7 +249,9 @@ class TestGramRoute:
             want_e = linalg.von_neumann_entropy(be.sum(axis=0))
             assert s_be == pytest.approx(want_be, abs=1e-12)
             assert s_e == pytest.approx(want_e, abs=1e-12)
-            assert s_bec == pytest.approx(linalg.von_neumann_entropy(bec), abs=1e-12)
+            d = atk.ancilla_dim
+            assert s_bec == pytest.approx(linalg.von_neumann_entropy(bec.reshape(8, d, d)),
+                                          abs=1e-12)
             want_rate = (want_be - want_e
                          - keyrate.h_b_given_a(attack.statistics(atk)))
             assert attack.exact_collective_rate(atk) == pytest.approx(want_rate, abs=1e-12)
@@ -309,3 +324,69 @@ class TestSymmetricRealizingAttack:
             attack.symmetric_realizing_attack(0.6, 0.0)
         with pytest.raises(ValueError):
             attack.symmetric_realizing_attack(0.0, -0.1)
+
+
+class TestStacks:
+    """A stack of attacks against its members built one at a time."""
+
+    FIELDS = ("u_e", "u_f", "e", "e_ijk", "f", "g", "records")
+
+    @classmethod
+    def assert_members_match(cls, stack, members):
+        assert stack.u_e.shape[0] == len(members)
+        stats = attack.statistics(stack)
+        residuals = attack.unitarity_residuals(stack)
+        g = attack.gram(stack)
+        s_b_given_e = attack.s_b_given_e(g)
+        s_bec = linalg.von_neumann_entropy(attack.gram_blocks(g, attack.BOB_REGISTER_GROUPS))
+        for m, atk in enumerate(members):
+            assert stack.ancilla_dim == atk.ancilla_dim
+            for name in cls.FIELDS:
+                assert np.array_equal(getattr(stack, name)[m], getattr(atk, name)), name
+            alone = attack.statistics(atk)
+            assert np.array_equal(stats[m].p, alone.p)
+            assert (stats[m].p_pm, stats[m].p_mp) == (alone.p_pm, alone.p_mp)
+            for name, value in attack.unitarity_residuals(atk).items():
+                assert residuals[name][m] == pytest.approx(value, rel=0, abs=1e-14), name
+            g_alone = attack.gram(atk)
+            assert s_b_given_e[m] == pytest.approx(attack.s_b_given_e(g_alone), rel=0, abs=1e-14)
+            assert s_bec[m] == pytest.approx(linalg.von_neumann_entropy(
+                attack.gram_blocks(g_alone, attack.BOB_REGISTER_GROUPS)), rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 32])
+    def test_stack_equals_members_built_alone(self, d):
+        seeds = [[61, idx] for idx in range(12 if d == 32 else 40)]
+        self.assert_members_match(attack.random_attacks(d, seeds),
+                                  [attack.random_attack(d, seed) for seed in seeds])
+
+    def test_validate_stacks_cover_every_attack_once(self):
+        # 44 attacks over d = 1, 2, 4, 32 give 11 at d = 32, which the byte
+        # budget cuts into stacks of 8 and 3.
+        dims = [1, 2, 4, 32]
+        positions_seen = []
+        d32_sizes = []
+        for positions, labels, stack in cli._validate_stacks(dims, 44, 5, corrupt=True):
+            assert stack.u_e.nbytes + stack.u_f.nbytes <= cli.VALIDATE_STACK_BYTES
+            positions_seen += positions
+            if stack.ancilla_dim == 32 and labels[0].startswith("random"):
+                d32_sizes.append(len(positions))
+            members = []
+            for pos, label in zip(positions, labels):
+                if pos < 2:
+                    atk = (attack.identity_attack(), attack.z_measurement_attack())[pos]
+                    assert label == ("identity", "zmeasure")[pos]
+                elif pos == 46:
+                    assert label == "corrupted (test hook)"
+                    atk = attack.random_attack(32, [5, 43])
+                    assert stack.u_e[0, 0, 0] == atk.u_e[0, 0] + 0.5
+                    assert np.array_equal(stack.u_e[0, 1:], atk.u_e[1:])
+                    continue
+                else:
+                    idx = pos - 2
+                    assert label == f"random seed={[5, idx]}"
+                    atk = attack.random_attack(dims[idx % 4], [5, idx])
+                members.append(atk)
+            if members:
+                self.assert_members_match(stack, members)
+        assert sorted(positions_seen) == list(range(47))
+        assert d32_sizes == [8, 3]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,19 @@ class TestRateCommand:
         assert run_cli("rate", "--stats", str(path)) == 1
         capsys.readouterr()
         assert run_cli("rate", "--stats", str(path), "--normalize") == 0
+
+    def test_block_sums_whose_mean_exceeds_one_named(self, tmp_path, capsys):
+        # Each block is within the 1e-6 of the stats-file format, but the
+        # halved entries sum to 1.00000025, more than the entropies accept.
+        p = np.zeros((2, 2, 2))
+        p[0, 0, 0], p[0, 0, 1], p[1, 1, 0], p[1, 1, 1] = 0.9 + 5e-7, 0.1, 0.1, 0.9
+        path = tmp_path / "over.txt"
+        cli.write_stats_file(str(path), ChannelStatistics(p=p, p_pm=0.0, p_mp=0.0))
+        assert run_cli("rate", "--stats", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: conditional blocks p000..p011 and p100..p111 "
+                              "sum to 1.0000005 and 1.0;")
+        assert "at most 1e-09" in err
 
 
 class TestThresholdCommand:
@@ -261,23 +276,44 @@ class TestValidateCommand:
                        "--corrupt") == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra,code,digest", [
+        ((), 0, "4730ae6669fb8c75ff1fe034aa53a9272c4bd0f4e851351893f692ae21bf7ee0"),
+        (("--corrupt",), 4,
+         "58f52a4d30fe256dc94c753904a9fbc914aba9e14c9af75dc9f8fd214ca1eea0"),
+    ], ids=["clean", "corrupt"])
+    def test_output_matches_recorded_digest(self, capsys, extra, code, digest):
+        # The sha256 of stdout, recorded when every attack was still checked
+        # on its own: checking them in stacks must not change a byte.
+        assert run_cli("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32",
+                       "--seed", "3", *extra) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
     def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
         # Records (0, 0, 0) and (0, 0, 1), rows 0 and 1 of the Gram matrix,
         # share one group, so the eigenvalues of that 2x2 block no longer
         # equal the halved statistics.  Blocks are zero-padded to the
-        # largest group.
+        # largest group.  Like the real one, it takes a stack of Gram
+        # matrices (..., 8, 8) and returns blocks (..., groups, n, n).
         def gram_blocks(g, groups):
             n = max(len(rows) for rows in groups)
-            blocks = np.zeros((len(groups), n, n), dtype=complex)
+            blocks = np.zeros(g.shape[:-2] + (len(groups), n, n), dtype=complex)
             for b, rows in enumerate(groups):
-                blocks[b, :len(rows), :len(rows)] = g[np.ix_(rows, rows)]
+                blocks[..., b, :len(rows), :len(rows)] = g[..., rows, :][..., rows]
             return blocks
 
         merged = [[0, 1]] + [[r] for r in range(2, 8)]
         monkeypatch.setattr(attack, "gram_blocks", gram_blocks)
         monkeypatch.setattr(attack, "BOB_REGISTER_GROUPS", merged)
-        assert run_cli("validate", "--attacks", "3", "--seed", "9") == 4
-        assert "S(BEC) mismatch" in capsys.readouterr().out
+        assert run_cli("validate", "--attacks", "3", "--ancilla-dims", "1,2",
+                       "--seed", "9") == 4
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        # Attacks 0 and 2 share a stack (d = 1) checked before attack 1's,
+        # yet the lines come in attack order.
+        assert [line.split(":")[0] for line in fails] == [
+            f"FAIL random seed=[9, {idx}]" for idx in range(3)]
+        assert all(": S(BEC) mismatch " in line for line in fails)
 
     def test_eigen_blocks_at_most_8x8_at_d32(self, monkeypatch, capsys):
         # The exact rate and the S(BEC) check eigendecompose Gram blocks of
@@ -293,3 +329,13 @@ class TestValidateCommand:
         assert run_cli("validate", "--attacks", "2", "--ancilla-dims", "32") == 0
         assert "checked 4 attacks" in capsys.readouterr().out
         assert orders and max(orders) <= 8
+
+
+class TestParser:
+    def test_built_once_with_commands_looked_up_per_call(self, monkeypatch, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_threshold", lambda args: calls.append(args) or 0)
+        assert run_cli("threshold", "--scenario", "equal", "--qx-ratio", "1") == 0
+        assert len(calls) == 1 and calls[0].scenario == "equal"
+        assert capsys.readouterr().out == ""

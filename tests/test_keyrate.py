@@ -54,6 +54,16 @@ class TestValidateStatistics:
         with pytest.raises(ValueError):
             keyrate.validate_statistics(bad)
 
+    def test_block_sums_must_not_exceed_one_on_average(self):
+        # Both blocks pass the 1e-6 per-block tolerance; only the mean of
+        # the two sums decides, as the entropies accept an excess of 1e-9.
+        over = stats_from_blocks([0.9 + 5e-7, 0.1, 0, 0], [0, 0, 0.1, 0.9])
+        with pytest.raises(ValueError, match=r"p000\.\.p011 and p100\.\.p111 sum to "
+                                             r"1\.0000005 and 1\.0; .* at most 1e-09"):
+            keyrate.validate_statistics(over)
+        balanced = stats_from_blocks([0.9 + 5e-7, 0.1, 0, 0], [0, 0, 0.1, 0.9 - 5e-7])
+        assert keyrate.key_rate_bound(balanced).rate == 0.4310044064105385
+
     def test_renormalize_rescales(self):
         bad = stats_from_blocks([0.45, 0.45, 0, 0], [0, 0, 0.5, 1.0])
         fixed = keyrate.validate_statistics(bad, renormalize=True)

@@ -205,3 +205,36 @@ class TestBlockDiagEntropy:
             s = linalg.von_neumann_entropy(stack)
             assert s == pytest.approx(linalg.von_neumann_entropy(full), abs=1e-9)
             assert s == pytest.approx(mixture, abs=1e-9)
+
+
+class TestBatches:
+    """Leading axes index independent block-diagonal operators."""
+
+    def test_batch_matches_one_call_per_operator(self, rng):
+        for m, n in ((1, 1), (1, 8), (2, 4), (8, 1), (3, 2)):
+            batch = np.stack([random_density_stack(m, n, rng) for _ in range(6)])
+            batch = batch.reshape((2, 3) + batch.shape[1:])
+            s = linalg.von_neumann_entropy(batch)
+            lam = linalg.hermitian_eigenvalues(batch)
+            assert s.shape == (2, 3) and lam.shape == (2, 3, m * n)
+            for idx in np.ndindex(2, 3):
+                one = linalg.von_neumann_entropy(batch[idx])
+                assert isinstance(one, float)
+                assert s[idx] == pytest.approx(one, abs=1e-14)
+                np.testing.assert_allclose(lam[idx], linalg.hermitian_eigenvalues(batch[idx]),
+                                           rtol=0, atol=1e-14)
+
+    def test_one_bad_member_fails_the_batch(self, rng):
+        good = np.stack([random_density_stack(2, 3, rng) for _ in range(5)])
+        not_hermitian = good.copy()
+        not_hermitian[3, 1, 0, 2] += 1e-6
+        bad_trace = good.copy()
+        bad_trace[1] *= 1.01
+        not_psd = good.copy()
+        not_psd[4, 0] = np.diag([0.75, -0.25, 0.0])
+        not_psd[4, 1] = np.diag([0.5, 0.0, 0.0])
+        for batch, match in ((not_hermitian, "not Hermitian"), (bad_trace, "trace 1.01"),
+                             (not_psd, "eigenvalue -0.25 below PSD")):
+            with pytest.raises(ValueError, match=match):
+                linalg.von_neumann_entropy(batch)
+        assert linalg.von_neumann_entropy(good).shape == (5,)
