@@ -56,8 +56,12 @@ def shannon_entropy(p) -> float:
 
 
 def binary_entropy(p: float) -> float:
-    """Entropy of a (p, 1-p) coin in bits; symmetric about 1/2."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
+    """Entropy of a (p, 1-p) coin in bits; symmetric about 1/2.
+
+    p may leave [0, 1] by the same rounding the other entropies accept:
+    down to PROB_NEG_TOL and up to 1 + PROB_SUM_TOL.
+    """
+    if not PROB_NEG_TOL <= p <= 1.0 + PROB_SUM_TOL:
         raise ValueError(f"binary entropy argument {p} outside [0, 1]")
     p = min(max(float(p), 0.0), 1.0)
     return shannon_entropy([p, 1.0 - p])

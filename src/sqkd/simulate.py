@@ -1,15 +1,14 @@
 """Monte Carlo simulation of the quantum communication stage.
 
-Alice prepares |0>, |1>, |+> or |-> with Eve's ancilla in |0>, Eve applies
-u_e, Bob either performs a projective Z measurement (collapsing the joint
-state, which leaves the transit register exactly in the resent basis state)
-or reflects, Eve applies u_f, and Alice measures in her preparation basis.
-Four preparations and three branches of Bob's (reflect, collapse onto |0>,
-collapse onto |1>) give twelve pure final states, so the Born probabilities
-are computed once per run and each iteration only compares uniform draws
-against that table.  An iteration's event code is its cell of Alice's
-table (preparation x branch) followed by Alice's bit, 24 codes in all, so
-one bincount per chunk gives every tally.
+Alice prepares |0>, |1>, |+> or |->, Eve applies u_e, Bob either performs a
+projective Z measurement and resends what he saw or reflects, Eve applies
+u_f, and Alice measures in her preparation basis.  Everything Alice and Bob
+can observe is summed up in the attack's ten statistics (``statistics``), so
+the Born probabilities of Bob's and Alice's bits are read off them once per
+run and each iteration only compares uniform draws against that table.  An
+iteration's event code is its cell of Alice's table (preparation x branch)
+followed by Alice's bit, 24 codes in all, so one bincount per chunk gives
+every tally.
 
 Reproducibility contract: iterations are processed in fixed chunks of
 CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
@@ -18,27 +17,23 @@ with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
 the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
 different dtype for the bits draws a different stream.  Tallies merge by
 addition and key bits by chunk order, so the output is a pure function of
-(attack, config).
+the attack's ten statistics and the config.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import UNITARY_TOL, CollectiveAttack
+from .attack import UNITARY_TOL, CollectiveAttack, statistics, unitarity_residuals
 from .keyrate import ChannelStatistics
 
 CHUNK_SIZE = 1 << 14  # fixed; changing it changes every sampled trajectory
 
 BORN_TOL = 1e-12  # rounding allowance on top of the unitarity tolerance
 
-# Amplitudes of |0,0> and |1,0> for Alice's preparations |0>, |1>, |+>, |->.
-_PREPARED = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
-_PREPARED[2:] /= np.sqrt(2.0)
-
 
 class SimulationError(RuntimeError):
-    """Internal consistency violation (e.g. Born probabilities off)."""
+    """Internal consistency violation (e.g. non-unitary attack operators)."""
 
 
 class InsufficientDataError(ValueError):
@@ -61,6 +56,10 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("iterations", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         for name in ("prob_z_basis", "prob_measure_resend"):
@@ -129,53 +128,23 @@ class StatisticsUncertainty:
     p_mp: float
 
 
-def _born_pair(psi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    # Squared norms of the |0>- and |1>-transit blocks, per row.
-    mag = psi.real ** 2 + psi.imag ** 2
-    return mag[:, :d].sum(axis=1), mag[:, d:].sum(axis=1)
-
-
-def _check_born(totals: np.ndarray, d: int) -> None:
-    # validate_attack bounds every entry of U^dag U - I by UNITARY_TOL, so
-    # one unitary moves a unit state's squared norm by at most
-    # 2d * UNITARY_TOL; a reflected round passes two.  BORN_TOL is rounding.
-    # Phrased so that NaN fails.
-    if not np.all(np.abs(totals - 1.0) <= 2 * 2 * d * UNITARY_TOL + BORN_TOL):
-        raise SimulationError("Born probabilities do not sum to 1; "
-                              "the attack operators are not unitary enough")
-
-
-def _outcome_table(u_e: np.ndarray, u_f: np.ndarray, d: int):
+def _outcome_table(stats: ChannelStatistics):
     """Bit-1 probabilities of Bob's and Alice's measurements.
 
     Returns bob[prep], the probability that Bob's Z measurement reads 1, and
     alice[prep, branch], the probability that Alice's measurement in her
     preparation basis reads 1 (|1> or |->).  prep indexes |0>, |1>, |+>,
     |->; branch 0 is Bob reflecting, 1 and 2 are Bob's collapse onto
-    transit |0> and |1>.  Collapses Bob never samples stay at 0.
+    transit |0> and |1>.  Only Z collapses and X reflections reach an
+    output; every other cell, and a collapse Bob never samples, stays 0.
     """
-    psi = np.zeros((4, 2 * d), dtype=complex)
-    psi[:, [0, d]] = _PREPARED
-    psi = psi @ u_e.T
-    p0, p1 = _born_pair(psi, d)
-    _check_born(p0 + p1, d)
-    bob = p1 / (p0 + p1)
-
-    # A collapse keeps one transit block, which is exactly the resent state.
-    # An outcome Bob never samples (bob exactly 0 or 1) is left out, so no
-    # state is divided by a zero norm.
-    states = np.repeat(psi[:, None], 3, axis=1)
-    states[:, 1, d:] = 0.0
-    states[:, 2, :d] = 0.0
-    norms = np.column_stack([np.ones(4), p0, p1])
-    reached = np.column_stack([np.ones(4, dtype=bool), bob < 1.0, bob > 0.0])
-    psi = (states[reached] / np.sqrt(norms[reached])[:, None]) @ u_f.T
-    p0, p1 = _born_pair(psi, d)
-    _check_born(p0 + p1, d)
-    minus = psi[:, :d] - psi[:, d:]
-    q_minus = 0.5 * (minus.real ** 2 + minus.imag ** 2).sum(axis=1)
+    p = stats.p
+    bob = np.zeros(4)
+    bob[:2] = p[:, 1].sum(axis=-1) / p.sum(axis=(1, 2))
+    branch = p.sum(axis=-1)
     alice = np.zeros((4, 3))
-    alice[reached] = np.where(np.nonzero(reached)[0] < 2, p1, q_minus) / (p0 + p1)
+    np.divide(p[..., 1], branch, out=alice[:2, 1:], where=branch > 0.0)
+    alice[2:, 0] = stats.p_pm, 1.0 - stats.p_mp
     return bob, alice
 
 
@@ -212,9 +181,18 @@ def run_protocol(attack: CollectiveAttack, config: ProtocolConfig) -> tuple[Tall
 
     Returns the per-class tallies and the sifted raw keys (Z-prepared,
     measured-and-resent iterations only).  Output is a pure function of
-    (attack, config).
+    the attack's ten statistics and the config; an attack whose unitaries
+    are not unitary within tolerance raises SimulationError.
     """
-    bob, alice = _outcome_table(attack.u_e, attack.u_f, attack.ancilla_dim)
+    # validate_attack bounds every entry of U^dag U - I by UNITARY_TOL, so
+    # one unitary moves a unit state's squared norm by at most
+    # 2d * UNITARY_TOL; a reflected round passes two.  BORN_TOL is rounding.
+    # np.max keeps a NaN, and the comparison is phrased so that NaN fails.
+    worst = np.max(list(unitarity_residuals(attack).values()))
+    if not worst <= 2 * 2 * attack.ancilla_dim * UNITARY_TOL + BORN_TOL:
+        raise SimulationError("the attack operators are not unitary enough: "
+                              f"identity residual {worst}")
+    bob, alice = _outcome_table(statistics(attack))
     n_total = config.iterations
     z_counts = np.zeros((2, 2, 2), dtype=np.int64)
     x_counts = np.zeros((2, 2), dtype=np.int64)

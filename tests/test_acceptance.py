@@ -18,6 +18,12 @@ MC_SEED = 12345
 # sha256 of the stats file of `simulate --attack symmetric:0.05,0.05
 # --iterations 200000 --seed 12345`.
 STATS_DIGEST_200K = "910120b3c9174a15ca7e65dafe9c2f302b2a9f8aff2cfb1d31a7a54012791cad"
+# The same for two more attacks, so that a stream with exact 0 and 1 cells
+# and one of a random d = 32 attack are pinned as well.
+STATS_DIGESTS_200K = {
+    "zmeasure": "27ba8e6f00e791f562ca47dbbad8520342cff02912ff53099484d0e79ca5126f",
+    "random:32": "486cff0f05bedfc57190217e7ebcbeef6613264d5ac4e8a36f57fa75991f4486",
+}
 # Seed of the near-identity attacks of criterion 10.
 NEAR_IDENTITY_SEED = 271828
 
@@ -167,6 +173,16 @@ def test_criterion_7_stats_file_matches_recorded_digest(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     report(7, digest == STATS_DIGEST_200K,
            f"seed {MC_SEED}, 200000 iterations: stats file sha256 {digest}")
+
+
+@pytest.mark.parametrize("spec", sorted(STATS_DIGESTS_200K))
+def test_criterion_7_more_streams_match_recorded_digests(tmp_path, spec):
+    out = tmp_path / "mc.txt"
+    assert cli.main(["simulate", "--attack", spec, "--iterations", "200000",
+                     "--seed", str(MC_SEED), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    report(7, digest == STATS_DIGESTS_200K[spec],
+           f"{spec}, seed {MC_SEED}, 200000 iterations: stats file sha256 {digest}")
 
 
 def test_criterion_8_unitarity_and_state_hygiene(attack_pool):

@@ -248,6 +248,14 @@ class TestKeyRateBound:
         assert report.rate == pytest.approx(
             report.s_bec - report.s_ec_upper - report.h_b_given_a, abs=1e-12)
 
+    def test_block_sum_excess_within_tolerance_gives_a_rate(self):
+        # p_a0 = 1 + 4.5e-10, which the block sums allow; unrealizable, so
+        # lambda_tilde is clamped with a warning.
+        s = stats_from_blocks([1.0, 0.0, 9e-10, 0.0], [1.0, 0.0, 0.0, 0.0])
+        with pytest.warns(UserWarning, match="clamped"):
+            report = keyrate.key_rate_bound(s)
+        assert np.isfinite(report.rate)
+
     def test_abort_propagates(self):
         s = stats_from_blocks([0, 0, 0, 1], [0, 0, 0, 1])
         with pytest.raises(TooNoisyError):

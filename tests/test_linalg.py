@@ -76,6 +76,12 @@ class TestBinaryEntropy:
             assert linalg.binary_entropy(p) == pytest.approx(
                 linalg.binary_entropy(1.0 - p), abs=1e-12)
 
+    def test_sum_tolerance_above_one(self):
+        # Half-sums of statistics that the rate bound accepts reach this far.
+        assert linalg.binary_entropy(1.0 + 0.5 * linalg.PROB_SUM_TOL) == 0.0
+        with pytest.raises(ValueError):
+            linalg.binary_entropy(1.0 + 2 * linalg.PROB_SUM_TOL)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             linalg.binary_entropy(1.01)

@@ -52,7 +52,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
     def test_chunks_match_born_rule_oracle(self, name, probs):
         atk = ORACLE_ATTACKS[name]
-        bob, alice = simulate._outcome_table(atk.u_e, atk.u_f, atk.ancilla_dim)
+        bob, alice = simulate._outcome_table(attack.statistics(atk))
         for n in (simulate.CHUNK_SIZE, 1000, 1):
             for chunk in range(2):
                 args = (n, *probs, 12345, chunk)
@@ -87,10 +87,12 @@ class TestRunProtocol:
         assert n_key == pytest.approx(40_000 * 0.9 * 0.8, rel=0.05)
 
     def test_non_unitary_attack_caught(self):
-        for entry in (0.9, np.nan):
-            bad_u = np.eye(2, dtype=complex)
-            bad_u[0, 0] = entry
-            bad = attack.CollectiveAttack(1, bad_u, np.eye(2, dtype=complex))
+        bad_us = [np.diag([entry, 1.0]) for entry in (0.9, np.nan)]
+        # Unit-norm columns that are not orthogonal.
+        bad_us.append(np.array([[1.0, 1.0], [0.0, 1.0]]) / [1.0, np.sqrt(2.0)])
+        for bad_u in bad_us:
+            bad = attack.CollectiveAttack(1, bad_u.astype(complex),
+                                          np.eye(2, dtype=complex))
             with pytest.raises(simulate.SimulationError):
                 run(bad, 1000, seed=0)
 
@@ -109,9 +111,28 @@ class TestRunProtocol:
         atk = attack.identity_attack()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bob, alice = simulate._outcome_table(atk.u_e, atk.u_f, 1)
-        assert np.array_equal(bob, [0.0, 1.0, 0.5, 0.5])
-        assert np.all(np.isfinite(alice))
+            bob, alice = simulate._outcome_table(attack.statistics(atk))
+        assert np.array_equal(bob[:2], [0.0, 1.0])
+        assert np.all(np.isfinite(bob)) and np.all(np.isfinite(alice))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
+    def test_unused_cells_never_reach_an_output(self, name):
+        # Bob's X preparations, Alice's Z reflections and her X collapses
+        # only ever land in other_counts.
+        bob, alice = simulate._outcome_table(attack.statistics(ORACLE_ATTACKS[name]))
+        bob_used = np.array([True, True, False, False])
+        alice_used = np.zeros((4, 3), dtype=bool)
+        alice_used[:2, 1:] = True
+        alice_used[2:, 0] = True
+        rng = np.random.default_rng(2024)
+        noisy_bob = np.where(bob_used, bob, rng.random(4))
+        noisy_alice = np.where(alice_used, alice, rng.random((4, 3)))
+        for chunk in range(2):
+            args = (simulate.CHUNK_SIZE, 0.5, 0.5, 12345, chunk)
+            got = simulate._simulate_chunk(noisy_bob, noisy_alice, *args)
+            want = simulate._simulate_chunk(bob, alice, *args)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -120,6 +141,18 @@ class TestRunProtocol:
             ProtocolConfig(iterations=10, prob_z_basis=1.0)
         with pytest.raises(ValueError):
             ProtocolConfig(iterations=10, seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("iterations", 2.5), ("iterations", True), ("iterations", "10"),
+        ("seed", 1.5), ("seed", False)])
+    def test_config_rejects_non_integers_by_name(self, field, value):
+        kwargs = {"iterations": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProtocolConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = ProtocolConfig(iterations=np.int64(10), seed=np.uint64(2 ** 63))
+        assert cfg.iterations == 10
 
 
 class TestEstimateStatistics:
