@@ -17,7 +17,9 @@ attack carries them, computed once when it is built:
 f is summed from e_ijk while g comes from the unitaries directly, so the
 identity that makes g a Hadamard combination of f
 (``unitarity_residuals(attack)['g_combo']``) cross-checks the e_ijk
-extraction.
+extraction.  The worst residual is stored as ``residual``, and an attack not
+unitary enough to have statistics has none: ``statistics`` refuses it, and
+with it ``exact_collective_rate`` and any simulation of it.
 
 Eve's post-protocol states are mixtures of the eight records, |r><r|/2
 each, block diagonal in Bob's bit and the agreement register.  Their
@@ -56,6 +58,8 @@ def _group_records(key: np.ndarray) -> np.ndarray:
     # Record indices (C order of [i, j, k]) grouped by key, row m holding the
     # records with key m; keys 0, 1, ... must each cover as many records.
     key = key.reshape(-1)
+    if key.min() < 0 or np.ptp(np.bincount(key)):
+        raise ValueError(f"record keys {key.tolist()} do not cover 0, 1, ... equally")
     groups = np.argsort(key, kind="stable").reshape(key.max() + 1, -1)
     groups.setflags(write=False)
     return groups
@@ -82,7 +86,8 @@ class CollectiveAttack:
     (4, d); records has shape (2, 2, 2, d), record [i, j, k] being the
     ancilla vector on the key-round path (sent i) -> (Bob j) -> (Alice k).
     A stack of attacks has unitaries (..., 2d, 2d), and every vector field
-    carries the same leading axes.
+    carries the same leading axes.  residual is the worst of the six
+    ``unitarity_residuals``, per member of a stack, and keeps a NaN.
     """
 
     ancilla_dim: int
@@ -93,6 +98,7 @@ class CollectiveAttack:
     f: np.ndarray = field(init=False, repr=False, compare=False)
     g: np.ndarray = field(init=False, repr=False, compare=False)
     records: np.ndarray = field(init=False, repr=False, compare=False)
+    residual: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.ancilla_dim
@@ -110,6 +116,15 @@ class CollectiveAttack:
                           ("records", records)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        residual = np.max(list(unitarity_residuals(self).values()), axis=0)
+        residual.setflags(write=False)
+        object.__setattr__(self, "residual", residual)
+
+
+def _checked_ancilla_dim(ancilla_dim) -> int:
+    if not 1 <= int(ancilla_dim) <= MAX_ANCILLA_DIM:
+        raise ValueError(f"ancilla_dim must be in [1, {MAX_ANCILLA_DIM}]")
+    return int(ancilla_dim)
 
 
 def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> CollectiveAttack:
@@ -118,9 +133,8 @@ def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> Colle
     ``u_e`` and ``u_f`` may carry the same leading axes, giving a stack; the
     unitarity residual reported is the worst over the stack.
     """
-    if not 1 <= int(ancilla_dim) <= MAX_ANCILLA_DIM:
-        raise ValueError(f"ancilla_dim must be in [1, {MAX_ANCILLA_DIM}]")
-    d = 2 * int(ancilla_dim)
+    ancilla_dim = _checked_ancilla_dim(ancilla_dim)
+    d = 2 * ancilla_dim
     out = []
     for name, u in (("u_e", u_e), ("u_f", u_f)):
         u = np.asarray(u, dtype=complex)
@@ -135,7 +149,7 @@ def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> Colle
     if out[0].shape != out[1].shape:
         raise ValueError(f"u_e and u_f stack shapes differ: {out[0].shape} "
                          f"and {out[1].shape}")
-    return CollectiveAttack(ancilla_dim=int(ancilla_dim), u_e=out[0], u_f=out[1])
+    return CollectiveAttack(ancilla_dim=ancilla_dim, u_e=out[0], u_f=out[1])
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -184,8 +198,15 @@ def statistics(attack: CollectiveAttack):
     p[i, j, k] is the squared norm of the record on the path
     (sent i) -> (Bob j) -> (Alice k); the X disturbances are the squared
     norms of the basis-flipping components on reflected rounds.  A stack
-    gives a list with one ChannelStatistics per member, in C order.
+    gives a list with one ChannelStatistics per member, in C order.  An
+    ``attack.residual`` beyond what validate_attack allows raises ValueError.
     """
+    # validate_attack bounds each entry of U^dag U - I by UNITARY_TOL, so one
+    # unitary moves a squared norm by at most 2d * UNITARY_TOL and a reflected
+    # round passes two; 1e-12 is rounding.  Phrased so that NaN fails.
+    if not np.all(attack.residual <= 2 * 2 * attack.ancilla_dim * UNITARY_TOL + 1e-12):
+        raise ValueError("the attack operators are not unitary enough: "
+                         f"identity residual {np.max(attack.residual)}")
     p = np.clip(_sq_norms(attack.records), 0.0, 1.0).reshape(-1, 2, 2, 2)
     flips = np.clip(_sq_norms(attack.g[..., 1:3, :]), 0.0, 1.0).reshape(-1, 2)
     members = [ChannelStatistics(p=p_m, p_pm=p_pm, p_mp=p_mp)
@@ -234,14 +255,16 @@ def s_b_given_e(g: np.ndarray):
 def exact_collective_rate(attack: CollectiveAttack) -> float:
     """Exact S(B|E) - H(B|A) for one attack (bits per sifted signal).
 
-    This is what the statistics-only bound must never exceed.
+    This is what the statistics-only bound must never exceed.  An attack
+    that ``statistics`` refuses as not unitary raises its ValueError.
     """
-    return s_b_given_e(gram(attack)) - keyrate.h_b_given_a(statistics(attack))
+    h_b_given_a = keyrate.h_b_given_a(statistics(attack))
+    return s_b_given_e(gram(attack)) - h_b_given_a
 
 
 def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:
     """No-op attack: both unitaries are the identity."""
-    u = np.eye(2 * ancilla_dim, dtype=complex)
+    u = np.eye(2 * _checked_ancilla_dim(ancilla_dim), dtype=complex)
     return validate_attack(u, u, ancilla_dim)
 
 
@@ -318,7 +341,7 @@ def random_attack(ancilla_dim: int, seed) -> CollectiveAttack:
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
     an existing Generator.
     """
-    u = _haar_unitary(_complex_gaussian_pair(2 * ancilla_dim, seed))
+    u = _haar_unitary(_complex_gaussian_pair(2 * _checked_ancilla_dim(ancilla_dim), seed))
     return validate_attack(u[0], u[1], ancilla_dim)
 
 
@@ -328,6 +351,6 @@ def random_attacks(ancilla_dim: int, seeds) -> CollectiveAttack:
     Member m equals ``random_attack(ancilla_dim, seeds[m])`` bit for bit;
     every unitary of the stack is factorised by one batched QR.
     """
-    u = _haar_unitary(np.stack([_complex_gaussian_pair(2 * ancilla_dim, seed)
-                                for seed in seeds]))
+    dim = 2 * _checked_ancilla_dim(ancilla_dim)
+    u = _haar_unitary(np.stack([_complex_gaussian_pair(dim, seed) for seed in seeds]))
     return validate_attack(u[:, 0], u[:, 1], ancilla_dim)

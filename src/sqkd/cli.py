@@ -171,15 +171,14 @@ def cmd_simulate(args) -> int:
             raise ValueError("workers must be positive")
         config = simulate.ProtocolConfig(iterations=args.iterations,
                                          seed=args.seed)
-        atk = _build_attack(args.attack, args.seed)
-        tally, keys = simulate.run_protocol(atk, config)
+        analytic = attack_mod.statistics(_build_attack(args.attack, args.seed))
+        tally, keys = simulate.run_protocol(analytic, config)
         stats, err = simulate.estimate_statistics(tally)
         write_stats_file(args.out, stats)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    analytic = attack_mod.statistics(atk)
     print(f"iterations = {args.iterations}  sifted key bits = {len(keys)}")
     print(f"{'entry':<14}{'empirical':>14}{'analytic':>14}{'stderr':>12}")
     for i in (0, 1):
@@ -258,14 +257,13 @@ def cmd_validate(args) -> int:
     for positions, labels, stack in _validate_stacks(dims, args.attacks, args.seed,
                                                       args.corrupt):
         checked += len(positions)
-        residuals = np.max(list(attack_mod.unitarity_residuals(stack).values()), axis=0)
-        worst_residual = max(worst_residual, float(residuals.max()))
-        for pos, label, residual in zip(positions, labels, residuals):
+        worst_residual = max(worst_residual, float(stack.residual.max()))
+        for pos, label, residual in zip(positions, labels, stack.residual):
             if residual > 1e-9:
                 failures.append((pos, f"FAIL {label}: unitarity identity residual "
                                       f"{residual:.3e}"))
         # Only attacks whose identities hold have states to take entropies of.
-        sound = np.flatnonzero(~(residuals > 1e-9))
+        sound = np.flatnonzero(~(stack.residual > 1e-9))
         if not sound.size:
             continue
         stats = attack_mod.statistics(stack)

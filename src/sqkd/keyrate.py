@@ -58,11 +58,11 @@ class ChannelStatistics:
         object.__setattr__(self, "p_mp", float(self.p_mp))
 
 
-def validate_statistics(stats: ChannelStatistics, *, sum_tol: float = STATS_SUM_TOL,
+def validate_statistics(stats: ChannelStatistics, *,
                         renormalize: bool = False) -> ChannelStatistics:
     """Check entries (finite, in [0, 1]) and per-i sums; optionally rescale blocks.
 
-    Each block must sum to 1 within ``sum_tol``, and the mean of the two
+    Each block must sum to 1 within STATS_SUM_TOL, and the mean of the two
     block sums may exceed 1 by at most ``linalg.PROB_SUM_TOL``, the excess
     the entropies accept.
 
@@ -85,10 +85,10 @@ def validate_statistics(stats: ChannelStatistics, *, sum_tol: float = STATS_SUM_
         if sums.min() <= 0.0:
             raise ValueError("cannot renormalize an all-zero conditional block")
         p = p / sums[:, None, None]
-    elif np.max(np.abs(sums - 1.0)) > sum_tol:
+    elif np.max(np.abs(sums - 1.0)) > STATS_SUM_TOL:
         raise ValueError(
             f"conditional blocks sum to {sums[0]} and {sums[1]}, expected 1 "
-            f"within {sum_tol} (pass renormalize to rescale)")
+            f"within {STATS_SUM_TOL} (pass renormalize to rescale)")
     elif (0.5 * p.reshape(-1)).sum() > 1.0 + PROB_SUM_TOL:
         # s_bec takes the Shannon entropy of exactly these halved entries.
         raise ValueError(

@@ -24,10 +24,10 @@ PROB_NEG_TOL = -1e-12      # probabilities in [PROB_NEG_TOL, 0) are clamped to 0
 PROB_SUM_TOL = 1e-9        # allowed excess of a probability sum over 1
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True if max entrywise |M - M^dagger| <= tol over every block."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """True if max entrywise |M - M^dagger| <= HERMITIAN_TOL over every block."""
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= tol)
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_TOL)
 
 
 def _clean_probabilities(p) -> np.ndarray:

@@ -3,7 +3,8 @@
 Alice prepares |0>, |1>, |+> or |->, Eve applies u_e, Bob either performs a
 projective Z measurement and resends what he saw or reflects, Eve applies
 u_f, and Alice measures in her preparation basis.  Everything Alice and Bob
-can observe is summed up in the attack's ten statistics (``statistics``), so
+can observe is summed up in the ten statistics an attack induces
+(``attack.statistics``), and ``run_protocol`` samples those statistics alone:
 the Born probabilities of Bob's and Alice's bits are read off them once per
 run and each iteration only compares uniform draws against that table.  An
 iteration's event code is its cell of Alice's table (preparation x branch)
@@ -17,23 +18,16 @@ with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
 the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
 different dtype for the bits draws a different stream.  Tallies merge by
 addition and key bits by chunk order, so the output is a pure function of
-the attack's ten statistics and the config.
+the ten statistics and the config.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import UNITARY_TOL, CollectiveAttack, statistics, unitarity_residuals
-from .keyrate import ChannelStatistics
+from .keyrate import ChannelStatistics, validate_statistics
 
 CHUNK_SIZE = 1 << 14  # fixed; changing it changes every sampled trajectory
-
-BORN_TOL = 1e-12  # rounding allowance on top of the unitarity tolerance
-
-
-class SimulationError(RuntimeError):
-    """Internal consistency violation (e.g. non-unitary attack operators)."""
 
 
 class InsufficientDataError(ValueError):
@@ -176,42 +170,25 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
             bob_bits.take(key_rows).view(np.uint8))
 
 
-def run_protocol(attack: CollectiveAttack, config: ProtocolConfig) -> tuple[TallyCounts, RawKeys]:
-    """Simulate the quantum communication stage under a collective attack.
+def run_protocol(stats: ChannelStatistics,
+                 config: ProtocolConfig) -> tuple[TallyCounts, RawKeys]:
+    """Simulate the quantum communication stage with the given statistics.
 
     Returns the per-class tallies and the sifted raw keys (Z-prepared,
     measured-and-resent iterations only).  Output is a pure function of
-    the attack's ten statistics and the config; an attack whose unitaries
-    are not unitary within tolerance raises SimulationError.
+    the ten statistics and the config; statistics that
+    ``keyrate.validate_statistics`` rejects raise its ValueError.
     """
-    # validate_attack bounds every entry of U^dag U - I by UNITARY_TOL, so
-    # one unitary moves a unit state's squared norm by at most
-    # 2d * UNITARY_TOL; a reflected round passes two.  BORN_TOL is rounding.
-    # np.max keeps a NaN, and the comparison is phrased so that NaN fails.
-    worst = np.max(list(unitarity_residuals(attack).values()))
-    if not worst <= 2 * 2 * attack.ancilla_dim * UNITARY_TOL + BORN_TOL:
-        raise SimulationError("the attack operators are not unitary enough: "
-                              f"identity residual {worst}")
-    bob, alice = _outcome_table(statistics(attack))
+    bob, alice = _outcome_table(validate_statistics(stats))
     n_total = config.iterations
-    z_counts = np.zeros((2, 2, 2), dtype=np.int64)
-    x_counts = np.zeros((2, 2), dtype=np.int64)
-    other = 0
-    alice_parts = []
-    bob_parts = []
-    for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE):
-        z, x, o, a_bits, b_bits = _simulate_chunk(
-            bob, alice, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
-            config.prob_z_basis, config.prob_measure_resend, config.seed, c)
-        z_counts += z
-        x_counts += x
-        other += o
-        alice_parts.append(a_bits)
-        bob_parts.append(b_bits)
-    tally = TallyCounts(z_counts=z_counts, x_reflect_counts=x_counts,
-                        other_counts=other, total=n_total)
-    keys = RawKeys(alice_bits=np.concatenate(alice_parts),
-                   bob_bits=np.concatenate(bob_parts))
+    z, x, other, alice_bits, bob_bits = zip(*(
+        _simulate_chunk(bob, alice, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
+                        config.prob_z_basis, config.prob_measure_resend, config.seed, c)
+        for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE)))
+    tally = TallyCounts(z_counts=sum(z), x_reflect_counts=sum(x),
+                        other_counts=sum(other), total=n_total)
+    keys = RawKeys(alice_bits=np.concatenate(alice_bits),
+                   bob_bits=np.concatenate(bob_bits))
     return tally, keys
 
 

@@ -18,6 +18,9 @@ MC_SEED = 12345
 # sha256 of the stats file of `simulate --attack symmetric:0.05,0.05
 # --iterations 200000 --seed 12345`.
 STATS_DIGEST_200K = "910120b3c9174a15ca7e65dafe9c2f302b2a9f8aff2cfb1d31a7a54012791cad"
+# sha256 of what the same run prints with `--out stats.txt` (the path is
+# echoed); it exits 0.
+STDOUT_DIGEST_200K = "9cfae6d5f25860f5ecdf9b9b422a7fde7a8eff487361d7527be5b63d4ca4668e"
 # The same for two more attacks, so that a stream with exact 0 and 1 cells
 # and one of a random d = 32 attack are pinned as well.
 STATS_DIGESTS_200K = {
@@ -134,7 +137,7 @@ def test_criterion_7_monte_carlo_convergence(tmp_path):
     identical = out1.read_bytes() == out2.read_bytes()
 
     tally, _ = simulate.run_protocol(
-        atk, simulate.ProtocolConfig(iterations=1_000_000, seed=MC_SEED))
+        attack.statistics(atk), simulate.ProtocolConfig(iterations=1_000_000, seed=MC_SEED))
     stats, _ = simulate.estimate_statistics(tally)
     file_stats = cli.parse_stats_file(str(out1))
     assert np.array_equal(stats.p, file_stats.p)
@@ -173,6 +176,16 @@ def test_criterion_7_stats_file_matches_recorded_digest(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     report(7, digest == STATS_DIGEST_200K,
            f"seed {MC_SEED}, 200000 iterations: stats file sha256 {digest}")
+
+
+def test_criterion_7_stdout_matches_recorded_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["simulate", "--attack", "symmetric:0.05,0.05",
+                     "--iterations", "200000", "--seed", str(MC_SEED),
+                     "--out", "stats.txt"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    report(7, code == 0 and digest == STDOUT_DIGEST_200K,
+           f"seed {MC_SEED}, 200000 iterations: exit {code}, stdout sha256 {digest}")
 
 
 @pytest.mark.parametrize("spec", sorted(STATS_DIGESTS_200K))

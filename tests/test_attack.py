@@ -44,6 +44,55 @@ class TestValidateAttack:
         with pytest.raises(ValueError):
             attack.validate_attack(np.eye(66), np.eye(66), 33)
 
+    @pytest.mark.parametrize("d", [-1, 0, 33, 10 ** 9])
+    def test_ancilla_dim_checked_before_drawing(self, d):
+        # A negative or huge dimension would otherwise reach numpy's
+        # allocator; 10**9 asks for exabytes.
+        for build in (attack.identity_attack, lambda d: attack.random_attack(d, 0),
+                      lambda d: attack.random_attacks(d, [[0, 0], [0, 1]])):
+            with pytest.raises(ValueError, match=r"^ancilla_dim must be in \[1, 32\]$"):
+                build(d)
+
+
+class TestResidual:
+    def test_worst_of_the_identity_residuals(self):
+        stack = attack.random_attacks(2, [[7, idx] for idx in range(5)])
+        want = np.max(list(attack.unitarity_residuals(stack).values()), axis=0)
+        assert np.array_equal(stack.residual, want)
+        assert not stack.residual.flags.writeable
+        atk = attack.random_attack(2, [7, 3])
+        assert atk.residual == max(attack.unitarity_residuals(atk).values())
+        assert attack.identity_attack().residual == 0.0
+
+    def test_nan_is_kept_and_refused(self):
+        u = np.diag([np.nan, 1.0]).astype(complex)
+        bad = attack.CollectiveAttack(1, u, np.eye(2, dtype=complex))
+        assert np.isnan(bad.residual)
+        with pytest.raises(ValueError, match="identity residual nan"):
+            attack.statistics(bad)
+
+    def test_one_bad_member_refuses_the_stack(self):
+        good = attack.identity_attack()
+        u_e = np.stack([good.u_e, 0.9 * good.u_e])
+        u_f = np.stack([good.u_f, good.u_f])
+        stack = attack.CollectiveAttack(1, u_e, u_f)
+        assert stack.residual[0] == 0.0 and stack.residual[1] > 0.1
+        with pytest.raises(ValueError, match=f"identity residual {stack.residual[1]}"):
+            attack.statistics(stack)
+
+
+class TestGroupRecords:
+    def test_bob_groupings(self):
+        assert attack.BOB_GROUPS.tolist() == [[0, 1, 4, 5], [2, 3, 6, 7]]
+        assert attack.BOB_REGISTER_GROUPS.tolist() == [[0], [4], [1], [5], [7], [3], [6], [2]]
+        assert attack._group_records(np.array([1, 1, 0, 0])).tolist() == [[2, 3], [0, 1]]
+
+    @pytest.mark.parametrize("key", [[0, 0, 0, 1, 1, 1, 1, 1], [0, 0, 2, 2], [-1, -1, 0, 0]],
+                             ids=["unequal", "gap", "negative"])
+    def test_keys_must_cover_each_group_equally(self, key):
+        with pytest.raises(ValueError, match="do not cover 0, 1, ... equally"):
+            attack._group_records(np.array(key))
+
 
 class TestExtractVectors:
     def test_identity_attack_vectors(self):

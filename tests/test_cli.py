@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +237,29 @@ class TestSimulateCommand:
                            str(tmp_path / "x.txt")) == 1
             err = capsys.readouterr().err
             assert "attack spec" in err and repr(spec) in err
+
+    @pytest.mark.parametrize("d", ["-1", "0", "33", "1000000000"])
+    def test_random_dimension_checked_first(self, tmp_path, capsys, d):
+        assert run_cli("simulate", "--attack", f"random:{d}", "--iterations", "100",
+                       "--out", str(tmp_path / "x.txt")) == 1
+        assert capsys.readouterr().err == "error: ancilla_dim must be in [1, 32]\n"
+
+    def test_attack_statistics_taken_once(self, tmp_path):
+        # The same statistics feed the sampler and the "analytic" column.
+        # Frames are counted by code object, so every binding is caught.
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is attack.statistics.__code__:
+                calls.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            code = run_cli("simulate", "--attack", "random:2", "--iterations", "2000",
+                           "--out", str(tmp_path / "x.txt"))
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and len(calls) == 1
 
     def test_insufficient_data_named(self, tmp_path, capsys):
         assert run_cli("simulate", "--attack", "identity",

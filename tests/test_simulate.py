@@ -10,7 +10,7 @@ from sqkd.simulate import ProtocolConfig, RawKeys, TallyCounts
 
 def run(atk, iterations, seed, **kwargs):
     cfg = ProtocolConfig(iterations=iterations, seed=seed, **kwargs)
-    return simulate.run_protocol(atk, cfg)
+    return simulate.run_protocol(attack.statistics(atk), cfg)
 
 
 ORACLE_ATTACKS = {
@@ -87,14 +87,32 @@ class TestRunProtocol:
         assert n_key == pytest.approx(40_000 * 0.9 * 0.8, rel=0.05)
 
     def test_non_unitary_attack_caught(self):
+        # An attack that is not unitary has no statistics to sample, and no
+        # exact rate either.
         bad_us = [np.diag([entry, 1.0]) for entry in (0.9, np.nan)]
         # Unit-norm columns that are not orthogonal.
         bad_us.append(np.array([[1.0, 1.0], [0.0, 1.0]]) / [1.0, np.sqrt(2.0)])
         for bad_u in bad_us:
             bad = attack.CollectiveAttack(1, bad_u.astype(complex),
                                           np.eye(2, dtype=complex))
-            with pytest.raises(simulate.SimulationError):
-                run(bad, 1000, seed=0)
+            for check in (lambda: run(bad, 1000, seed=0),
+                          lambda: attack.exact_collective_rate(bad)):
+                with pytest.raises(ValueError, match="not unitary enough: identity residual"):
+                    check()
+
+    @pytest.mark.parametrize("p000,p_pm,match", [
+        (0.5, 0.0, "conditional blocks sum to 0.5"),
+        (np.nan, 0.0, r"entry p\[0,0,0\] is not finite"),
+        (1.0, 1.5, r"must lie in \[0, 1\]")])
+    def test_statistics_rejected_as_the_bound_rejects_them(self, p000, p_pm, match):
+        p = np.zeros((2, 2, 2))
+        p[0, 0, 0] = p000
+        p[1, 1, 1] = 1.0
+        stats = keyrate.ChannelStatistics(p=p, p_pm=p_pm, p_mp=0.0)
+        for check in (lambda: simulate.run_protocol(stats, ProtocolConfig(iterations=1000)),
+                      lambda: keyrate.key_rate_bound(stats)):
+            with pytest.raises(ValueError, match=match):
+                check()
 
     @pytest.mark.parametrize("d,scale", [(1, 1 + 4e-11), (32, 1 + 4.9e-11)],
                              ids=["d1", "d32"])
