@@ -32,8 +32,8 @@ whose vectors, Gram matrices, statistics, residuals and entropies carry the
 same leading axes, one member per index, so a batch of attacks of one
 ancilla dimension takes a single vectorised pass.  A single attack is the
 same code with no leading axes.  Each member of a stack equals the attack
-built alone from its unitaries; ``keyrate`` stays scalar, so
-``statistics`` gives one ChannelStatistics per member.
+built alone from its unitaries, and ``statistics`` gives one stacked
+ChannelStatistics, which ``keyrate`` takes in one pass as well.
 
 Transit is the most significant tensor factor throughout (see linalg).
 """
@@ -122,7 +122,9 @@ class CollectiveAttack:
 
 
 def _checked_ancilla_dim(ancilla_dim) -> int:
-    if not 1 <= int(ancilla_dim) <= MAX_ANCILLA_DIM:
+    if isinstance(ancilla_dim, bool) or not isinstance(ancilla_dim, (int, np.integer)):
+        raise ValueError(f"ancilla_dim must be an integer, got {ancilla_dim!r}")
+    if not 1 <= ancilla_dim <= MAX_ANCILLA_DIM:
         raise ValueError(f"ancilla_dim must be in [1, {MAX_ANCILLA_DIM}]")
     return int(ancilla_dim)
 
@@ -198,8 +200,9 @@ def statistics(attack: CollectiveAttack):
     p[i, j, k] is the squared norm of the record on the path
     (sent i) -> (Bob j) -> (Alice k); the X disturbances are the squared
     norms of the basis-flipping components on reflected rounds.  A stack
-    gives a list with one ChannelStatistics per member, in C order.  An
-    ``attack.residual`` beyond what validate_attack allows raises ValueError.
+    gives statistics with the stack's leading axes, one member per attack.
+    An ``attack.residual`` beyond what validate_attack allows raises
+    ValueError.
     """
     # validate_attack bounds each entry of U^dag U - I by UNITARY_TOL, so one
     # unitary moves a squared norm by at most 2d * UNITARY_TOL and a reflected
@@ -207,11 +210,9 @@ def statistics(attack: CollectiveAttack):
     if not np.all(attack.residual <= 2 * 2 * attack.ancilla_dim * UNITARY_TOL + 1e-12):
         raise ValueError("the attack operators are not unitary enough: "
                          f"identity residual {np.max(attack.residual)}")
-    p = np.clip(_sq_norms(attack.records), 0.0, 1.0).reshape(-1, 2, 2, 2)
-    flips = np.clip(_sq_norms(attack.g[..., 1:3, :]), 0.0, 1.0).reshape(-1, 2)
-    members = [ChannelStatistics(p=p_m, p_pm=p_pm, p_mp=p_mp)
-               for p_m, (p_pm, p_mp) in zip(p, flips)]
-    return members if attack.g.ndim > 2 else members[0]
+    flips = np.clip(_sq_norms(attack.g[..., 1:3, :]), 0.0, 1.0)
+    return ChannelStatistics(p=np.clip(_sq_norms(attack.records), 0.0, 1.0),
+                             p_pm=flips[..., 0], p_mp=flips[..., 1])
 
 
 def gram(attack: CollectiveAttack) -> np.ndarray:
@@ -252,8 +253,8 @@ def s_b_given_e(g: np.ndarray):
             - linalg.von_neumann_entropy(g[..., None, :, :]))
 
 
-def exact_collective_rate(attack: CollectiveAttack) -> float:
-    """Exact S(B|E) - H(B|A) for one attack (bits per sifted signal).
+def exact_collective_rate(attack: CollectiveAttack):
+    """Exact S(B|E) - H(B|A) in bits per sifted signal, per member of a stack.
 
     This is what the statistics-only bound must never exceed.  An attack
     that ``statistics`` refuses as not unitary raises its ValueError.

@@ -9,6 +9,10 @@ ten observables into a lower bound on the asymptotic secret-key rate under
 reverse reconciliation, together with every intermediate quantity, and
 provides the symmetric-noise scenario generators, the noise-threshold
 search and the rate sweep used to tabulate them.
+
+Statistics stack over the leading axes of p (..., 2, 2, 2), as in linalg:
+each member gives bit for bit the floats it gives alone, and a stack raises
+the error of its first failing member, in C order, naming it.
 """
 
 import math
@@ -35,27 +39,55 @@ class TooNoisyError(Exception):
     """Raised when p[0,0,0] vanishes: the channel is too noisy to proceed."""
 
 
+_TOO_NOISY = "p[0,0,0] <= 0: too much noise, abort"
+
+
+def _floats(x):
+    # A float for a single member, a read-only array for a stack.
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x if x.ndim else float(x)
+
+
+def _raise_first(checks) -> None:
+    # Raise the first failing member's error; ``checks`` are (failed, over the
+    # leading axes, error type, message(m) for member m) in the order a member
+    # runs them.
+    failed = np.stack([bad for bad, _, _ in checks])
+    if failed.any():
+        m = tuple(map(int, np.unravel_index(np.argmax(failed.any(axis=0)), failed.shape[1:])))
+        _, error, message = checks[int(np.argmax(failed[(slice(None),) + m]))]
+        raise error(_for_member(m, message(m)))
+
+
+def _for_member(m: tuple, message: str) -> str:
+    return f"member {m[0] if len(m) == 1 else m}: {message}" if m else message
+
+
 @dataclass(frozen=True)
 class ChannelStatistics:
-    """The ten observables of one protocol iteration.
+    """The ten observables of one protocol iteration, or a stack of them.
 
-    p[i, j, k] is conditioned on Alice sending |i>; p_pm and p_mp are
-    conditioned on Alice sending |+> (resp. |->) and Bob reflecting.
+    p[..., i, j, k] is conditioned on Alice sending |i>; p_pm and p_mp are
+    conditioned on Alice sending |+> (resp. |->) and Bob reflecting, and
+    carry p's leading axes: floats for a single member, arrays for a stack.
     """
 
     p: np.ndarray
-    p_pm: float
-    p_mp: float
+    p_pm: float | np.ndarray
+    p_mp: float | np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (2, 2, 2):
-            raise ValueError(f"p must have shape (2, 2, 2), got {p.shape}")
-        p = p.copy()
+        # C order: each member's sums run along the last axes, and a strided
+        # layout would round them differently from the member alone.
+        p = np.array(self.p, dtype=float, order="C")
+        if p.shape[-3:] != (2, 2, 2):
+            raise ValueError(f"p must have shape (..., 2, 2, 2), got {p.shape}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "p_pm", float(self.p_pm))
-        object.__setattr__(self, "p_mp", float(self.p_mp))
+        for name in ("p_pm", "p_mp"):
+            object.__setattr__(self, name, _floats(np.broadcast_to(getattr(self, name),
+                                                                   p.shape[:-3])))
 
 
 def validate_statistics(stats: ChannelStatistics, *,
@@ -71,32 +103,40 @@ def validate_statistics(stats: ChannelStatistics, *,
     ``renormalize`` escape hatch that rescales each conditional block to sum
     to exactly 1.
     """
-    p = np.asarray(stats.p, dtype=float)
-    entries = np.concatenate([p.reshape(-1), [stats.p_pm, stats.p_mp]])
+    return _validated(stats, renormalize)
+
+
+def _validated(stats: ChannelStatistics, renormalize: bool, *later) -> ChannelStatistics:
+    # validate_statistics, then the ``later`` checks of _raise_first.
+    names = [f"p[{i},{j},{k}]" for i, j, k in np.ndindex(2, 2, 2)] + ["p_pm", "p_mp"]
+    p = stats.p
+    lead = p.shape[:-3]
+    entries = np.concatenate([p.reshape(lead + (8,)),
+                              np.stack([stats.p_pm, stats.p_mp], axis=-1)], axis=-1)
     finite = np.isfinite(entries)
-    if not finite.all():
-        names = [f"p[{i},{j},{k}]" for i, j, k in np.ndindex(2, 2, 2)] + ["p_pm", "p_mp"]
-        raise ValueError(f"statistics entry {names[int(np.argmin(finite))]} is not finite")
-    if entries.min() < -1e-9 or entries.max() > 1.0 + 1e-9:
-        raise ValueError("statistics entries must lie in [0, 1]")
+    checks = [(~finite.all(axis=-1), ValueError,
+               lambda m: f"statistics entry {names[int(np.argmin(finite[m]))]} is not finite"),
+              ((entries.min(axis=-1) < -1e-9) | (entries.max(axis=-1) > 1.0 + 1e-9),
+               ValueError, lambda m: "statistics entries must lie in [0, 1]")]
     p = np.clip(p, 0.0, 1.0)
-    sums = p.reshape(2, 4).sum(axis=1)
+    sums = p.reshape(lead + (2, 4)).sum(axis=-1)
     if renormalize:
-        if sums.min() <= 0.0:
-            raise ValueError("cannot renormalize an all-zero conditional block")
-        p = p / sums[:, None, None]
-    elif np.max(np.abs(sums - 1.0)) > STATS_SUM_TOL:
-        raise ValueError(
-            f"conditional blocks sum to {sums[0]} and {sums[1]}, expected 1 "
-            f"within {STATS_SUM_TOL} (pass renormalize to rescale)")
-    elif (0.5 * p.reshape(-1)).sum() > 1.0 + PROB_SUM_TOL:
+        checks.append((sums.min(axis=-1) <= 0.0, ValueError,
+                       lambda m: "cannot renormalize an all-zero conditional block"))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = p / sums[..., None, None]
+    else:
         # s_bec takes the Shannon entropy of exactly these halved entries.
-        raise ValueError(
-            f"conditional blocks p000..p011 and p100..p111 sum to {sums[0]} and "
-            f"{sums[1]}; their mean may exceed 1 by at most {PROB_SUM_TOL} "
-            f"(pass renormalize to rescale)")
-    return ChannelStatistics(p=p, p_pm=min(max(stats.p_pm, 0.0), 1.0),
-                             p_mp=min(max(stats.p_mp, 0.0), 1.0))
+        checks += [(np.max(np.abs(sums - 1.0), axis=-1) > STATS_SUM_TOL, ValueError,
+                    lambda m: f"conditional blocks sum to {sums[m][0]} and {sums[m][1]}, "
+                              f"expected 1 within {STATS_SUM_TOL} (pass renormalize to rescale)"),
+                   ((0.5 * p.reshape(lead + (8,))).sum(axis=-1) > 1.0 + PROB_SUM_TOL, ValueError,
+                    lambda m: f"conditional blocks p000..p011 and p100..p111 sum to "
+                              f"{sums[m][0]} and {sums[m][1]}; their mean may exceed 1 by at "
+                              f"most {PROB_SUM_TOL} (pass renormalize to rescale)")]
+    _raise_first(checks + list(later))
+    return ChannelStatistics(p=p, p_pm=np.clip(stats.p_pm, 0.0, 1.0),
+                             p_mp=np.clip(stats.p_mp, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -105,19 +145,21 @@ class ScenarioParams:
 
     q_fwd is the probability a Z state flips on the way to Bob, q_rev the
     flip probability on the way back, q_x the X-basis disturbance seen on
-    reflected iterations.  Each must lie in [0, 1/2].
+    reflected iterations.  Each must lie in [0, 1/2].  Arrays of equal
+    shape give a stack of scenarios.
     """
 
-    q_fwd: float
-    q_rev: float
-    q_x: float
+    q_fwd: float | np.ndarray
+    q_rev: float | np.ndarray
+    q_x: float | np.ndarray
 
     def __post_init__(self):
         for name in ("q_fwd", "q_rev", "q_x"):
-            v = float(getattr(self, name))
-            if not 0.0 <= v <= 0.5:
-                raise ValueError(f"{name} = {v} outside [0, 1/2]")
-            object.__setattr__(self, name, v)
+            v = np.asarray(getattr(self, name), dtype=float)
+            bad = v[~((0.0 <= v) & (v <= 0.5))]
+            if bad.size:
+                raise ValueError(f"{name} = {bad[0]} outside [0, 1/2]")
+            object.__setattr__(self, name, _floats(v))
 
 
 @dataclass(frozen=True)
@@ -130,21 +172,22 @@ class KeyRateReport:
     flips" ancilla block.  s_bec is the joint entropy of Bob's bit, the
     agreement register and Eve's ancilla; s_ec_upper the upper bound on the
     same entropy without Bob.  joint holds p(b, a) for Bob's and Alice's raw
-    key bits in order (0,0), (0,1), (1,0), (1,1).
+    key bits in order (0,0), (0,1), (1,0), (1,1).  For a stack every field
+    is an array over its leading axes, and joint one of shape (..., 4).
     """
 
-    b: float
-    cal_b: float
-    lambda_tilde: float
-    s_bec: float
-    s_ec_upper: float
-    p_a0: float
-    joint: tuple[float, float, float, float]
-    h_b_given_a: float
-    rate: float
+    b: float | np.ndarray
+    cal_b: float | np.ndarray
+    lambda_tilde: float | np.ndarray
+    s_bec: float | np.ndarray
+    s_ec_upper: float | np.ndarray
+    p_a0: float | np.ndarray
+    joint: tuple[float, float, float, float] | np.ndarray
+    h_b_given_a: float | np.ndarray
+    rate: float | np.ndarray
 
 
-def cross_overlap_lower_bound(stats: ChannelStatistics) -> float:
+def cross_overlap_lower_bound(stats: ChannelStatistics):
     """Lower bound B on Re<e_{0,0}^0|e_{1,3}^1> from the ten observables.
 
     May be negative when the noise is large; the Cauchy-Schwarz cross terms
@@ -152,55 +195,61 @@ def cross_overlap_lower_bound(stats: ChannelStatistics) -> float:
     could interfere with it on reflected X iterations.
     """
     p = stats.p
-    return float(
+    return _floats(
         1.0 - stats.p_pm - stats.p_mp
-        - math.sqrt(p[0, 0, 0] * p[1, 0, 1])
-        - math.sqrt(p[0, 1, 0] * p[1, 0, 1])
-        - math.sqrt(p[0, 1, 0] * p[1, 1, 1])
-        - math.sqrt(p[0, 0, 1] * p[1, 0, 0])
-        - math.sqrt(p[0, 0, 1] * p[1, 1, 0])
-        - math.sqrt(p[0, 1, 1] * p[1, 0, 0])
-        - math.sqrt(p[0, 1, 1] * p[1, 1, 0]))
+        - np.sqrt(p[..., 0, 0, 0] * p[..., 1, 0, 1])
+        - np.sqrt(p[..., 0, 1, 0] * p[..., 1, 0, 1])
+        - np.sqrt(p[..., 0, 1, 0] * p[..., 1, 1, 1])
+        - np.sqrt(p[..., 0, 0, 1] * p[..., 1, 0, 0])
+        - np.sqrt(p[..., 0, 0, 1] * p[..., 1, 1, 0])
+        - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 0, 0])
+        - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 1, 0]))
 
 
-def cap_cal_b(b: float) -> float:
+def cap_cal_b(b):
     """Squared overlap bound, capped at zero: B^2 if B >= 0 else 0."""
-    return b * b if b >= 0.0 else 0.0
+    return _floats(np.where(np.asarray(b) >= 0.0, np.square(b), 0.0))
 
 
-def lambda_tilde(p000: float, p111: float, cal_b: float) -> float:
+def lambda_tilde(p000, p111, cal_b):
     """Dominant-eigenvalue bound for the normalized "agree, no flip" block.
 
     Returns 1/2 + sqrt((p000 - p111)^2 + 4*cal_b) / (2*(p000 + p111)),
     clamped into [1/2, 1].  Statistics realizable by an actual attack never
     need the upper clamp; inconsistent user input triggers a warning.
     """
-    if p000 <= 0.0:
-        raise TooNoisyError("p[0,0,0] <= 0: too much noise, abort")
-    lam = 0.5 + math.sqrt((p000 - p111) ** 2 + 4.0 * cal_b) / (2.0 * (p000 + p111))
-    if lam > 1.0 + 1e-9:
-        warnings.warn(f"lambda_tilde = {lam} clamped to 1; statistics are not "
-                      "realizable by any attack", stacklevel=2)
-    return min(max(lam, 0.5), 1.0)
+    p000 = np.asarray(p000, dtype=float)
+    _raise_first([(p000 <= 0.0, TooNoisyError, lambda m: _TOO_NOISY)])
+    lam = 0.5 + np.sqrt(np.square(p000 - p111) + 4.0 * cal_b) / (2.0 * (p000 + p111))
+    clamped = lam > 1.0 + 1e-9
+    if clamped.any():
+        m = tuple(map(int, np.unravel_index(np.argmax(clamped), lam.shape)))
+        warnings.warn(_for_member(m, f"lambda_tilde = {lam[m]} clamped to 1; statistics "
+                                     "are not realizable by any attack"), stacklevel=2)
+    return _floats(np.clip(lam, 0.5, 1.0))
 
 
-def s_bec(stats: ChannelStatistics) -> float:
+def s_bec(stats: ChannelStatistics):
     """Joint entropy (bits) of Bob's bit, agreement register and ancilla.
 
     The post-protocol state is diagonal across those labels with weights
     p[i, j, k] / 2, so this is a plain Shannon entropy.
     """
-    return shannon_entropy(0.5 * stats.p.reshape(-1))
+    p = stats.p
+    return shannon_entropy(0.5 * p.reshape(p.shape[:-3] + (8,)))
 
 
-def _pair_sums(p: np.ndarray) -> list[float]:
+# Row l: the C-order indices of the two rounds with REGISTER_LABEL l.
+_REGISTER_PAIRS = np.argsort(REGISTER_LABEL.reshape(-1), kind="stable").reshape(4, 2)
+
+
+def _pair_sums(p: np.ndarray) -> np.ndarray:
     # p summed over the two rounds of each REGISTER_LABEL: twice the traces
-    # of the four agreement-register blocks.
-    return np.bincount(REGISTER_LABEL.reshape(-1), weights=p.reshape(-1),
-                       minlength=4).tolist()
+    # of the four agreement-register blocks, over the last axis.
+    return p.reshape(p.shape[:-3] + (8,))[..., _REGISTER_PAIRS].sum(axis=-1)
 
 
-def s_ec_upper(stats: ChannelStatistics, lam: float) -> float:
+def s_ec_upper(stats: ChannelStatistics, lam):
     """Upper bound (bits) on the entropy of Eve's side information.
 
     Uses the trivial 1-bit bound for every agreement block except the
@@ -209,29 +258,27 @@ def s_ec_upper(stats: ChannelStatistics, lam: float) -> float:
     convention.
     """
     t = _pair_sums(stats.p)
-    return (shannon_entropy([0.5 * tj for tj in t])
-            + 0.5 * (t[1] + t[2] + t[3])
-            + 0.5 * t[0] * binary_entropy(lam))
+    return _floats(shannon_entropy(0.5 * t)
+                   + 0.5 * (t[..., 1] + t[..., 2] + t[..., 3])
+                   + 0.5 * t[..., 0] * binary_entropy(lam))
 
 
-def p_alice_zero(stats: ChannelStatistics) -> float:
+def p_alice_zero(stats: ChannelStatistics):
     """Probability that Alice's raw key bit (her final measurement) is 0."""
     p = stats.p
-    return float(0.5 * (p[0, 0, 0] + p[0, 1, 0] + p[1, 1, 0] + p[1, 0, 0]))
+    return _floats(0.5 * (p[..., 0, 0, 0] + p[..., 0, 1, 0] + p[..., 1, 1, 0] + p[..., 1, 0, 0]))
 
 
-def _joint_key_distribution(stats: ChannelStatistics) -> tuple[float, float, float, float]:
+def _joint_key_distribution(stats: ChannelStatistics) -> np.ndarray:
+    # p(b, a) over the last axis, in order (0,0), (0,1), (1,0), (1,1).
     p = stats.p
-    return (float(0.5 * (p[0, 0, 0] + p[1, 0, 0])),   # p(b=0, a=0)
-            float(0.5 * (p[0, 0, 1] + p[1, 0, 1])),   # p(b=0, a=1)
-            float(0.5 * (p[0, 1, 0] + p[1, 1, 0])),   # p(b=1, a=0)
-            float(0.5 * (p[0, 1, 1] + p[1, 1, 1])))   # p(b=1, a=1)
+    return (0.5 * (p[..., 0, :, :] + p[..., 1, :, :])).reshape(p.shape[:-3] + (4,))
 
 
-def h_b_given_a(stats: ChannelStatistics) -> float:
+def h_b_given_a(stats: ChannelStatistics):
     """Conditional Shannon entropy (bits) of Bob's raw bit given Alice's."""
-    joint = _joint_key_distribution(stats)
-    return shannon_entropy(joint) - binary_entropy(p_alice_zero(stats))
+    return _floats(shannon_entropy(_joint_key_distribution(stats))
+                   - binary_entropy(p_alice_zero(stats)))
 
 
 def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> KeyRateReport:
@@ -241,11 +288,12 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
     -H(B|A).  Raises TooNoisyError when p[0,0,0] <= 0 and ValueError when
     the statistics fail validation.
     """
-    stats = validate_statistics(stats, renormalize=renormalize)
+    stats = _validated(stats, renormalize,
+                       (stats.p[..., 0, 0, 0] <= 0.0, TooNoisyError, lambda m: _TOO_NOISY))
     p = stats.p
     b = cross_overlap_lower_bound(stats)
     cal_b = cap_cal_b(b)
-    lam = lambda_tilde(p[0, 0, 0], p[1, 1, 1], cal_b)
+    lam = lambda_tilde(p[..., 0, 0, 0], p[..., 1, 1, 1], cal_b)
     entropy_bec = s_bec(stats)
     entropy_ec = s_ec_upper(stats, lam)
     pa0 = p_alice_zero(stats)
@@ -255,7 +303,8 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
     h_cond = h_ab - h_a
     rate = entropy_bec - entropy_ec + h_a - h_ab
     return KeyRateReport(b=b, cal_b=cal_b, lambda_tilde=lam, s_bec=entropy_bec,
-                         s_ec_upper=entropy_ec, p_a0=pa0, joint=joint,
+                         s_ec_upper=entropy_ec, p_a0=pa0,
+                         joint=tuple(joint.tolist()) if joint.ndim == 1 else joint,
                          h_b_given_a=h_cond, rate=rate)
 
 
@@ -264,14 +313,14 @@ def symmetric_stats(params: ScenarioParams) -> ChannelStatistics:
 
     The two passes flip independently with probabilities q_fwd and q_rev,
     giving product-form Z statistics; the X disturbance is q_x in both
-    directions.
+    directions.  A stack of scenarios gives a stack of statistics.
     """
-    qf, qr = params.q_fwd, params.q_rev
-    p = np.empty((2, 2, 2))
-    p[0, 0, 0] = p[1, 1, 1] = (1.0 - qf) * (1.0 - qr)
-    p[0, 0, 1] = p[1, 1, 0] = (1.0 - qf) * qr
-    p[0, 1, 0] = p[1, 0, 1] = qf * qr
-    p[0, 1, 1] = p[1, 0, 0] = qf * (1.0 - qr)
+    qf, qr = np.asarray(params.q_fwd), np.asarray(params.q_rev)
+    p = np.empty(np.broadcast_shapes(qf.shape, qr.shape) + (2, 2, 2))
+    p[..., 0, 0, 0] = p[..., 1, 1, 1] = (1.0 - qf) * (1.0 - qr)
+    p[..., 0, 0, 1] = p[..., 1, 1, 0] = (1.0 - qf) * qr
+    p[..., 0, 1, 0] = p[..., 1, 0, 1] = qf * qr
+    p[..., 0, 1, 1] = p[..., 1, 0, 0] = qf * (1.0 - qr)
     return ChannelStatistics(p=p, p_pm=params.q_x, p_mp=params.q_x)
 
 
@@ -294,7 +343,7 @@ def _scenario(scenario: str):
                          f"expected one of {sorted(SCENARIOS)}") from None
 
 
-def _scenario_rate(scenario: str, qx_ratio: float, q: float) -> float:
+def _scenario_rate(scenario: str, qx_ratio: float, q):
     fwd, rev = _scenario(scenario)
     params = ScenarioParams(q_fwd=fwd(q), q_rev=rev(q), q_x=qx_ratio * q)
     return key_rate_bound(symmetric_stats(params)).rate
@@ -303,27 +352,25 @@ def _scenario_rate(scenario: str, qx_ratio: float, q: float) -> float:
 def noise_threshold(scenario: str, qx_ratio: float) -> float:
     """Largest Q in [0, 0.25] with a positive key-rate bound.
 
-    A coarse bracket scan (step 1e-3) locates the first sign change, then
-    bisection tightens it to 1e-6.  The scan range is additionally capped so
-    that q_x = qx_ratio * Q stays within [0, 1/2].  Raises ValueError if the
+    A coarse bracket scan (step 1e-3, one key_rate_bound call) locates the
+    first sign change, then bisection tightens it to 1e-6.  The scan ends at
+    q_max <= 0.25, where q_x = qx_ratio * Q may reach 1/2, and q_max is
+    returned only if the rate is positive there.  Raises ValueError if the
     rate is already non-positive at Q = 0.
     """
     if not 0.0 < qx_ratio < math.inf:       # NaN fails too
         raise ValueError(f"qx_ratio = {qx_ratio} must be positive and finite")
     q_max = min(0.25, 0.5 / qx_ratio)
-    if _scenario_rate(scenario, qx_ratio, 0.0) <= 0.0:
+    # Accumulated as q += step would be.
+    scan = np.cumsum(np.full(math.ceil(q_max / _SCAN_STEP), _SCAN_STEP))
+    q = np.concatenate([[0.0], scan[scan < q_max], [q_max]])
+    rates = _scenario_rate(scenario, qx_ratio, q)
+    if rates[0] <= 0.0:
         raise ValueError("key rate is non-positive even at Q = 0")
-    lo = 0.0
-    hi = None
-    q = _SCAN_STEP
-    while q <= q_max + 1e-15:
-        if _scenario_rate(scenario, qx_ratio, q) <= 0.0:
-            hi = q
-            break
-        lo = q
-        q += _SCAN_STEP
-    if hi is None:
+    first = int(np.argmax(rates <= 0.0))
+    if not first:
         return q_max
+    lo, hi = float(q[first - 1]), float(q[first])
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if _scenario_rate(scenario, qx_ratio, mid) > 0.0:
@@ -336,10 +383,11 @@ def noise_threshold(scenario: str, qx_ratio: float) -> float:
 def sweep(scenario: str, qx_ratio: float, q_max: float, steps: int) -> list[tuple[float, float]]:
     """Evenly spaced (Q, rate) table over [0, q_max]; rates kept as-is.
 
-    ``steps`` grid points including both endpoints; negative rates are
-    reported unmodified so zero crossings stay visible.  A negative or
-    non-finite ``qx_ratio`` or ``q_max``, or a ``q_max`` that takes q_fwd,
-    q_rev or q_x beyond 1/2, is rejected up front by the name it was given.
+    ``steps`` grid points including both endpoints, in one key_rate_bound
+    call; negative rates are reported unmodified so zero crossings stay
+    visible.  A negative or non-finite ``qx_ratio`` or ``q_max``, or a
+    ``q_max`` that takes q_fwd, q_rev or q_x beyond 1/2, is rejected up front
+    by the name it was given.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -356,7 +404,5 @@ def sweep(scenario: str, qx_ratio: float, q_max: float, steps: int) -> list[tupl
         ScenarioParams(q_fwd=fwd(q_max), q_rev=rev(q_max), q_x=qx_ratio * q_max)
     except ValueError as exc:
         raise ValueError(f"q_max = {q_max} puts {exc}") from None
-    rows = []
-    for q in np.linspace(0.0, q_max, steps):
-        rows.append((float(q), _scenario_rate(scenario, qx_ratio, float(q))))
-    return rows
+    q = np.linspace(0.0, q_max, steps)
+    return list(zip(q.tolist(), _scenario_rate(scenario, qx_ratio, q).tolist()))

@@ -30,41 +30,48 @@ def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_TOL)
 
 
-def _clean_probabilities(p) -> np.ndarray:
-    """Clamp rounding-level negatives to 0; reject anything worse."""
-    p = np.asarray(p, dtype=float).reshape(-1)
+def shannon_entropy(p):
+    """Shannon entropy -sum p_i log2 p_i in bits, with 0*log(0) = 0.
+
+    ``p`` is ``(..., n)``, a distribution over the last axis: one gives a
+    float and a stack an array over the leading axes.  Entries may be a
+    sub-normalized distribution, no sum may exceed 1 beyond tolerance, and
+    rounding-level negatives are clamped to 0.
+    """
+    p = np.asarray(p, dtype=float)
     bad = p[~np.isfinite(p)]
     if bad.size:
         raise ValueError(f"non-finite probability {bad[0]}")
     if p.size and p.min() < PROB_NEG_TOL:
         raise ValueError(f"negative probability {p.min()} beyond tolerance")
-    return np.clip(p, 0.0, None)
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=-1)
+    bad = total[total > 1.0 + PROB_SUM_TOL]
+    if bad.size:
+        raise ValueError(f"probabilities sum to {bad[0]} > 1")
+    positive = p > 0.0
+    terms = p * np.log2(p, out=np.zeros_like(p), where=positive)
+    # Rounded as a sum of the positive terms alone (n <= 8): numpy adds eight
+    # terms pairwise but fewer one after another, as cumsum does.
+    s = np.where(positive.all(axis=-1), terms.sum(axis=-1),
+                 terms.cumsum(axis=-1)[..., -1:].sum(axis=-1))
+    s = np.where(positive.any(axis=-1), -s, 0.0)
+    return s if s.ndim else float(s)
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy -sum p_i log2 p_i in bits, with 0*log(0) = 0.
-
-    Entries may be a sub-normalized distribution; the sum may not exceed 1
-    beyond tolerance.
-    """
-    p = _clean_probabilities(p)
-    total = p.sum()
-    if total > 1.0 + PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total} > 1")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
-
-
-def binary_entropy(p: float) -> float:
+def binary_entropy(p):
     """Entropy of a (p, 1-p) coin in bits; symmetric about 1/2.
 
     p may leave [0, 1] by the same rounding the other entropies accept:
-    down to PROB_NEG_TOL and up to 1 + PROB_SUM_TOL.
+    down to PROB_NEG_TOL and up to 1 + PROB_SUM_TOL.  An array of p gives
+    an array of entropies.
     """
-    if not PROB_NEG_TOL <= p <= 1.0 + PROB_SUM_TOL:
-        raise ValueError(f"binary entropy argument {p} outside [0, 1]")
-    p = min(max(float(p), 0.0), 1.0)
-    return shannon_entropy([p, 1.0 - p])
+    p = np.asarray(p, dtype=float)
+    bad = p[~((PROB_NEG_TOL <= p) & (p <= 1.0 + PROB_SUM_TOL))]
+    if bad.size:
+        raise ValueError(f"binary entropy argument {bad[0]} outside [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+    return shannon_entropy(np.stack([p, 1.0 - p], axis=-1))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

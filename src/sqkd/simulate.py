@@ -143,25 +143,30 @@ def _outcome_table(stats: ChannelStatistics):
 
 
 def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
-                    prob_z: float, prob_measure: float, seed: int, chunk: int):
+                    prob_z: float, prob_measure: float, seed: int, chunk: int,
+                    uniforms: np.ndarray, thresholds: np.ndarray):
+    # uniforms and thresholds are float64 buffers of n or more entries that
+    # every chunk reuses; prep, cell and event code overwrite the bits.
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
+    u, t = uniforms[:n], thresholds[:n]
     # Fixed draw order and dtypes are part of the reproducibility contract;
     # bits stays the int64 array integers() returns.
-    z_mask = rng.random(n) < prob_z
+    z_mask = rng.random(out=u) < prob_z
     bits = rng.integers(0, 2, size=n)
-    measure_mask = rng.random(n) < prob_measure
-    u_bob = rng.random(n)
-    u_alice = rng.random(n)
-
-    prep = bits + 2 * ~z_mask
-    bob_bits = measure_mask & (u_bob < bob.take(prep))
-    # Branch 0, 1 or 2, added to the int64 term first: bool + bool would be
-    # a logical or.
-    cell = 3 * prep + measure_mask + bob_bits
-    alice_bits = u_alice < alice.reshape(-1).take(cell)
+    measure_mask = rng.random(out=u) < prob_measure
+    x_prep = ~z_mask
+    prep = np.add(np.add(bits, x_prep, out=bits), x_prep, out=bits)    # bits + 2 * x_prep
+    # mode="raise" would buffer take's output; every index is in range.
+    bob_bits = measure_mask & (rng.random(out=u) < bob.take(prep, out=t, mode="clip"))
+    # Branch 0, 1 or 2, added to the int64 cell: bool + bool would be a
+    # logical or.
+    cell = np.add(np.multiply(prep, 3, out=bits), measure_mask, out=bits)
+    cell += bob_bits
+    alice_bits = rng.random(out=u) < alice.reshape(-1).take(cell, out=t, mode="clip")
 
     # Event code: the (prep, branch) cell of the table and Alice's bit.
-    counts = np.bincount(2 * cell + alice_bits, minlength=24).reshape(4, 3, 2)
+    code = np.add(np.multiply(cell, 2, out=bits), alice_bits, out=bits)
+    counts = np.bincount(code, minlength=24).reshape(4, 3, 2)
     z_counts = counts[:2, 1:]
     x_counts = counts[2:, 0]
     other = n - int(z_counts.sum()) - int(x_counts.sum())
@@ -177,13 +182,18 @@ def run_protocol(stats: ChannelStatistics,
     Returns the per-class tallies and the sifted raw keys (Z-prepared,
     measured-and-resent iterations only).  Output is a pure function of
     the ten statistics and the config; statistics that
-    ``keyrate.validate_statistics`` rejects raise its ValueError.
+    ``keyrate.validate_statistics`` rejects raise its ValueError, as does
+    a stack.
     """
+    if stats.p.ndim != 3:
+        raise ValueError(f"run_protocol takes one member, not a stack {stats.p.shape[:-3]}")
     bob, alice = _outcome_table(validate_statistics(stats))
     n_total = config.iterations
+    buffers = np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE)
     z, x, other, alice_bits, bob_bits = zip(*(
         _simulate_chunk(bob, alice, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
-                        config.prob_z_basis, config.prob_measure_resend, config.seed, c)
+                        config.prob_z_basis, config.prob_measure_resend, config.seed, c,
+                        *buffers)
         for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE)))
     tally = TallyCounts(z_counts=sum(z), x_reflect_counts=sum(x),
                         other_counts=sum(other), total=n_total)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,15 @@ SUITE_DIMS = (1, 2, 4)
 def make_attack_pool(count, seed=SUITE_SEED, dims=SUITE_DIMS):
     return [attack.random_attack(dims[idx % len(dims)], [seed, idx])
             for idx in range(count)]
+
+
+def report_bytes(report, m=()):
+    """Field name -> bytes of member ``m`` of a KeyRateReport (all of it by default).
+
+    Bytes tell -0.0 from 0.0, so equal results are equal bit for bit.
+    """
+    return {f.name: np.asarray(getattr(report, f.name), dtype=float)[m].tobytes()
+            for f in dataclasses.fields(report)}
 
 
 @pytest.fixture(scope="session")

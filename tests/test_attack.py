@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqkd import attack, cli, keyrate, linalg
-from conftest import make_attack_pool
+from conftest import make_attack_pool, report_bytes
 from oracles import (assemble_block_diagonal, born_x_flip_probabilities,
                      partial_trace_bruteforce, rho_be, rho_bec)
 
@@ -43,6 +43,16 @@ class TestValidateAttack:
     def test_ancilla_cap(self):
         with pytest.raises(ValueError):
             attack.validate_attack(np.eye(66), np.eye(66), 33)
+
+    @pytest.mark.parametrize("d", [1.7, 2.9, 2.0, True, np.bool_(True), "2"])
+    def test_ancilla_dim_must_be_an_integer(self, d):
+        # int() would truncate these to a dimension nobody asked for.
+        for build in (lambda d: attack.validate_attack(np.eye(2), np.eye(2), d),
+                      attack.identity_attack, lambda d: attack.random_attack(d, 1),
+                      lambda d: attack.random_attacks(d, [[0, 0]])):
+            with pytest.raises(ValueError, match=f"^ancilla_dim must be an integer, got {d!r}$"):
+                build(d)
+        assert attack.identity_attack(np.int64(2)).ancilla_dim == 2
 
     @pytest.mark.parametrize("d", [-1, 0, 33, 10 ** 9])
     def test_ancilla_dim_checked_before_drawing(self, d):
@@ -384,6 +394,7 @@ class TestStacks:
     def assert_members_match(cls, stack, members):
         assert stack.u_e.shape[0] == len(members)
         stats = attack.statistics(stack)
+        reports = keyrate.key_rate_bound(stats)
         residuals = attack.unitarity_residuals(stack)
         g = attack.gram(stack)
         s_b_given_e = attack.s_b_given_e(g)
@@ -393,8 +404,9 @@ class TestStacks:
             for name in cls.FIELDS:
                 assert np.array_equal(getattr(stack, name)[m], getattr(atk, name)), name
             alone = attack.statistics(atk)
-            assert np.array_equal(stats[m].p, alone.p)
-            assert (stats[m].p_pm, stats[m].p_mp) == (alone.p_pm, alone.p_mp)
+            assert np.array_equal(stats.p[m], alone.p)
+            assert (stats.p_pm[m], stats.p_mp[m]) == (alone.p_pm, alone.p_mp)
+            assert report_bytes(reports, m) == report_bytes(keyrate.key_rate_bound(alone))
             for name, value in attack.unitarity_residuals(atk).items():
                 assert residuals[name][m] == pytest.approx(value, rel=0, abs=1e-14), name
             g_alone = attack.gram(atk)

@@ -141,6 +141,19 @@ class TestThresholdCommand:
         assert len(line.split(".")[1]) == 6
         assert float(line) == pytest.approx(expected, abs=5e-4)
 
+    @pytest.mark.parametrize("ratio,printed", [
+        ("0.5", ("0.059285", "0.069899", "0.089670")),
+        ("1", ("0.053495", "0.061680", "0.077942")),
+        ("2", ("0.045144", "0.050566", "0.062542")),
+        # q_x reaches 1/2 before these rates turn negative within a scan step.
+        ("200", ("0.002042", "0.002050", "0.002153")),
+        ("501", ("0.000875", "0.000876", "0.000906")),
+    ])
+    def test_printed_thresholds(self, capsys, ratio, printed):
+        for scenario, want in zip(("equal", "fwd-half", "rev-half"), printed):
+            assert run_cli("threshold", "--scenario", scenario, "--qx-ratio", ratio) == 0
+            assert capsys.readouterr().out == want + "\n"
+
     def test_invalid_tag_exit_one(self, capsys):
         assert run_cli("threshold", "--scenario", "diagonal",
                        "--qx-ratio", "1") == 1
@@ -185,6 +198,25 @@ class TestSweepCommand:
                        "--out", str(out)) == 1
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
+
+    # sha256 of the default sweeps (--qmax 0.1 --steps 101), recorded when
+    # every grid point took its own key_rate_bound call.
+    @pytest.mark.parametrize("scenario,ratio,digest", [
+        ("equal", "0.5", "c6c94286a0e954be41d83c3d34283b60f0a063311f56b227134d971e7d05244c"),
+        ("equal", "1", "ca77c73865be1dd161c110925fab4e42dc67780d17b9df36d5a4308dc726fe9c"),
+        ("equal", "2", "0bc6945c6d11f7fce9bd3d3a39f267a8c7fca0b3697d7f6e289fe24db0e09387"),
+        ("fwd-half", "0.5", "7a4791ee7f2f55afe111f632e04db9d71afab7ce0048673f9e6df10645306ac0"),
+        ("fwd-half", "1", "7e686521eeb09af7ce82ef59464349e98b3a77213d8931473e837349ca26be7c"),
+        ("fwd-half", "2", "509534fafab1b8971eecc61596846c7d850636395051c022abf90472e5d54f20"),
+        ("rev-half", "0.5", "1100aa489647bbf1b7ab6718d9b52e9a98547e2a6f5dc38c2549bb09cdb1779e"),
+        ("rev-half", "1", "6fc2145f6ae0ec1cd904a437743d26cb16975a849384fa7394e6585bd1f116e1"),
+        ("rev-half", "2", "e31f2b7131aafaeb23b8abec7d5101098ae77b87bf9f78accdae9472dc451d4e"),
+    ])
+    def test_default_csv_matches_recorded_digest(self, tmp_path, capsys, scenario, ratio, digest):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--scenario", scenario, "--qx-ratio", ratio,
+                       "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_unwritable_path_exit_one(self, tmp_path, capsys):
         assert run_cli("sweep", "--scenario", "equal", "--qx-ratio", "1",
@@ -312,6 +344,21 @@ class TestValidateCommand:
                        "--seed", "3", *extra) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+    def test_one_bound_call_per_stack(self, monkeypatch, capsys):
+        shapes = []
+        bound = keyrate.key_rate_bound
+
+        def counting(stats, **kwargs):
+            shapes.append(stats.p.shape[:-3])
+            return bound(stats, **kwargs)
+
+        monkeypatch.setattr(keyrate, "key_rate_bound", counting)
+        assert run_cli("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32",
+                       "--seed", "3") == 0
+        stacks = cli._validate_stacks([1, 2, 4, 32], 60, 3, corrupt=False)
+        assert shapes == [(len(positions),) for positions, _, _ in stacks]
+        assert len(shapes) == 7
 
     def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
         # Records (0, 0, 0) and (0, 0, 1), rows 0 and 1 of the Gram matrix,

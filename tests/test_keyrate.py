@@ -5,7 +5,7 @@ import pytest
 
 from sqkd import attack, keyrate, linalg
 from sqkd.keyrate import ChannelStatistics, ScenarioParams, TooNoisyError
-from conftest import make_attack_pool
+from conftest import make_attack_pool, report_bytes
 from oracles import independent_rate, rho_bec
 
 
@@ -273,7 +273,72 @@ class TestKeyRateBound:
             ).rate, abs=1e-3)
 
 
+class TestStacks:
+    def test_layout_and_member_types(self):
+        # A Fortran-ordered stack is stored in C order, so that each member's
+        # sums round as the member's own do.
+        p = np.asfortranarray(np.stack([NOISELESS.p, 0.5 * np.ones((2, 2, 2)) / 2]))
+        stack = ChannelStatistics(p=p, p_pm=[0.0, 0.1], p_mp=0.0)
+        assert stack.p.flags.c_contiguous and not stack.p.flags.writeable
+        assert stack.p_mp.shape == (2,) and not stack.p_mp.flags.writeable
+        report = keyrate.key_rate_bound(stack)
+        assert report.joint.shape == (2, 4) and report.rate.shape == (2,)
+        for m in range(2):
+            alone = keyrate.key_rate_bound(ChannelStatistics(
+                p=p[m], p_pm=stack.p_pm[m], p_mp=0.0))
+            assert type(alone.rate) is float and type(alone.joint) is tuple
+            assert report_bytes(report, m) == report_bytes(alone)
+
+    def test_first_failing_member_named(self):
+        # Member 1 is too noisy and member 2 invalid: member 1's error wins
+        # although validation runs over the whole stack first.
+        good = NOISELESS.p
+        noisy = stats_from_blocks([0, 0, 0, 1], [0, 0, 0, 1]).p
+        stack = ChannelStatistics(p=[[good, noisy, good]], p_pm=[[0.0, 0.0, math.nan]], p_mp=0.0)
+        with pytest.raises(TooNoisyError, match=r"^member \(0, 1\): p\[0,0,0\] <= 0"):
+            keyrate.key_rate_bound(stack)
+        with pytest.raises(ValueError, match=r"^member \(0, 2\): statistics entry p_pm is not"):
+            keyrate.validate_statistics(stack)
+
+    def test_clamp_warning_names_the_member(self):
+        s = stats_from_blocks([1.0, 0.0, 9e-10, 0.0], [1.0, 0.0, 0.0, 0.0])
+        stack = ChannelStatistics(p=[NOISELESS.p, s.p], p_pm=0.0, p_mp=0.0)
+        with pytest.warns(UserWarning, match=r"^member 1: lambda_tilde = .* clamped to 1"):
+            keyrate.key_rate_bound(stack)
+
+
 class TestThresholdAndSweep:
+    @pytest.mark.parametrize("ratio", [200.0, 501.0])
+    @pytest.mark.parametrize("scenario", sorted(keyrate.SCENARIOS))
+    def test_threshold_brackets_the_sign_change(self, scenario, ratio):
+        # q_x reaches 1/2 at q_max = 0.5 / ratio, where these rates are
+        # already negative; q_max must be checked, not returned.
+        fwd, rev = keyrate.SCENARIOS[scenario]
+
+        def rate(q):
+            return keyrate.key_rate_bound(keyrate.symmetric_stats(
+                ScenarioParams(fwd(q), rev(q), ratio * q))).rate
+
+        q = keyrate.noise_threshold(scenario, ratio)
+        assert rate(q - 1e-6) > 0.0 >= rate(q + 1e-6)
+
+    def test_one_bound_call_per_scan_and_sweep(self, monkeypatch):
+        shapes = []
+        bound = keyrate.key_rate_bound
+
+        def counting(stats, **kwargs):
+            shapes.append(stats.p.shape[:-3])
+            return bound(stats, **kwargs)
+
+        monkeypatch.setattr(keyrate, "key_rate_bound", counting)
+        keyrate.sweep("equal", 1.0, 0.1, 101)
+        assert shapes == [(101,)]
+        shapes.clear()
+        # Q = 0, the 249 scan points below q_max = 0.25, and q_max; then
+        # single bisection steps.
+        keyrate.noise_threshold("equal", 1.0)
+        assert shapes[0] == (251,) and set(shapes[1:]) == {()}
+
     def test_equal_scenario_threshold(self):
         assert keyrate.noise_threshold("equal", 1.0) == pytest.approx(
             0.0534, abs=5e-4)

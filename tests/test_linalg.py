@@ -56,6 +56,23 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             linalg.shannon_entropy([0.7, 0.7])
 
+    @pytest.mark.parametrize("n", [8, 4, 2, 1, 0])
+    def test_rows_of_a_stack_sum_as_their_positive_terms(self, rng, n):
+        # The last axis holds the distributions, and each row's entropy is
+        # bit for bit the sum over its positive terms alone.
+        rows = rng.random((60, n)) * (rng.random((60, n)) < 0.7)
+        rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
+        rows[:2] = 0.0
+        if n:
+            rows[1, 0] = 1.0
+        want = []
+        for row in rows:
+            nz = row[row > 0.0]
+            want.append(float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0)
+        assert linalg.shannon_entropy(rows).tobytes() == np.array(want).tobytes()
+        assert linalg.binary_entropy(rows[:, :1]).tobytes() == np.array(
+            [[linalg.binary_entropy(p)] for p in rows[:, :1].ravel()]).tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match=f"non-finite probability {bad}"):

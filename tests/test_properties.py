@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sqkd import cli, keyrate
 from sqkd.keyrate import ChannelStatistics, TooNoisyError
+from conftest import report_bytes
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None,
                              suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -52,6 +53,38 @@ def test_stats_file_round_trips_exactly(tmp_path, entries):
     back = cli.parse_stats_file(path)
     got = np.append(back.p.reshape(-1), [back.p_pm, back.p_mp])
     assert got.tobytes() == np.array(entries).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(members=st.lists(channel_statistics(), min_size=1, max_size=5),
+       renormalize=st.booleans())
+def test_stack_gives_what_its_members_give(members, renormalize):
+    # Bit for bit each member's report, or the first failing member's error
+    # with the member named.
+    stack = ChannelStatistics(p=np.stack([s.p for s in members]),
+                              p_pm=[s.p_pm for s in members],
+                              p_mp=[s.p_mp for s in members])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=r"(member \d+: )?lambda_tilde = .* clamped",
+                                category=UserWarning)
+        alone = []
+        for s in members:
+            try:
+                alone.append(keyrate.key_rate_bound(s, renormalize=renormalize))
+            except (ValueError, TooNoisyError) as exc:
+                alone.append(exc)
+        try:
+            report = keyrate.key_rate_bound(stack, renormalize=renormalize)
+        except (ValueError, TooNoisyError) as exc:
+            report = exc
+    failed = [m for m, r in enumerate(alone) if isinstance(r, Exception)]
+    if failed:
+        first = alone[failed[0]]
+        assert type(report) is type(first)
+        assert str(report) == f"member {failed[0]}: {first}"
+    else:
+        for m, r in enumerate(alone):
+            assert report_bytes(report, m) == report_bytes(r)
 
 
 @PROPERTY_SETTINGS

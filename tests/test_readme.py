@@ -1,7 +1,10 @@
 """The README's library example, run against the current API."""
 
 import re
+import shlex
 from pathlib import Path
+
+from sqkd import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,14 @@ def test_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md: Library example", "exec"), {})
     assert capsys.readouterr().out.startswith("0.324")
+
+
+def test_command_line_comments_match_output(capsys):
+    # Lines such as `sqkd threshold ... # -> 0.053495` state what sqkd prints.
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    claims = re.findall(r"^sqkd (.*?)\s+# -> (\S+)$", block, re.MULTILINE)
+    assert len(claims) == 2
+    for argv, printed in claims:
+        assert cli.main(shlex.split(argv)) == 0
+        assert capsys.readouterr().out == printed + "\n"

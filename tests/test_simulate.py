@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,10 +54,11 @@ class TestRunProtocol:
     def test_chunks_match_born_rule_oracle(self, name, probs):
         atk = ORACLE_ATTACKS[name]
         bob, alice = simulate._outcome_table(attack.statistics(atk))
+        buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
         for n in (simulate.CHUNK_SIZE, 1000, 1):
             for chunk in range(2):
                 args = (n, *probs, 12345, chunk)
-                got = simulate._simulate_chunk(bob, alice, *args)
+                got = simulate._simulate_chunk(bob, alice, *args, *buffers)
                 want = born_rule_chunk(atk.u_e, atk.u_f, atk.ancilla_dim, *args)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
@@ -145,12 +147,33 @@ class TestRunProtocol:
         rng = np.random.default_rng(2024)
         noisy_bob = np.where(bob_used, bob, rng.random(4))
         noisy_alice = np.where(alice_used, alice, rng.random((4, 3)))
+        buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
         for chunk in range(2):
-            args = (simulate.CHUNK_SIZE, 0.5, 0.5, 12345, chunk)
+            args = (simulate.CHUNK_SIZE, 0.5, 0.5, 12345, chunk, *buffers)
             got = simulate._simulate_chunk(noisy_bob, noisy_alice, *args)
             want = simulate._simulate_chunk(bob, alice, *args)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+
+    def test_one_chunk_run_allocates_little(self):
+        # The chunk draws into two reused float64 buffers and builds prep,
+        # cell and event code in its int64 bits; the old chunk's dozen
+        # 128 KiB temporaries peaked at about 1 MiB.
+        stats = attack.statistics(attack.symmetric_realizing_attack(0.05, 0.05))
+        config = ProtocolConfig(iterations=simulate.CHUNK_SIZE, seed=3)
+        simulate.run_protocol(stats, config)
+        tracemalloc.start()
+        try:
+            simulate.run_protocol(stats, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640 * 1024
+
+    def test_stack_of_statistics_rejected(self):
+        stats = attack.statistics(attack.random_attacks(1, [[1, 0], [1, 1]]))
+        with pytest.raises(ValueError, match=r"takes one member, not a stack \(2,\)"):
+            simulate.run_protocol(stats, ProtocolConfig(iterations=10))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
