@@ -1,7 +1,8 @@
 """Command-line surface: rates, thresholds, sweeps, simulation, validation.
 
-Exit codes: 0 success / positive rate, 1 input error, 2 non-positive rate,
-3 abort (p000 <= 0), 4 validation failure.
+Commands raise; ``main`` alone turns an error into one stderr line, `error: ...`
+(exit 1) or `abort: ...` (exit 3).  Exit codes: 0 success / positive rate,
+1 input error, 2 non-positive rate, 3 abort (p000 <= 0), 4 validation failure.
 """
 
 import argparse
@@ -36,7 +37,8 @@ def parse_stats_file(path: str) -> ChannelStatistics:
     decimals in [0, 1].  Errors carry line numbers and key names.
     """
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that Windows editors write.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -61,21 +63,15 @@ def parse_stats_file(path: str) -> ChannelStatistics:
     missing = [k for k in STATS_KEYS if k not in values]
     if missing:
         raise StatsFileError(f"{path}: missing key {missing[0]!r}")
-    p = np.array([values[f"p{i}{j}{k}"]
-                  for i in (0, 1) for j in (0, 1) for k in (0, 1)]).reshape(2, 2, 2)
-    return ChannelStatistics(p=p, p_pm=values["p_plus_minus"],
-                             p_mp=values["p_minus_plus"])
+    *p, p_pm, p_mp = [values[k] for k in STATS_KEYS]
+    return ChannelStatistics(p=np.reshape(p, (2, 2, 2)), p_pm=p_pm, p_mp=p_mp)
 
 
 def write_stats_file(path: str, stats: ChannelStatistics) -> None:
     """Write the canonical `key = value` form (exact float round-trip)."""
-    p = stats.p
-    lines = [f"p{i}{j}{k} = {float(p[i, j, k])!r}"
-             for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    lines.append(f"p_plus_minus = {float(stats.p_pm)!r}")
-    lines.append(f"p_minus_plus = {float(stats.p_mp)!r}")
+    entries = keyrate.statistics_entries(stats).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{key} = {v!r}\n" for key, v in zip(STATS_KEYS, entries)))
 
 
 def _print_report(report: keyrate.KeyRateReport) -> None:
@@ -107,42 +103,26 @@ def _parse_triple(text: str) -> ScenarioParams:
 
 
 def cmd_rate(args) -> int:
-    try:
-        if args.stats is not None:
-            stats = parse_stats_file(args.stats)
-        else:
-            stats = keyrate.symmetric_stats(_parse_triple(args.symmetric))
-        report = keyrate.key_rate_bound(stats, renormalize=args.normalize)
-    except TooNoisyError as exc:
-        print(f"abort: {exc}", file=sys.stderr)
-        return EXIT_ABORT
-    except (StatsFileError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.stats is not None:
+        stats = parse_stats_file(args.stats)
+    else:
+        stats = keyrate.symmetric_stats(_parse_triple(args.symmetric))
+    report = keyrate.key_rate_bound(stats, renormalize=args.normalize)
     _print_report(report)
     return EXIT_OK if report.rate > 0.0 else EXIT_NONPOSITIVE
 
 
 def cmd_threshold(args) -> int:
-    try:
-        q = keyrate.noise_threshold(args.scenario, args.qx_ratio)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    print(f"{q:.6f}")
+    print(f"{keyrate.noise_threshold(args.scenario, args.qx_ratio):.6f}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        rows = keyrate.sweep(args.scenario, args.qx_ratio, args.qmax, args.steps)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("Q,rate\n")
-            for q, rate in rows:
-                fh.write(f"{q:.9g},{rate:.9g}\n")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    rows = keyrate.sweep(args.scenario, args.qx_ratio, args.qmax, args.steps)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("Q,rate\n")
+        for q, rate in rows:
+            fh.write(f"{q:.9g},{rate:.9g}\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -166,37 +146,21 @@ def _build_attack(spec: str, seed: int) -> attack_mod.CollectiveAttack:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        if args.workers < 1:
-            raise ValueError("workers must be positive")
-        config = simulate.ProtocolConfig(iterations=args.iterations,
-                                         seed=args.seed)
-        analytic = attack_mod.statistics(_build_attack(args.attack, args.seed))
-        tally, keys = simulate.run_protocol(analytic, config)
-        stats, err = simulate.estimate_statistics(tally)
-        write_stats_file(args.out, stats)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    if args.workers < 1:
+        raise ValueError("workers must be positive")
+    config = simulate.ProtocolConfig(iterations=args.iterations, seed=args.seed)
+    analytic = attack_mod.statistics(_build_attack(args.attack, args.seed))
+    tally, keys = simulate.run_protocol(analytic, config)
+    stats, err = simulate.estimate_statistics(tally)
+    write_stats_file(args.out, stats)
     print(f"iterations = {args.iterations}  sifted key bits = {len(keys)}")
     print(f"{'entry':<14}{'empirical':>14}{'analytic':>14}{'stderr':>12}")
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                print(f"{f'p{i}{j}{k}':<14}{stats.p[i, j, k]:>14.9f}"
-                      f"{analytic.p[i, j, k]:>14.9f}{err.p[i, j, k]:>12.2e}")
-    print(f"{'p_plus_minus':<14}{stats.p_pm:>14.9f}{analytic.p_pm:>14.9f}"
-          f"{err.p_pm:>12.2e}")
-    print(f"{'p_minus_plus':<14}{stats.p_mp:>14.9f}{analytic.p_mp:>14.9f}"
-          f"{err.p_mp:>12.2e}")
+    columns = [keyrate.statistics_entries(x).tolist() for x in (stats, analytic, err)]
+    for key, s, a, e in zip(STATS_KEYS, *columns):
+        print(f"{key:<14}{s:>14.9f}{a:>14.9f}{e:>12.2e}")
     print(f"empirical QBER = {simulate.qber(keys):.9f}")
-    try:
-        report = keyrate.key_rate_bound(stats, renormalize=True)
-        print(f"key rate bound (empirical statistics) = {report.rate:.9g}")
-    except TooNoisyError as exc:
-        print(f"abort: {exc}", file=sys.stderr)
-        return EXIT_ABORT
+    report = keyrate.key_rate_bound(stats, renormalize=True)
+    print(f"key rate bound (empirical statistics) = {report.rate:.9g}")
     print(f"stats written to {args.out}")
     return EXIT_OK
 
@@ -237,18 +201,13 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
 
 
 def cmd_validate(args) -> int:
-    try:
-        dims = [_parse_number(int, x, "--ancilla-dims")
-                for x in args.ancilla_dims.split(",")]
-        if args.attacks < 1 or any(d < 1 for d in dims):
-            raise ValueError("need at least one attack and positive dimensions")
-        if max(dims) > attack_mod.MAX_ANCILLA_DIM:
-            raise ValueError(f"ancilla_dim must be in [1, {attack_mod.MAX_ANCILLA_DIM}]")
-        if args.seed < 0:
-            raise ValueError("seed must be non-negative")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    dims = [_parse_number(int, x, "--ancilla-dims") for x in args.ancilla_dims.split(",")]
+    if args.attacks < 1 or any(d < 1 for d in dims):
+        raise ValueError("need at least one attack and positive dimensions")
+    if max(dims) > attack_mod.MAX_ANCILLA_DIM:
+        raise ValueError(f"ancilla_dim must be in [1, {attack_mod.MAX_ANCILLA_DIM}]")
+    if args.seed < 0:
+        raise ValueError("seed must be non-negative")
 
     failures: list[tuple[int, str]] = []
     checked = 0
@@ -359,7 +318,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     # Looked up by name on every call, so the cached parser holds no
     # command function and a replaced cmd_* binding takes effect.
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except TooNoisyError as exc:
+        print(f"abort: {exc}", file=sys.stderr)
+        return EXIT_ABORT
+    except (ValueError, OSError) as exc:  # StatsFileError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -106,13 +106,18 @@ def validate_statistics(stats: ChannelStatistics, *,
     return _validated(stats, renormalize)
 
 
+def statistics_entries(stats) -> np.ndarray:
+    """The ten observables in their one order, (..., 10): p in C order, p_pm, p_mp."""
+    return np.concatenate([stats.p.reshape(stats.p.shape[:-3] + (8,)),
+                           np.stack([stats.p_pm, stats.p_mp], axis=-1)], axis=-1)
+
+
 def _validated(stats: ChannelStatistics, renormalize: bool, *later) -> ChannelStatistics:
     # validate_statistics, then the ``later`` checks of _raise_first.
     names = [f"p[{i},{j},{k}]" for i, j, k in np.ndindex(2, 2, 2)] + ["p_pm", "p_mp"]
     p = stats.p
     lead = p.shape[:-3]
-    entries = np.concatenate([p.reshape(lead + (8,)),
-                              np.stack([stats.p_pm, stats.p_mp], axis=-1)], axis=-1)
+    entries = statistics_entries(stats)
     finite = np.isfinite(entries)
     checks = [(~finite.all(axis=-1), ValueError,
                lambda m: f"statistics entry {names[int(np.argmin(finite[m]))]} is not finite"),
@@ -145,8 +150,8 @@ class ScenarioParams:
 
     q_fwd is the probability a Z state flips on the way to Bob, q_rev the
     flip probability on the way back, q_x the X-basis disturbance seen on
-    reflected iterations.  Each must lie in [0, 1/2].  Arrays of equal
-    shape give a stack of scenarios.
+    reflected iterations.  Each must lie in [0, 1/2].  Arrays whose shapes
+    broadcast together give a stack of scenarios of the broadcast shape.
     """
 
     q_fwd: float | np.ndarray
@@ -160,6 +165,11 @@ class ScenarioParams:
             if bad.size:
                 raise ValueError(f"{name} = {bad[0]} outside [0, 1/2]")
             object.__setattr__(self, name, _floats(v))
+        shapes = [np.shape(getattr(self, name)) for name in ("q_fwd", "q_rev", "q_x")]
+        try:
+            np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise ValueError(f"q_fwd, q_rev and q_x shapes {shapes} do not broadcast") from None
 
 
 @dataclass(frozen=True)
@@ -316,7 +326,7 @@ def symmetric_stats(params: ScenarioParams) -> ChannelStatistics:
     directions.  A stack of scenarios gives a stack of statistics.
     """
     qf, qr = np.asarray(params.q_fwd), np.asarray(params.q_rev)
-    p = np.empty(np.broadcast_shapes(qf.shape, qr.shape) + (2, 2, 2))
+    p = np.empty(np.broadcast_shapes(qf.shape, qr.shape, np.shape(params.q_x)) + (2, 2, 2))
     p[..., 0, 0, 0] = p[..., 1, 1, 1] = (1.0 - qf) * (1.0 - qr)
     p[..., 0, 0, 1] = p[..., 1, 1, 0] = (1.0 - qf) * qr
     p[..., 0, 1, 0] = p[..., 1, 0, 1] = qf * qr

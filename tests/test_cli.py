@@ -69,6 +69,16 @@ class TestStatsFile:
         with pytest.raises(cli.StatsFileError, match=r"outside \[0, 1\]"):
             cli.parse_stats_file(str(path))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Notepad and other Windows editors start UTF-8 files with a BOM.
+        stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.05, 0.03, 0.07))
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        cli.write_stats_file(str(plain), stats)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        again = cli.parse_stats_file(str(bom))
+        assert again.p.tobytes() == stats.p.tobytes()
+        assert again.p_pm == stats.p_pm and again.p_mp == stats.p_mp
+
 
 class TestRateCommand:
     def test_noiseless_exit_zero(self, capsys):
@@ -400,6 +410,41 @@ class TestValidateCommand:
         assert run_cli("validate", "--attacks", "2", "--ancilla-dims", "32") == 0
         assert "checked 4 attacks" in capsys.readouterr().out
         assert orders and max(orders) <= 8
+
+
+def _abort_file(tmp_path):
+    path = tmp_path / "noisy.txt"
+    cli.write_stats_file(str(path), ChannelStatistics(
+        p=np.array([[[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]]), p_pm=0.0, p_mp=0.0))
+    return str(path)
+
+
+class TestErrorsReachMain:
+    # Commands raise; main alone prints one stderr line and returns the code.
+    @pytest.mark.parametrize("argv,code,prefix", [
+        (lambda tmp: ["rate", "--stats", str(tmp / "missing.txt")], 1, "error: "),
+        (lambda tmp: ["rate", "--stats", _abort_file(tmp)], 3, "abort: "),
+        (lambda tmp: ["threshold", "--scenario", "equal", "--qx-ratio", "0"], 1, "error: "),
+        (lambda tmp: ["sweep", "--scenario", "equal", "--qx-ratio", "1",
+                      "--out", str(tmp / "no" / "x.csv")], 1, "error: "),
+        (lambda tmp: ["simulate", "--attack", "identity", "--iterations", "1000",
+                      "--out", str(tmp / "no" / "x.txt")], 1, "error: "),
+        (lambda tmp: ["validate", "--seed", "-1"], 1, "error: "),
+    ], ids=["rate-missing-file", "rate-abort", "threshold-ratio-zero", "sweep-missing-dir",
+            "simulate-missing-dir", "validate-negative-seed"])
+    def test_one_stderr_line_and_exit_code(self, tmp_path, capsys, argv, code, prefix):
+        assert run_cli(*argv(tmp_path)) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+    def test_error_inside_validate_loop(self, monkeypatch, capsys):
+        def statistics(stack):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(attack, "statistics", statistics)
+        assert run_cli("validate", "--attacks", "3") == 1
+        assert capsys.readouterr() == ("", "error: boom\n")
 
 
 class TestParser:

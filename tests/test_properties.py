@@ -99,3 +99,48 @@ def test_bound_is_finite_or_a_typed_error(stats, renormalize):
         except (ValueError, TooNoisyError):
             return
     assert math.isfinite(report.rate)
+
+
+q_entries = st.one_of(st.floats(min_value=0.0, max_value=0.5), any_floats)
+q_values = st.one_of(q_entries, st.lists(q_entries, max_size=3))
+
+
+@PROPERTY_SETTINGS
+@given(qs=st.tuples(q_values, q_values, q_values))
+def test_scenario_params_accepts_exactly_the_valid_ones(qs):
+    # Valid: every entry in [0, 1/2], and list lengths other than 1 agree.
+    entries = [x for q in qs for x in (q if isinstance(q, list) else [q])]
+    lengths = {len(q) for q in qs if isinstance(q, list)} - {1}
+    valid = all(0.0 <= x <= 0.5 for x in entries) and len(lengths) <= 1
+    try:
+        params = keyrate.ScenarioParams(*qs)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+    rate = keyrate.key_rate_bound(keyrate.symmetric_stats(params)).rate
+    assert np.isfinite(rate).all()
+
+
+@PROPERTY_SETTINGS
+@given(stats=channel_statistics(), renormalize=st.booleans())
+def test_swapping_x_disturbances_keeps_the_bound(stats, renormalize):
+    # p_pm and p_mp enter only through 1 - p_pm - p_mp, which rounds
+    # differently in the two orders: the rate may move by rounding alone.
+    swapped = ChannelStatistics(p=stats.p, p_pm=stats.p_mp, p_mp=stats.p_pm)
+    reports = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="lambda_tilde = .* clamped to 1",
+                                category=UserWarning)
+        for s in (stats, swapped):
+            try:
+                reports.append(keyrate.key_rate_bound(s, renormalize=renormalize))
+            except (ValueError, TooNoisyError) as exc:
+                reports.append(exc)
+    a, b = reports
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        assert type(a) is type(b)
+        return
+    for name in ("s_bec", "p_a0", "joint", "h_b_given_a"):
+        assert report_bytes(a)[name] == report_bytes(b)[name]
+    assert abs(a.rate - b.rate) <= 1e-12

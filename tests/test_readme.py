@@ -25,3 +25,19 @@ def test_command_line_comments_match_output(capsys):
     for argv, printed in claims:
         assert cli.main(shlex.split(argv)) == 0
         assert capsys.readouterr().out == printed + "\n"
+
+
+def test_exit_codes_documented():
+    # The README and the cli docstring state the codes main returns, and the
+    # stderr prefix it prints with each error code.
+    meanings = {cli.EXIT_OK: "success / positive rate", cli.EXIT_INPUT: "input error",
+                cli.EXIT_NONPOSITIVE: "non-positive rate", cli.EXIT_ABORT: "abort",
+                cli.EXIT_VALIDATION: "validation failure"}
+    for text in (README.read_text(encoding="utf-8"), cli.__doc__):
+        stated = re.search(r"Exit codes:\s(.*?)\.\n", text, re.DOTALL).group(1)
+        stated = " ".join(re.sub(r"\([^)]*\)", "", stated).split())
+        items = [re.fullmatch(r"(\d+) (.*?)", item.strip()).groups()
+                 for item in stated.split(",")]
+        assert {int(code): meaning for code, meaning in items} == meanings
+        for prefix, code in (("error", cli.EXIT_INPUT), ("abort", cli.EXIT_ABORT)):
+            assert re.search(rf"`{prefix}: \.\.\.`\D*exit {code}\b", text), prefix
