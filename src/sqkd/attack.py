@@ -34,6 +34,11 @@ ancilla dimension takes a single vectorised pass.  A single attack is the
 same code with no leading axes.  Each member of a stack equals the attack
 built alone from its unitaries, and ``statistics`` gives one stacked
 ChannelStatistics, which ``keyrate`` takes in one pass as well.
+``random_attacks`` writes each seed's Gaussian draw straight into one
+stack and factorises it by one batched QR; ``random_attack`` is member 0 of
+the same route with a single seed.  Gram matrices are (..., 8, 8) whatever
+the ancilla dimension, so those of stacks of different dimensions
+concatenate into one batch for the entropies and the bound.
 
 Transit is the most significant tensor factor throughout (see linalg).
 """
@@ -142,7 +147,9 @@ def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> Colle
         u = np.asarray(u, dtype=complex)
         if u.shape[-2:] != (d, d):
             raise ValueError(f"{name} must have shape ({d}, {d}), got {u.shape}")
-        residual = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(d)))
+        defect = u.conj().swapaxes(-1, -2) @ u
+        np.einsum("...ii->...i", defect)[...] -= 1.0     # U^dag U - I
+        residual = np.max(np.abs(defect))
         if not residual <= UNITARY_TOL:     # NaN fails too
             raise ValueError(f"{name} is not unitary: residual {residual}")
         u = u.copy()
@@ -320,18 +327,21 @@ def symmetric_realizing_attack(q_fwd: float, q_rev: float) -> CollectiveAttack:
     return validate_attack(u_e, u_f, 4)
 
 
-def _complex_gaussian_pair(dim: int, seed) -> np.ndarray:
-    # Two (dim, dim) standard complex Gaussian matrices, for u_e and u_f in
-    # that order, each drawn as its real part and then its imaginary part.
-    rng = np.random.default_rng(seed)
-    return np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                     for _ in range(2)])
-
-
-def _haar_unitary(z: np.ndarray) -> np.ndarray:
-    # Haar unitaries from complex Gaussian matrices z (..., dim, dim): QR
-    # with the phases of R's diagonal moved into Q.
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+def _haar_pairs(dim: int, seeds) -> np.ndarray:
+    # Haar unitaries (M, 2, dim, dim), u_e and u_f of seeds[m] at [m]: QR of
+    # standard complex Gaussian matrices with the phases of R's diagonal
+    # moved into Q.  One draw per seed fills u_e's real part, u_e's
+    # imaginary part, u_f's real part and u_f's imaginary part in that order.
+    z = np.empty((len(seeds), 2, dim, dim), dtype=complex)
+    buf = np.empty((2, 2, dim, dim))
+    for m, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=buf)
+        z[m].real = buf[:, 0]
+        z[m].imag = buf[:, 1]
+    # Dividing by the complex sqrt(2) + 0j, as before; multiplying by the
+    # reciprocal can round the last bit differently.
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
@@ -340,9 +350,10 @@ def random_attack(ancilla_dim: int, seed) -> CollectiveAttack:
     """Haar-style random attack pair, reproducible from the seed.
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
-    an existing Generator.
+    an existing Generator.  The attack is member 0 of ``random_attacks``
+    with ``seeds = [seed]``.
     """
-    u = _haar_unitary(_complex_gaussian_pair(2 * _checked_ancilla_dim(ancilla_dim), seed))
+    u = _haar_pairs(2 * _checked_ancilla_dim(ancilla_dim), [seed])[0]
     return validate_attack(u[0], u[1], ancilla_dim)
 
 
@@ -350,8 +361,8 @@ def random_attacks(ancilla_dim: int, seeds) -> CollectiveAttack:
     """Stack of ``random_attack(ancilla_dim, seed)`` for each of ``seeds``.
 
     Member m equals ``random_attack(ancilla_dim, seeds[m])`` bit for bit;
-    every unitary of the stack is factorised by one batched QR.
+    every seed's draw is written straight into the stack, and every unitary
+    of the stack is factorised by one batched QR.
     """
-    dim = 2 * _checked_ancilla_dim(ancilla_dim)
-    u = _haar_unitary(np.stack([_complex_gaussian_pair(dim, seed) for seed in seeds]))
+    u = _haar_pairs(2 * _checked_ancilla_dim(ancilla_dim), seeds)
     return validate_attack(u[:, 0], u[:, 1], ancilla_dim)

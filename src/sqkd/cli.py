@@ -165,8 +165,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Random attacks are checked in stacks of one ancilla dimension, cut so that
-# a stack's unitaries take at most this many bytes (eight attacks at d = 32).
+# Random attacks are built in stacks of one ancilla dimension, cut so that a
+# stack's unitaries take at most this many bytes (eight attacks at d = 32).
+# The sound attacks' Gram matrices are kept across stacks and checked in one
+# pass once they take this many bytes (1024 attacks), and at the end of the run.
 VALIDATE_STACK_BYTES = 1 << 20
 
 
@@ -200,6 +202,29 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
                    attack_mod.random_attacks(d_e, seeds))
 
 
+def _check_sound(kept: list, failures: list) -> float:
+    """Check a batch of sound attacks in one pass; return its worst slack.
+
+    ``kept`` holds one (positions, labels, p, p_pm, p_mp, gram) per stack,
+    for the stack's sound members; the batch's bound and exact rate
+    violations and S(BEC) mismatches are appended to ``failures``.
+    """
+    positions, labels, *arrays = zip(*kept)
+    positions, labels = (sum(x, []) for x in (positions, labels))
+    p, p_pm, p_mp, g = map(np.concatenate, arrays)
+    report = keyrate.key_rate_bound(ChannelStatistics(p=p, p_pm=p_pm, p_mp=p_mp))
+    exact = attack_mod.s_b_given_e(g) - report.h_b_given_a
+    mismatch = np.abs(report.s_bec - von_neumann_entropy(attack_mod.gram_blocks(
+        g, attack_mod.BOB_REGISTER_GROUPS)))
+    for i in np.flatnonzero(report.rate > exact + 1e-9):
+        failures.append((positions[i], f"FAIL {labels[i]}: bound {report.rate[i]:.9f} "
+                                       f"exceeds exact rate {exact[i]:.9f}"))
+    for i in np.flatnonzero(mismatch > 1e-9):
+        failures.append((positions[i], f"FAIL {labels[i]}: S(BEC) mismatch "
+                                       f"{mismatch[i]:.3e}"))
+    return float(np.min(exact - report.rate))
+
+
 def cmd_validate(args) -> int:
     dims = [_parse_number(int, x, "--ancilla-dims") for x in args.ancilla_dims.split(",")]
     if args.attacks < 1 or any(d < 1 for d in dims):
@@ -213,6 +238,7 @@ def cmd_validate(args) -> int:
     checked = 0
     worst_slack = np.inf
     worst_residual = 0.0
+    kept: list[tuple] = []
     for positions, labels, stack in _validate_stacks(dims, args.attacks, args.seed,
                                                       args.corrupt):
         checked += len(positions)
@@ -225,20 +251,14 @@ def cmd_validate(args) -> int:
         if not sound.size:
             continue
         stats = attack_mod.statistics(stack)
-        report = keyrate.key_rate_bound(ChannelStatistics(
-            p=stats.p[sound], p_pm=stats.p_pm[sound], p_mp=stats.p_mp[sound]))
-        g = attack_mod.gram(stack)[sound]
-        exact = attack_mod.s_b_given_e(g) - report.h_b_given_a
-        mismatch = np.abs(report.s_bec - von_neumann_entropy(attack_mod.gram_blocks(
-            g, attack_mod.BOB_REGISTER_GROUPS)))
-        worst_slack = min(worst_slack, float(np.min(exact - report.rate)))
-        for i in np.flatnonzero(report.rate > exact + 1e-9):
-            failures.append((positions[sound[i]], f"FAIL {labels[sound[i]]}: bound "
-                                                  f"{report.rate[i]:.9f} exceeds exact rate "
-                                                  f"{exact[i]:.9f}"))
-        for i in np.flatnonzero(mismatch > 1e-9):
-            failures.append((positions[sound[i]], f"FAIL {labels[sound[i]]}: S(BEC) mismatch "
-                                                  f"{mismatch[i]:.3e}"))
+        kept.append(([positions[m] for m in sound], [labels[m] for m in sound],
+                     stats.p[sound], stats.p_pm[sound], stats.p_mp[sound],
+                     attack_mod.gram(stack)[sound]))
+        if sum(part[-1].nbytes for part in kept) >= VALIDATE_STACK_BYTES:
+            worst_slack = min(worst_slack, _check_sound(kept, failures))
+            kept = []
+    if kept:
+        worst_slack = min(worst_slack, _check_sound(kept, failures))
     for _, line in sorted(failures, key=lambda failure: failure[0]):
         print(line)
     print(f"checked {checked} attacks: worst identity residual "

@@ -113,15 +113,6 @@ class RawKeys:
         return int(self.alice_bits.shape[0])
 
 
-@dataclass(frozen=True)
-class StatisticsUncertainty:
-    """Per-entry binomial standard errors, mirroring ChannelStatistics."""
-
-    p: np.ndarray
-    p_pm: float
-    p_mp: float
-
-
 def _outcome_table(stats: ChannelStatistics):
     """Bit-1 probabilities of Bob's and Alice's measurements.
 
@@ -210,8 +201,10 @@ _CLASS_NAMES = {
 }
 
 
-def estimate_statistics(tally: TallyCounts) -> tuple[ChannelStatistics, StatisticsUncertainty]:
-    """Conditional relative frequencies with binomial standard errors.
+def estimate_statistics(tally: TallyCounts) -> tuple[ChannelStatistics, ChannelStatistics]:
+    """Conditional relative frequencies and their binomial standard errors.
+
+    The standard errors come as a ChannelStatistics of the same ten entries.
 
     Raises InsufficientDataError naming the conditioning class if any of
     the four classes (sent |0> or |1> with Bob measuring; sent |+> or |->
@@ -227,11 +220,10 @@ def estimate_statistics(tally: TallyCounts) -> tuple[ChannelStatistics, Statisti
     p = tally.z_counts / n_z[:, None, None]
     p_pm = tally.x_reflect_counts[0, 1] / n_x[0]
     p_mp = tally.x_reflect_counts[1, 0] / n_x[1]
-    p_err = np.sqrt(p * (1.0 - p) / n_z[:, None, None])
-    pm_err = float(np.sqrt(p_pm * (1.0 - p_pm) / n_x[0]))
-    mp_err = float(np.sqrt(p_mp * (1.0 - p_mp) / n_x[1]))
-    stats = ChannelStatistics(p=p, p_pm=float(p_pm), p_mp=float(p_mp))
-    return stats, StatisticsUncertainty(p=p_err, p_pm=pm_err, p_mp=mp_err)
+    err = ChannelStatistics(p=np.sqrt(p * (1.0 - p) / n_z[:, None, None]),
+                            p_pm=np.sqrt(p_pm * (1.0 - p_pm) / n_x[0]),
+                            p_mp=np.sqrt(p_mp * (1.0 - p_mp) / n_x[1]))
+    return ChannelStatistics(p=p, p_pm=p_pm, p_mp=p_mp), err
 
 
 def qber(keys: RawKeys) -> float:

@@ -5,8 +5,10 @@ come from cyclic Jacobi rotations instead of LAPACK, partial traces from
 explicit index loops, block-diagonal operators from copying each block into
 place, the rate bound from a direct transcription with
 scalar math, Monte Carlo chunks from evolving one state vector per
-iteration instead of sampling a table of outcomes, and the post-protocol
-states as dense d x d blocks instead of the records' 8 x 8 Gram matrix.
+iteration instead of sampling a table of outcomes, the post-protocol
+states as dense d x d blocks instead of the records' 8 x 8 Gram matrix, and
+each random attack's Gaussian matrices from four separate draws and complex
+arithmetic instead of one draw written into a stack.
 """
 
 import math
@@ -197,6 +199,21 @@ def born_rule_chunk(u_e, u_f, d, n, prob_z, prob_measure, seed, chunk):
     x_counts = np.bincount(x_cells, minlength=4).reshape(2, 2)
     other = n - int(key_mask.sum()) - int(x_reflect.sum())
     return z_counts, x_counts, other, alice_bits[key_mask], bob_bits[key_mask]
+
+
+def haar_pair(dim, seed):
+    """The (2, dim, dim) random unitaries u_e, u_f of ``seed``, one draw at a time.
+
+    Each matrix is drawn as its real part and then its imaginary part, u_e
+    before u_f, scaled to unit variance per entry; QR then makes it unitary,
+    with the phases of R's diagonal moved into Q.
+    """
+    rng = np.random.default_rng(seed)
+    z = np.stack([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                  for _ in range(2)])
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def register_label(i, j, k):

@@ -5,7 +5,7 @@ import pytest
 
 from sqkd import attack, cli, keyrate, linalg
 from conftest import make_attack_pool, report_bytes
-from oracles import (assemble_block_diagonal, born_x_flip_probabilities,
+from oracles import (assemble_block_diagonal, born_x_flip_probabilities, haar_pair,
                      partial_trace_bruteforce, rho_be, rho_bec)
 
 
@@ -419,6 +419,20 @@ class TestStacks:
         seeds = [[61, idx] for idx in range(12 if d == 32 else 40)]
         self.assert_members_match(attack.random_attacks(d, seeds),
                                   [attack.random_attack(d, seed) for seed in seeds])
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 32])
+    def test_draws_match_one_draw_at_a_time(self, d):
+        # One draw per seed written into the stack gives the unitaries of
+        # four separate draws joined by complex arithmetic.
+        seeds = [[67, idx] for idx in range(8)]
+        want = np.stack([haar_pair(2 * d, seed) for seed in seeds])
+        stack = attack.random_attacks(d, seeds)
+        assert np.array_equal(stack.u_e, want[:, 0]) and np.array_equal(stack.u_f, want[:, 1])
+        # A Generator seed is drawn from, and advanced, as the reference does.
+        rng, ref = np.random.default_rng(67), np.random.default_rng(67)
+        for _ in range(2):
+            atk, want = attack.random_attack(d, rng), haar_pair(2 * d, ref)
+            assert np.array_equal(atk.u_e, want[0]) and np.array_equal(atk.u_f, want[1])
 
     def test_validate_stacks_cover_every_attack_once(self):
         # 44 attacks over d = 1, 2, 4, 32 give 11 at d = 32, which the byte

@@ -355,7 +355,7 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
-    def test_one_bound_call_per_stack(self, monkeypatch, capsys):
+    def test_one_bound_call_per_batch(self, monkeypatch, capsys):
         shapes = []
         bound = keyrate.key_rate_bound
 
@@ -364,11 +364,20 @@ class TestValidateCommand:
             return bound(stats, **kwargs)
 
         monkeypatch.setattr(keyrate, "key_rate_bound", counting)
-        assert run_cli("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32",
-                       "--seed", "3") == 0
-        stacks = cli._validate_stacks([1, 2, 4, 32], 60, 3, corrupt=False)
-        assert shapes == [(len(positions),) for positions, _, _ in stacks]
-        assert len(shapes) == 7
+        argv = ("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32", "--seed", "3")
+        assert run_cli(*argv) == 0
+        clean = capsys.readouterr().out
+        # All 62 attacks' Gram matrices fit in one batch.
+        assert shapes == [(62,)]
+        # A 40 KiB budget cuts the unitaries into more stacks and the sound
+        # attacks into more batches, without changing a byte of the report.
+        shapes.clear()
+        monkeypatch.setattr(cli, "VALIDATE_STACK_BYTES", 40 << 10)
+        assert run_cli(*argv) == 0
+        assert len(shapes) > 1 and sum(n for n, in shapes) == 62
+        assert capsys.readouterr().out == clean
+        assert hashlib.sha256(clean.encode()).hexdigest() == (
+            "4730ae6669fb8c75ff1fe034aa53a9272c4bd0f4e851351893f692ae21bf7ee0")
 
     def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
         # Records (0, 0, 0) and (0, 0, 1), rows 0 and 1 of the Gram matrix,
