@@ -25,7 +25,8 @@ Eve's post-protocol states are mixtures of the eight records, |r><r|/2
 each, block diagonal in Bob's bit and the agreement register.  Their
 entropies are taken from the 8x8 Gram matrix of the records (``gram``),
 whose principal submatrices share the blocks' non-zero spectra, so no d x d
-state is ever built.
+state is ever built.  ``soundness`` sets the statistics-only bound against
+the exact rate and the S(BEC) it assumes, given statistics and Gram matrices.
 
 Attacks stack: unitaries of shape (..., 2d, 2d) make one CollectiveAttack
 whose vectors, Gram matrices, statistics, residuals and entropies carry the
@@ -37,8 +38,8 @@ ChannelStatistics, which ``keyrate`` takes in one pass as well.
 ``random_attacks`` writes each seed's Gaussian draw straight into one
 stack and factorises it by one batched QR; ``random_attack`` is member 0 of
 the same route with a single seed.  Gram matrices are (..., 8, 8) whatever
-the ancilla dimension, so those of stacks of different dimensions
-concatenate into one batch for the entropies and the bound.
+the ancilla dimension, so stacks of different dimensions join into one
+batch for ``soundness``.
 
 Transit is the most significant tensor factor throughout (see linalg).
 """
@@ -51,6 +52,8 @@ from . import keyrate, linalg
 from .keyrate import REGISTER_LABEL, ChannelStatistics
 
 UNITARY_TOL = 1e-10
+# The bound is sound while neither rate - exact nor the S(BEC) mismatch exceeds this.
+SOUNDNESS_TOL = 1e-9
 MAX_ANCILLA_DIM = 32
 
 # Key-round record [i, j, k] (sent i, Bob j, Alice k) is e_ijk[j, 2i+j, k];
@@ -147,6 +150,8 @@ def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> Colle
         u = np.asarray(u, dtype=complex)
         if u.shape[-2:] != (d, d):
             raise ValueError(f"{name} must have shape ({d}, {d}), got {u.shape}")
+        if not u.size:
+            raise ValueError(f"{name} is an empty stack {u.shape}")
         defect = u.conj().swapaxes(-1, -2) @ u
         np.einsum("...ii->...i", defect)[...] -= 1.0     # U^dag U - I
         residual = np.max(np.abs(defect))
@@ -248,16 +253,12 @@ def gram_blocks(g: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return g[..., groups[:, :, None], groups[:, None, :]]
 
 
-def s_b_given_e(g: np.ndarray):
-    """S(B|E) = S(BE) - S(E) in bits, from the Gram matrix ``g`` (..., 8, 8).
-
-    S(BE) comes from the 4x4 blocks of the records' Gram matrix grouped by
-    Bob's bit and S(E) from the whole 8x8 matrix, so the eigen-work does not
-    grow with the ancilla dimension.  A float for one matrix, an array over
-    the leading axes of a stack.
-    """
+def _exact_rate(stats: ChannelStatistics, g: np.ndarray):
+    # S(BE) - S(E) - H(B|A) in bits: S(BE) from the Gram blocks grouped by
+    # Bob's bit, S(E) from the whole 8x8 matrix, whatever the ancilla dimension.
     return (linalg.von_neumann_entropy(gram_blocks(g, BOB_GROUPS))
-            - linalg.von_neumann_entropy(g[..., None, :, :]))
+            - linalg.von_neumann_entropy(g[..., None, :, :])
+            - keyrate.h_b_given_a(stats))
 
 
 def exact_collective_rate(attack: CollectiveAttack):
@@ -266,8 +267,19 @@ def exact_collective_rate(attack: CollectiveAttack):
     This is what the statistics-only bound must never exceed.  An attack
     that ``statistics`` refuses as not unitary raises its ValueError.
     """
-    h_b_given_a = keyrate.h_b_given_a(statistics(attack))
-    return s_b_given_e(gram(attack)) - h_b_given_a
+    return _exact_rate(statistics(attack), gram(attack))
+
+
+def soundness(stats: ChannelStatistics, g: np.ndarray):
+    """(report, exact, mismatch) for statistics and Gram matrices (..., 8, 8).
+
+    report is ``keyrate.key_rate_bound(stats)``, exact the exact collective
+    rate and mismatch |report.s_bec - S(BEC)|, S(BEC) from the Gram blocks
+    grouped by Bob's bit and register.  A stack may mix ancilla dimensions.
+    """
+    report = keyrate.key_rate_bound(stats)
+    s_bec = linalg.von_neumann_entropy(gram_blocks(g, BOB_REGISTER_GROUPS))
+    return report, _exact_rate(stats, g), abs(report.s_bec - s_bec)
 
 
 def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:

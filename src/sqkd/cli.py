@@ -14,7 +14,6 @@ import numpy as np
 from . import attack as attack_mod
 from . import keyrate, simulate
 from .keyrate import ChannelStatistics, ScenarioParams, TooNoisyError
-from .linalg import von_neumann_entropy
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -211,15 +210,12 @@ def _check_sound(kept: list, failures: list) -> float:
     """
     positions, labels, *arrays = zip(*kept)
     positions, labels = (sum(x, []) for x in (positions, labels))
-    p, p_pm, p_mp, g = map(np.concatenate, arrays)
-    report = keyrate.key_rate_bound(ChannelStatistics(p=p, p_pm=p_pm, p_mp=p_mp))
-    exact = attack_mod.s_b_given_e(g) - report.h_b_given_a
-    mismatch = np.abs(report.s_bec - von_neumann_entropy(attack_mod.gram_blocks(
-        g, attack_mod.BOB_REGISTER_GROUPS)))
-    for i in np.flatnonzero(report.rate > exact + 1e-9):
+    *stats, g = map(np.concatenate, arrays)
+    report, exact, mismatch = attack_mod.soundness(ChannelStatistics(*stats), g)
+    for i in np.flatnonzero(report.rate > exact + attack_mod.SOUNDNESS_TOL):
         failures.append((positions[i], f"FAIL {labels[i]}: bound {report.rate[i]:.9f} "
                                        f"exceeds exact rate {exact[i]:.9f}"))
-    for i in np.flatnonzero(mismatch > 1e-9):
+    for i in np.flatnonzero(mismatch > attack_mod.SOUNDNESS_TOL):
         failures.append((positions[i], f"FAIL {labels[i]}: S(BEC) mismatch "
                                        f"{mismatch[i]:.3e}"))
     return float(np.min(exact - report.rate))

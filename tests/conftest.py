@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sqkd import attack
+from sqkd.keyrate import ChannelStatistics
 
 # One fixed pool of random attacks shared across the suite; seeds chosen
 # once and never resampled.
@@ -14,6 +15,18 @@ SUITE_DIMS = (1, 2, 4)
 def make_attack_pool(count, seed=SUITE_SEED, dims=SUITE_DIMS):
     return [attack.random_attack(dims[idx % len(dims)], [seed, idx])
             for idx in range(count)]
+
+
+def soundness_inputs(attacks):
+    """Statistics and Gram matrices of ``attacks`` stacked, for ``attack.soundness``.
+
+    The attacks may have different ancilla dimensions.
+    """
+    stats = [attack.statistics(atk) for atk in attacks]
+    return (ChannelStatistics(p=np.stack([s.p for s in stats]),
+                              p_pm=np.array([s.p_pm for s in stats]),
+                              p_mp=np.array([s.p_mp for s in stats])),
+            np.stack([attack.gram(atk) for atk in attacks]))
 
 
 def report_bytes(report, m=()):

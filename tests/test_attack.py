@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqkd import attack, cli, keyrate, linalg
-from conftest import make_attack_pool, report_bytes
+from conftest import make_attack_pool, report_bytes, soundness_inputs
 from oracles import (assemble_block_diagonal, born_x_flip_probabilities, haar_pair,
                      partial_trace_bruteforce, rho_be, rho_bec)
 
@@ -39,6 +39,13 @@ class TestValidateAttack:
         one_bad[1] *= 2.0
         with pytest.raises(ValueError, match="u_f is not unitary: residual 3.0"):
             attack.validate_attack(u, one_bad, 1)
+
+    def test_empty_stack_named(self):
+        empty = np.zeros((0, 2, 2))
+        with pytest.raises(ValueError, match=r"^u_e is an empty stack \(0, 2, 2\)$"):
+            attack.validate_attack(empty, empty, 1)
+        with pytest.raises(ValueError, match=r"^u_e is an empty stack \(0, 4, 4\)$"):
+            attack.random_attacks(2, [])
 
     def test_ancilla_cap(self):
         with pytest.raises(ValueError):
@@ -342,10 +349,27 @@ class TestExactCollectiveRate:
         assert attack.exact_collective_rate(attack.z_measurement_attack()) \
             == pytest.approx(0.0, abs=1e-12)
 
-    def test_bound_never_exceeds_exact(self, attack_pool):
-        for atk in attack_pool[:100]:
-            bound = keyrate.key_rate_bound(attack.statistics(atk)).rate
-            assert bound <= attack.exact_collective_rate(atk) + 1e-9
+    def test_exists_where_the_bound_aborts(self):
+        # Eve flips the transit bit on the way in, so p000 = 0 and the bound
+        # aborts; her one-dimensional ancilla learns nothing, so the rate is 1.
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        atk = attack.validate_attack(x, np.eye(2), 1)
+        with pytest.raises(keyrate.TooNoisyError):
+            keyrate.key_rate_bound(attack.statistics(atk))
+        assert attack.exact_collective_rate(atk) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSoundness:
+    def test_mixed_dimension_batch_matches_members(self):
+        members = [attack.identity_attack(), attack.z_measurement_attack()] + [
+            attack.random_attack(d, [71, idx]) for d in (1, 2, 4, 32) for idx in range(10)]
+        report, exact, mismatch = attack.soundness(*soundness_inputs(members))
+        assert exact.shape == mismatch.shape == (42,)
+        for m, atk in enumerate(members):
+            report_m, _, mismatch_m = attack.soundness(attack.statistics(atk), attack.gram(atk))
+            assert report_bytes(report, m) == report_bytes(report_m)
+            assert exact[m] == attack.exact_collective_rate(atk)
+            assert mismatch[m] == pytest.approx(mismatch_m, rel=0, abs=1e-14)
 
 
 class TestSymmetricRealizingAttack:
@@ -394,11 +418,8 @@ class TestStacks:
     def assert_members_match(cls, stack, members):
         assert stack.u_e.shape[0] == len(members)
         stats = attack.statistics(stack)
-        reports = keyrate.key_rate_bound(stats)
         residuals = attack.unitarity_residuals(stack)
-        g = attack.gram(stack)
-        s_b_given_e = attack.s_b_given_e(g)
-        s_bec = linalg.von_neumann_entropy(attack.gram_blocks(g, attack.BOB_REGISTER_GROUPS))
+        report, exact, mismatch = attack.soundness(stats, attack.gram(stack))
         for m, atk in enumerate(members):
             assert stack.ancilla_dim == atk.ancilla_dim
             for name in cls.FIELDS:
@@ -406,13 +427,12 @@ class TestStacks:
             alone = attack.statistics(atk)
             assert np.array_equal(stats.p[m], alone.p)
             assert (stats.p_pm[m], stats.p_mp[m]) == (alone.p_pm, alone.p_mp)
-            assert report_bytes(reports, m) == report_bytes(keyrate.key_rate_bound(alone))
             for name, value in attack.unitarity_residuals(atk).items():
                 assert residuals[name][m] == pytest.approx(value, rel=0, abs=1e-14), name
-            g_alone = attack.gram(atk)
-            assert s_b_given_e[m] == pytest.approx(attack.s_b_given_e(g_alone), rel=0, abs=1e-14)
-            assert s_bec[m] == pytest.approx(linalg.von_neumann_entropy(
-                attack.gram_blocks(g_alone, attack.BOB_REGISTER_GROUPS)), rel=0, abs=1e-14)
+            report_m, exact_m, mismatch_m = attack.soundness(alone, attack.gram(atk))
+            assert report_bytes(report, m) == report_bytes(report_m)
+            assert exact[m] == pytest.approx(exact_m, rel=0, abs=1e-14)
+            assert mismatch[m] == pytest.approx(mismatch_m, rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 32])
     def test_stack_equals_members_built_alone(self, d):

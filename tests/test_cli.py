@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 
@@ -378,6 +379,24 @@ class TestValidateCommand:
         assert capsys.readouterr().out == clean
         assert hashlib.sha256(clean.encode()).hexdigest() == (
             "4730ae6669fb8c75ff1fe034aa53a9272c4bd0f4e851351893f692ae21bf7ee0")
+
+    def test_bound_above_exact_rate_detected(self, monkeypatch, capsys):
+        # Every bound raised by 10 exceeds its exact rate, which is at most 1.
+        bound = keyrate.key_rate_bound
+
+        def inflated(stats, **kwargs):
+            report = bound(stats, **kwargs)
+            return dataclasses.replace(report, rate=report.rate + 10.0)
+
+        monkeypatch.setattr(keyrate, "key_rate_bound", inflated)
+        assert run_cli("validate", "--attacks", "3", "--ancilla-dims", "1,2",
+                       "--seed", "9") == 4
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in fails] == [
+            "FAIL identity", "FAIL zmeasure"] + [
+            f"FAIL random seed=[9, {idx}]" for idx in range(3)]
+        assert all(": bound " in line and " exceeds exact rate " in line for line in fails)
 
     def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
         # Records (0, 0, 0) and (0, 0, 1), rows 0 and 1 of the Gram matrix,
