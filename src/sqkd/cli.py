@@ -7,7 +7,10 @@ Commands raise; ``main`` alone turns an error into one stderr line, `error: ...`
 
 import argparse
 import functools
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -164,20 +167,37 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Random attacks are built in stacks of one ancilla dimension, cut so that a
-# stack's unitaries take at most this many bytes (eight attacks at d = 32).
-# The sound attacks' Gram matrices are kept across stacks and checked in one
-# pass once they take this many bytes (1024 attacks), and at the end of the run.
+# Random attacks are built in stacks of one ancilla dimension, on a thread
+# pool with one thread per CPU the process may use (``taskset`` restricts
+# them; with OPENBLAS_NUM_THREADS=1 BLAS adds no threads of its own).  The
+# stacks in flight share this budget of unitaries: each stack is cut at this
+# many bytes over the number of threads (eight attacks at d = 32 on one CPU,
+# four on two).  Each thread also holds its last stack until its next one is
+# built, so at most twice this many bytes of unitaries are alive, on any
+# number of CPUs.  The output does not depend on the number of CPUs.  The
+# sound attacks' Gram matrices are kept across stacks and checked in one pass
+# once they take this many bytes (1024 attacks), and at the end of the run.
 VALIDATE_STACK_BYTES = 1 << 20
 
 
-def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
-    """Yield (positions, labels, stack) covering every attack ``validate`` checks.
+def _workers() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool,
+                     workers: int):
+    """Yield (positions, labels, build) covering every attack ``validate`` checks.
 
     Positions number the attacks in report order: the identity, the Z
     measurement, random attack idx (ancilla dimension dims[idx % len(dims)],
     seed [seed, idx]) and, with ``corrupt``, a copy of the last random attack
-    with a broken u_e.  Each stack is built when it is reached.
+    with a broken u_e.  ``build()`` builds the stack, on whichever thread
+    calls it.  Random stacks are cut so that ``workers`` of them in flight
+    share the ``VALIDATE_STACK_BYTES`` budget of unitaries; only where they
+    are cut depends on ``workers``, not the attacks or the report.
     """
     fixed = [(0, "identity", attack_mod.identity_attack()),
              (1, "zmeasure", attack_mod.z_measurement_attack())]
@@ -189,16 +209,45 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
         fixed.append((attacks + 2, "corrupted (test hook)", attack_mod.CollectiveAttack(
             atk.ancilla_dim, u_bad, atk.u_f)))
     for pos, label, atk in fixed:
-        yield [pos], [label], attack_mod.CollectiveAttack(
-            atk.ancilla_dim, atk.u_e[None], atk.u_f[None])
+        yield [pos], [label], functools.partial(
+            attack_mod.CollectiveAttack, atk.ancilla_dim, atk.u_e[None], atk.u_f[None])
+    budget = VALIDATE_STACK_BYTES // workers
     for d_e in dict.fromkeys(dims):
         members = [idx for idx in range(attacks) if dims[idx % len(dims)] == d_e]
-        size = max(1, VALIDATE_STACK_BYTES // (2 * 16 * (2 * d_e) ** 2))
+        size = max(1, budget // (2 * 16 * (2 * d_e) ** 2))
         for start in range(0, len(members), size):
             part = members[start:start + size]
             seeds = [[seed, idx] for idx in part]
             yield ([idx + 2 for idx in part], [f"random seed={s}" for s in seeds],
-                   attack_mod.random_attacks(d_e, seeds))
+                   functools.partial(attack_mod.random_attacks, d_e, seeds))
+
+
+def _sound_members(pool: ThreadPoolExecutor, held: threading.local, build):
+    """Build one stack on a thread of ``pool``; return what ``validate`` keeps of it.
+
+    That is the residual of every member, the indices of the sound members
+    (residual at most 1e-9) and, if there are any, their (p, p_pm, p_mp,
+    gram) rows.  Only attacks whose identities hold have states to take
+    entropies of.  ``held`` keeps each thread's last stack until the thread
+    has built its next one.  A stack that raises drops the pool's queued
+    stacks at once, so that no more of them are built while the main thread
+    waits for the thread's turn.
+    """
+    try:
+        stack = build()
+        # The thread's previous stack is freed only now.  Freed before this
+        # build, its memory would go back to the system and be faulted in
+        # again page by page (three times the minor faults per task).
+        held.stack = stack
+        sound = np.flatnonzero(~(stack.residual > 1e-9))
+        if not sound.size:
+            return stack.residual, sound, None
+        stats = attack_mod.statistics(stack)
+        return stack.residual, sound, (stats.p[sound], stats.p_pm[sound],
+                                       stats.p_mp[sound], attack_mod.gram(stack)[sound])
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
 
 
 def _check_sound(kept: list, failures: list) -> float:
@@ -235,24 +284,29 @@ def cmd_validate(args) -> int:
     worst_slack = np.inf
     worst_residual = 0.0
     kept: list[tuple] = []
-    for positions, labels, stack in _validate_stacks(dims, args.attacks, args.seed,
-                                                      args.corrupt):
-        checked += len(positions)
-        worst_residual = max(worst_residual, float(stack.residual.max()))
-        for m in np.flatnonzero(stack.residual > 1e-9):
-            failures.append((positions[m], f"FAIL {labels[m]}: unitarity identity residual "
-                                           f"{stack.residual[m]:.3e}"))
-        # Only attacks whose identities hold have states to take entropies of.
-        sound = np.flatnonzero(~(stack.residual > 1e-9))
-        if not sound.size:
-            continue
-        stats = attack_mod.statistics(stack)
-        kept.append(([positions[m] for m in sound], [labels[m] for m in sound],
-                     stats.p[sound], stats.p_pm[sound], stats.p_mp[sound],
-                     attack_mod.gram(stack)[sound]))
-        if sum(part[-1].nbytes for part in kept) >= VALIDATE_STACK_BYTES:
-            worst_slack = min(worst_slack, _check_sound(kept, failures))
-            kept = []
+    workers = _workers()
+    stacks = list(_validate_stacks(dims, args.attacks, args.seed, args.corrupt, workers))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        # map yields in report order, so every line and batch is as if the
+        # stacks were built one after another on this thread.
+        results = pool.map(functools.partial(_sound_members, pool, threading.local()),
+                           [build for _, _, build in stacks])
+        for (positions, labels, _), (residual, sound, rows) in zip(stacks, results):
+            checked += len(positions)
+            worst_residual = max(worst_residual, float(residual.max()))
+            for m in np.flatnonzero(residual > 1e-9):
+                failures.append((positions[m], f"FAIL {labels[m]}: unitarity identity "
+                                               f"residual {residual[m]:.3e}"))
+            if rows is None:
+                continue
+            kept.append(([positions[m] for m in sound], [labels[m] for m in sound], *rows))
+            if sum(part[-1].nbytes for part in kept) >= VALIDATE_STACK_BYTES:
+                worst_slack = min(worst_slack, _check_sound(kept, failures))
+                kept = []
+    finally:
+        # On an error here the stacks not yet started are dropped, not built.
+        pool.shutdown(cancel_futures=True)
     if kept:
         worst_slack = min(worst_slack, _check_sound(kept, failures))
     for _, line in sorted(failures, key=lambda failure: failure[0]):

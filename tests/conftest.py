@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -47,3 +48,18 @@ def attack_pool():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(97531)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that leaves a new non-daemon thread alive.
+
+    Such a thread would keep the interpreter from exiting after ``main``
+    returns; ``validate``'s pool must be joined on every path.
+    """
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate()
+            if t not in before and not t.daemon and t.is_alive()]
+    if left:
+        pytest.fail(f"threads left running: {[t.name for t in left]}")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -348,13 +349,64 @@ class TestValidateCommand:
         (("--corrupt",), 4,
          "58f52a4d30fe256dc94c753904a9fbc914aba9e14c9af75dc9f8fd214ca1eea0"),
     ], ids=["clean", "corrupt"])
-    def test_output_matches_recorded_digest(self, capsys, extra, code, digest):
+    def test_output_matches_recorded_digest(self, monkeypatch, capsys, extra, code, digest):
         # The sha256 of stdout, recorded when every attack was still checked
-        # on its own: checking them in stacks must not change a byte.
-        assert run_cli("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32",
-                       "--seed", "3", *extra) == code
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+        # on its own: checking them in stacks, on one CPU or two, must not
+        # change a byte.
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_workers", lambda: workers)
+            assert run_cli("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32",
+                           "--seed", "3", *extra) == code
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (workers, out)
+
+    def test_output_independent_of_cpu_count(self, monkeypatch, capsys):
+        # Five threads on a shortened switch interval interleave the stacks
+        # more finely than the cores alone would.
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(cli, "_workers", lambda: workers)
+                assert run_cli("validate", "--attacks", "500", "--ancilla-dims", "1,2,4,32",
+                               "--seed", "3") == 0
+                outputs.append(capsys.readouterr().out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "checked 502 attacks" in outputs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_stack_ends_the_run(self, monkeypatch, capsys, workers):
+        # The first random stack (d = 32) to reach its statistics raises.
+        # The run ends at once: the queued stacks are dropped, not built, and
+        # the pool's threads are gone when validate returns.
+        after_failure = []  # per random stack built: did a stack fail before?
+        failed = []
+        random_attacks = attack.random_attacks
+        statistics = attack.statistics
+
+        def spy(d_e, seeds):
+            after_failure.append(bool(failed))
+            return random_attacks(d_e, seeds)
+
+        def failing(stack):
+            if stack.ancilla_dim == 32 and not failed:
+                failed.append(True)
+                raise ValueError("boom")
+            return statistics(stack)
+
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(attack, "random_attacks", spy)
+        monkeypatch.setattr(attack, "statistics", failing)
+        threads = threading.active_count()
+        # 80 attacks at d = 32 make 10 stacks on one worker, 20 on two.
+        assert run_cli("validate", "--attacks", "80", "--ancilla-dims", "32") == 1
+        assert capsys.readouterr() == ("", "error: boom\n")
+        assert sum(after_failure) <= workers
+        assert len(after_failure) < 10 * workers
+        assert threading.active_count() == threads
 
     def test_one_bound_call_per_batch(self, monkeypatch, capsys):
         shapes = []
