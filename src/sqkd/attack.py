@@ -18,8 +18,9 @@ f is summed from e_ijk while g comes from the unitaries directly, so the
 identity that makes g a Hadamard combination of f
 (``unitarity_residuals(attack)['g_combo']``) cross-checks the e_ijk
 extraction.  The worst residual is stored as ``residual``, and an attack not
-unitary enough to have statistics has none: ``statistics`` refuses it, and
-with it ``exact_collective_rate`` and any simulation of it.
+unitary enough to have statistics (``has_statistics``) has none:
+``statistics`` refuses it, and with it ``exact_collective_rate`` and any
+simulation of it.
 
 Eve's post-protocol states are mixtures of the eight records, |r><r|/2
 each, block diagonal in Bob's bit and the agreement register.  Their
@@ -206,6 +207,18 @@ def unitarity_residuals(attack: CollectiveAttack) -> dict:
     return {name: r if lead else float(r) for name, r in residuals.items()}
 
 
+def has_statistics(attack: CollectiveAttack):
+    """Whether ``statistics`` accepts the attack, per member of a stack.
+
+    A member is accepted while its ``residual`` is within what
+    validate_attack allows, and refused if it is NaN.
+    """
+    # validate_attack bounds each entry of U^dag U - I by UNITARY_TOL, so one
+    # unitary moves a squared norm by at most 2d * UNITARY_TOL and a reflected
+    # round passes two; 1e-12 is rounding.  Phrased so that NaN fails.
+    return attack.residual <= 2 * 2 * attack.ancilla_dim * UNITARY_TOL + 1e-12
+
+
 def statistics(attack: CollectiveAttack):
     """The ten observables induced by an attack.
 
@@ -213,13 +226,9 @@ def statistics(attack: CollectiveAttack):
     (sent i) -> (Bob j) -> (Alice k); the X disturbances are the squared
     norms of the basis-flipping components on reflected rounds.  A stack
     gives statistics with the stack's leading axes, one member per attack.
-    An ``attack.residual`` beyond what validate_attack allows raises
-    ValueError.
+    A stack with a member that ``has_statistics`` refuses raises ValueError.
     """
-    # validate_attack bounds each entry of U^dag U - I by UNITARY_TOL, so one
-    # unitary moves a squared norm by at most 2d * UNITARY_TOL and a reflected
-    # round passes two; 1e-12 is rounding.  Phrased so that NaN fails.
-    if not np.all(attack.residual <= 2 * 2 * attack.ancilla_dim * UNITARY_TOL + 1e-12):
+    if not np.all(has_statistics(attack)):
         raise ValueError("the attack operators are not unitary enough: "
                          f"identity residual {np.max(attack.residual)}")
     flips = np.clip(_sq_norms(attack.g[..., 1:3, :]), 0.0, 1.0)

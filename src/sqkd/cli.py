@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import compress
 
 import numpy as np
 
@@ -152,15 +153,15 @@ def cmd_simulate(args) -> int:
         raise ValueError("workers must be positive")
     config = simulate.ProtocolConfig(iterations=args.iterations, seed=args.seed)
     analytic = attack_mod.statistics(_build_attack(args.attack, args.seed))
-    tally, keys = simulate.run_protocol(analytic, config)
+    tally = simulate.run_protocol(analytic, config)
     stats, err = simulate.estimate_statistics(tally)
     write_stats_file(args.out, stats)
-    print(f"iterations = {args.iterations}  sifted key bits = {len(keys)}")
+    print(f"iterations = {args.iterations}  sifted key bits = {int(tally.z_counts.sum())}")
     print(f"{'entry':<14}{'empirical':>14}{'analytic':>14}{'stderr':>12}")
     columns = [keyrate.statistics_entries(x).tolist() for x in (stats, analytic, err)]
     for key, s, a, e in zip(STATS_KEYS, *columns):
         print(f"{key:<14}{s:>14.9f}{a:>14.9f}{e:>12.2e}")
-    print(f"empirical QBER = {simulate.qber(keys):.9f}")
+    print(f"empirical QBER = {simulate.qber(tally):.9f}")
     report = keyrate.key_rate_bound(stats, renormalize=True)
     print(f"key rate bound (empirical statistics) = {report.rate:.9g}")
     print(f"stats written to {args.out}")
@@ -222,31 +223,38 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool,
                    functools.partial(attack_mod.random_attacks, d_e, seeds))
 
 
-def _sound_members(pool: ThreadPoolExecutor, held: threading.local, build):
-    """Build one stack on a thread of ``pool``; return what ``validate`` keeps of it.
+def _sound_members(failed: threading.Event, held: threading.local, build):
+    """Build one stack on a pool thread; return what ``validate`` keeps of it.
 
-    That is the residual of every member, the indices of the sound members
-    (residual at most 1e-9) and, if there are any, their (p, p_pm, p_mp,
-    gram) rows.  Only attacks whose identities hold have states to take
-    entropies of.  ``held`` keeps each thread's last stack until the thread
-    has built its next one.  A stack that raises drops the pool's queued
-    stacks at once, so that no more of them are built while the main thread
-    waits for the thread's turn.
+    That is the residual of every member, a mask of the sound members
+    (residual at most 1e-9 and statistics that ``attack.has_statistics``
+    grants) and, if there are any, their (p, p_pm, p_mp, gram) rows.  Only
+    attacks whose identities hold have states to take entropies of.
+    ``held`` keeps each thread's last stack until the thread has built its
+    next one.  A stack that raises sets ``failed``, and the stacks that
+    start after it return None unbuilt: the pool starts stacks in report
+    order, so the main thread raises the error before it reaches them.
     """
+    if failed.is_set():
+        return None
     try:
         stack = build()
         # The thread's previous stack is freed only now.  Freed before this
         # build, its memory would go back to the system and be faulted in
         # again page by page (three times the minor faults per task).
         held.stack = stack
-        sound = np.flatnonzero(~(stack.residual > 1e-9))
-        if not sound.size:
-            return stack.residual, sound, None
+        residual = stack.residual
+        sound = attack_mod.has_statistics(stack) & (residual <= 1e-9)
+        if not sound.any():
+            return residual, sound, None
+        if not sound.all():
+            # statistics refuses a stack with any member it refuses.
+            stack = attack_mod.CollectiveAttack(stack.ancilla_dim, stack.u_e[sound],
+                                                stack.u_f[sound])
         stats = attack_mod.statistics(stack)
-        return stack.residual, sound, (stats.p[sound], stats.p_pm[sound],
-                                       stats.p_mp[sound], attack_mod.gram(stack)[sound])
+        return residual, sound, (stats.p, stats.p_pm, stats.p_mp, attack_mod.gram(stack))
     except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
+        failed.set()
         raise
 
 
@@ -290,17 +298,20 @@ def cmd_validate(args) -> int:
     try:
         # map yields in report order, so every line and batch is as if the
         # stacks were built one after another on this thread.
-        results = pool.map(functools.partial(_sound_members, pool, threading.local()),
+        results = pool.map(functools.partial(_sound_members, threading.Event(),
+                                             threading.local()),
                            [build for _, _, build in stacks])
         for (positions, labels, _), (residual, sound, rows) in zip(stacks, results):
             checked += len(positions)
-            worst_residual = max(worst_residual, float(residual.max()))
-            for m in np.flatnonzero(residual > 1e-9):
+            # np.max keeps a NaN residual, which the builtin max would drop.
+            worst_residual = float(np.max(residual, initial=worst_residual))
+            for m in np.flatnonzero(~sound):
                 failures.append((positions[m], f"FAIL {labels[m]}: unitarity identity "
                                                f"residual {residual[m]:.3e}"))
             if rows is None:
                 continue
-            kept.append(([positions[m] for m in sound], [labels[m] for m in sound], *rows))
+            kept.append((list(compress(positions, sound)), list(compress(labels, sound)),
+                         *rows))
             if sum(part[-1].nbytes for part in kept) >= VALIDATE_STACK_BYTES:
                 worst_slack = min(worst_slack, _check_sound(kept, failures))
                 kept = []

@@ -16,9 +16,11 @@ CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
 SeedSequence([seed, c]).  Each chunk makes five draws in a fixed order and
 with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
 the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
-different dtype for the bits draws a different stream.  Tallies merge by
-addition and key bits by chunk order, so the output is a pure function of
-the ten statistics and the config.
+different dtype for the bits draws a different stream.  The chunks' tallies
+are summed, so the run's output, its tallies alone, is a pure function of
+the ten statistics and the config.  The sifted key and its error rate are read off
+the Z tallies: every Z-prepared, measured iteration is one key bit, counted
+in exactly one z_counts cell.
 """
 
 from dataclasses import dataclass
@@ -92,27 +94,6 @@ class TallyCounts:
         object.__setattr__(self, "x_reflect_counts", x)
 
 
-@dataclass(frozen=True)
-class RawKeys:
-    """Sifted raw key bits, aligned position by position."""
-
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alice_bits, dtype=np.uint8)
-        b = np.asarray(self.bob_bits, dtype=np.uint8)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("key strings must be 1-D and of equal length")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "alice_bits", a)
-        object.__setattr__(self, "bob_bits", b)
-
-    def __len__(self) -> int:
-        return int(self.alice_bits.shape[0])
-
-
 def _outcome_table(stats: ChannelStatistics):
     """Bit-1 probabilities of Bob's and Alice's measurements.
 
@@ -135,9 +116,10 @@ def _outcome_table(stats: ChannelStatistics):
 
 def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
                     prob_z: float, prob_measure: float, seed: int, chunk: int,
-                    uniforms: np.ndarray, thresholds: np.ndarray):
-    # uniforms and thresholds are float64 buffers of n or more entries that
-    # every chunk reuses; prep, cell and event code overwrite the bits.
+                    uniforms: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    # Returns the chunk's bincount of its 24 event codes.  uniforms and
+    # thresholds are float64 buffers of n or more entries that every chunk
+    # reuses; prep, cell and event code overwrite the bits.
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
     u, t = uniforms[:n], thresholds[:n]
     # Fixed draw order and dtypes are part of the reproducibility contract;
@@ -157,40 +139,29 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
 
     # Event code: the (prep, branch) cell of the table and Alice's bit.
     code = np.add(np.multiply(cell, 2, out=bits), alice_bits, out=bits)
-    counts = np.bincount(code, minlength=24).reshape(4, 3, 2)
-    z_counts = counts[:2, 1:]
-    x_counts = counts[2:, 0]
-    other = n - int(z_counts.sum()) - int(x_counts.sum())
-    key_rows = np.flatnonzero(z_mask & measure_mask)
-    return (z_counts, x_counts, other, alice_bits.take(key_rows).view(np.uint8),
-            bob_bits.take(key_rows).view(np.uint8))
+    return np.bincount(code, minlength=24)
 
 
-def run_protocol(stats: ChannelStatistics,
-                 config: ProtocolConfig) -> tuple[TallyCounts, RawKeys]:
+def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCounts:
     """Simulate the quantum communication stage with the given statistics.
 
-    Returns the per-class tallies and the sifted raw keys (Z-prepared,
-    measured-and-resent iterations only).  Output is a pure function of
-    the ten statistics and the config; statistics that
-    ``keyrate.validate_statistics`` rejects raise its ValueError, as does
-    a stack.
+    Returns the per-class tallies, a pure function of the ten statistics
+    and the config; statistics that ``keyrate.validate_statistics`` rejects
+    raise its ValueError, as does a stack.
     """
     if stats.p.ndim != 3:
         raise ValueError(f"run_protocol takes one member, not a stack {stats.p.shape[:-3]}")
     bob, alice = _outcome_table(validate_statistics(stats))
     n_total = config.iterations
     buffers = np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE)
-    z, x, other, alice_bits, bob_bits = zip(*(
+    counts = sum(
         _simulate_chunk(bob, alice, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
                         config.prob_z_basis, config.prob_measure_resend, config.seed, c,
                         *buffers)
-        for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE)))
-    tally = TallyCounts(z_counts=sum(z), x_reflect_counts=sum(x),
-                        other_counts=sum(other), total=n_total)
-    keys = RawKeys(alice_bits=np.concatenate(alice_bits),
-                   bob_bits=np.concatenate(bob_bits))
-    return tally, keys
+        for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE)).reshape(4, 3, 2)
+    z, x = counts[:2, 1:], counts[2:, 0]
+    return TallyCounts(z_counts=z, x_reflect_counts=x,
+                       other_counts=n_total - int(z.sum()) - int(x.sum()), total=n_total)
 
 
 _CLASS_NAMES = {
@@ -226,8 +197,13 @@ def estimate_statistics(tally: TallyCounts) -> tuple[ChannelStatistics, ChannelS
     return ChannelStatistics(p=p, p_pm=p_pm, p_mp=p_mp), err
 
 
-def qber(keys: RawKeys) -> float:
-    """Fraction of positions where the two raw keys disagree."""
-    if len(keys) == 0:
-        raise ValueError("cannot compute the error rate of empty keys")
-    return float(np.mean(keys.alice_bits != keys.bob_bits))
+def qber(tally: TallyCounts) -> float:
+    """Fraction of sifted key bits where Bob's and Alice's bits disagree.
+
+    The sifted key is every Z-prepared, measured iteration; z_counts[i, j, k]
+    holds Bob's key bit j and Alice's k.
+    """
+    z = tally.z_counts
+    if not z.any():
+        raise ValueError("cannot compute the error rate of an empty sifted key")
+    return float((z[:, 0, 1].sum() + z[:, 1, 0].sum()) / z.sum())

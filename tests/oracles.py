@@ -140,9 +140,9 @@ def born_rule_chunk(u_e, u_f, d, n, prob_z, prob_measure, seed, chunk):
 
     Same draws, in the same order, as ``simulate._simulate_chunk``; every
     row's state is prepared, evolved through u_e, collapsed by Bob's
-    measurement, evolved through u_f and measured by Alice.  Returns the
-    same five values (Z tallies, reflected X tallies, other count, Alice's
-    and Bob's key bits).
+    measurement, evolved through u_f and measured by Alice.  Returns the Z
+    tallies, reflected X tallies and other count that the chunk's event
+    codes tally, then Alice's and Bob's sifted key bits.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
     z_mask = rng.random(n) < prob_z

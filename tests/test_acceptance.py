@@ -28,6 +28,12 @@ STATS_DIGESTS_200K = {
     "zmeasure": "27ba8e6f00e791f562ca47dbbad8520342cff02912ff53099484d0e79ca5126f",
     "random:32": "486cff0f05bedfc57190217e7ebcbeef6613264d5ac4e8a36f57fa75991f4486",
 }
+# What those two runs print with `--out stats.txt`, so that the sifted key
+# length and the QBER of both streams are pinned too.
+STDOUT_DIGESTS_200K = {
+    "zmeasure": "922329e7cc29ef3831f5a6cf3beeb94886f012b5d858391c4476051851401671",
+    "random:32": "572686bff65abdaa4d9096e7c8de37374cd15943e288e7b747d644a462ab36e0",
+}
 # Seed of the near-identity attacks of criterion 10.
 NEAR_IDENTITY_SEED = 271828
 
@@ -133,7 +139,7 @@ def test_criterion_7_monte_carlo_convergence(tmp_path):
         assert code == 0
     identical = out1.read_bytes() == out2.read_bytes()
 
-    tally, _ = simulate.run_protocol(
+    tally = simulate.run_protocol(
         attack.statistics(atk), simulate.ProtocolConfig(iterations=1_000_000, seed=MC_SEED))
     stats, _ = simulate.estimate_statistics(tally)
     file_stats = cli.parse_stats_file(str(out1))
@@ -193,6 +199,18 @@ def test_criterion_7_more_streams_match_recorded_digests(tmp_path, spec):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     report(7, digest == STATS_DIGESTS_200K[spec],
            f"{spec}, seed {MC_SEED}, 200000 iterations: stats file sha256 {digest}")
+
+
+@pytest.mark.parametrize("spec", sorted(STDOUT_DIGESTS_200K))
+def test_criterion_7_more_stdouts_match_recorded_digests(tmp_path, monkeypatch, capsys,
+                                                         spec):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["simulate", "--attack", spec, "--iterations", "200000",
+                     "--seed", str(MC_SEED), "--out", "stats.txt"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    report(7, code == 0 and digest == STDOUT_DIGESTS_200K[spec],
+           f"{spec}, seed {MC_SEED}, 200000 iterations: exit {code}, "
+           f"stdout sha256 {digest}")
 
 
 def test_criterion_8_unitarity_and_state_hygiene(attack_pool):

@@ -344,6 +344,54 @@ class TestValidateCommand:
                        "--corrupt") == 4
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("u00,printed", [(1 + 3e-10, "6.000e-10"), (np.nan, "nan")],
+                             ids=["between-the-cuts", "nan"])
+    def test_attack_refused_statistics_fails_unitarity(self, monkeypatch, capsys,
+                                                       u00, printed):
+        # A residual of 6e-10 passes validate's 1e-9 cut, but at d = 1 it is
+        # above what attack.statistics accepts (4.01e-10); a NaN passes neither.
+        u_e = np.eye(2, dtype=complex) * u00
+        monkeypatch.setattr(cli.attack_mod, "identity_attack", lambda: attack.CollectiveAttack(
+            1, u_e, np.eye(2, dtype=complex)))
+        assert run_cli("validate", "--attacks", "3", "--ancilla-dims", "1") == 4
+        out, err = capsys.readouterr()
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == [f"FAIL identity: unitarity identity residual {printed}"]
+        assert f"worst identity residual {printed}," in out
+        assert err == "" and "1 violation(s) found" in out
+
+    def test_refused_member_leaves_its_stack_checked(self, monkeypatch, capsys):
+        # Member 1 of the one random stack is refused statistics; the other
+        # members are still checked, with the same statistics and Gram
+        # matrices as in a clean run.
+        random_attacks = attack.random_attacks
+        soundness = attack.soundness
+        checked = []
+
+        def nudged(d_e, seeds):
+            stack = random_attacks(d_e, seeds)
+            u_e = stack.u_e.copy()
+            u_e[1] *= 1 + 3e-10
+            return attack.CollectiveAttack(d_e, u_e, stack.u_f)
+
+        def spy(stats, g):
+            checked.append((stats.p, stats.p_pm, stats.p_mp, g))
+            return soundness(stats, g)
+
+        monkeypatch.setattr(attack, "soundness", spy)
+        argv = ("validate", "--attacks", "3", "--ancilla-dims", "1", "--seed", "9")
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(attack, "random_attacks", nudged)
+        assert run_cli(*argv) == 4
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL random seed=[9, 1]: unitarity identity residual 6.0")
+        # Reports 0 and 1 are the fixed attacks, 2 to 4 the random ones.
+        for clean, rest in zip(*checked):
+            assert np.array_equal(np.delete(clean, 3, axis=0), rest)
+
     @pytest.mark.parametrize("extra,code,digest", [
         ((), 0, "4730ae6669fb8c75ff1fe034aa53a9272c4bd0f4e851351893f692ae21bf7ee0"),
         (("--corrupt",), 4,
@@ -523,8 +571,18 @@ class TestErrorsReachMain:
             raise ValueError("boom")
 
         monkeypatch.setattr(attack, "statistics", statistics)
-        assert run_cli("validate", "--attacks", "3") == 1
-        assert capsys.readouterr() == ("", "error: boom\n")
+        # A pool thread may raise while the main thread is still queuing the
+        # stacks; every run must still end with the one error line.  Five
+        # threads on a short switch interval make that interleaving likely.
+        monkeypatch.setattr(cli, "_workers", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(40):
+                assert run_cli("validate", "--attacks", "3") == 1
+                assert capsys.readouterr() == ("", "error: boom\n")
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestParser:

@@ -6,12 +6,20 @@ import pytest
 
 from oracles import born_rule_chunk
 from sqkd import attack, keyrate, simulate
-from sqkd.simulate import ProtocolConfig, RawKeys, TallyCounts
+from sqkd.simulate import ProtocolConfig, TallyCounts
 
 
 def run(atk, iterations, seed, **kwargs):
     cfg = ProtocolConfig(iterations=iterations, seed=seed, **kwargs)
     return simulate.run_protocol(attack.statistics(atk), cfg)
+
+
+def chunk_tally(counts, n):
+    """The tallies of one chunk, read off its (4, 3, 2) count view."""
+    view = counts.reshape(4, 3, 2)
+    z, x = view[:2, 1:], view[2:, 0]
+    return TallyCounts(z_counts=z, x_reflect_counts=x,
+                       other_counts=n - int(z.sum()) - int(x.sum()), total=n)
 
 
 ORACLE_ATTACKS = {
@@ -24,29 +32,26 @@ ORACLE_ATTACKS = {
 
 class TestRunProtocol:
     def test_identity_attack_has_no_errors(self):
-        tally, keys = run(attack.identity_attack(), 100_000, seed=11)
+        tally = run(attack.identity_attack(), 100_000, seed=11)
         z = tally.z_counts
         assert z[0, 1, :].sum() == 0 and z[1, 0, :].sum() == 0
         assert z[0, 0, 1] == 0 and z[1, 1, 0] == 0
         assert tally.x_reflect_counts[0, 1] == 0
         assert tally.x_reflect_counts[1, 0] == 0
-        assert simulate.qber(keys) == 0.0
+        assert simulate.qber(tally) == 0.0
 
     def test_totals_conserved(self):
-        tally, keys = run(attack.random_attack(2, 99), 30_000, seed=5)
+        tally = run(attack.random_attack(2, 99), 30_000, seed=5)
         assert (tally.z_counts.sum() + tally.x_reflect_counts.sum()
                 + tally.other_counts) == tally.total == 30_000
-        assert len(keys) == tally.z_counts.sum()
 
     def test_same_seed_is_bit_identical(self):
         atk = attack.random_attack(2, 4)
-        t1, k1 = run(atk, 50_000, seed=17)
-        t2, k2 = run(atk, 50_000, seed=17)
+        t1 = run(atk, 50_000, seed=17)
+        t2 = run(atk, 50_000, seed=17)
         assert np.array_equal(t1.z_counts, t2.z_counts)
         assert np.array_equal(t1.x_reflect_counts, t2.x_reflect_counts)
         assert t1.other_counts == t2.other_counts
-        assert np.array_equal(k1.alice_bits, k2.alice_bits)
-        assert np.array_equal(k1.bob_bits, k2.bob_bits)
 
     @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.9, 0.8), (0.1, 0.3)],
                              ids=["unbiased", "biased", "low"])
@@ -58,19 +63,26 @@ class TestRunProtocol:
         for n in (simulate.CHUNK_SIZE, 1000, 1):
             for chunk in range(2):
                 args = (n, *probs, 12345, chunk)
-                got = simulate._simulate_chunk(bob, alice, *args, *buffers)
-                want = born_rule_chunk(atk.u_e, atk.u_f, atk.ancilla_dim, *args)
+                counts = simulate._simulate_chunk(bob, alice, *args, *buffers)
+                # array_equal ignores dtype, so the dtype is pinned here.
+                assert counts.shape == (24,) and counts.dtype == np.int64
+                tally = chunk_tally(counts, n)
+                *want, a_bits, b_bits = born_rule_chunk(atk.u_e, atk.u_f,
+                                                        atk.ancilla_dim, *args)
+                got = tally.z_counts, tally.x_reflect_counts, tally.other_counts
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
-                # array_equal ignores dtype, so the dtypes are pinned here.
-                z, x, other, a_bits, b_bits = got
-                assert z.dtype == x.dtype == np.int64
-                assert type(other) is int
-                assert a_bits.dtype == b_bits.dtype == np.uint8
+                # The sifted key and its error rate come from the tallies.
+                assert int(tally.z_counts.sum()) == len(a_bits)
+                if len(a_bits):
+                    assert simulate.qber(tally) == np.mean(a_bits != b_bits)
+                else:
+                    with pytest.raises(ValueError, match="empty sifted key"):
+                        simulate.qber(tally)
 
     def test_empirical_statistics_converge_to_analytic(self):
         atk = attack.symmetric_realizing_attack(0.05, 0.05)
-        tally, _ = run(atk, 400_000, seed=12345)
+        tally = run(atk, 400_000, seed=12345)
         stats, _ = simulate.estimate_statistics(tally)
         analytic = attack.statistics(atk)
         n_z = tally.z_counts.reshape(2, 4).sum(axis=1)
@@ -83,8 +95,8 @@ class TestRunProtocol:
         assert stats.p_pm == 0.0 and stats.p_mp == 0.0
 
     def test_biased_basis_choice(self):
-        tally, _ = run(attack.identity_attack(), 40_000, seed=3,
-                       prob_z_basis=0.9, prob_measure_resend=0.8)
+        tally = run(attack.identity_attack(), 40_000, seed=3,
+                    prob_z_basis=0.9, prob_measure_resend=0.8)
         n_key = tally.z_counts.sum()
         assert n_key == pytest.approx(40_000 * 0.9 * 0.8, rel=0.05)
 
@@ -123,7 +135,7 @@ class TestRunProtocol:
         # compounds their norm errors.
         atk = attack.random_attack(d, 3)
         near = attack.validate_attack(atk.u_e * scale, atk.u_f * scale, d)
-        tally, _ = run(near, 1000, seed=0)
+        tally = run(near, 1000, seed=0)
         assert tally.total == 1000
 
     def test_unreachable_collapse_is_finite_and_silent(self):
@@ -138,7 +150,8 @@ class TestRunProtocol:
     @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
     def test_unused_cells_never_reach_an_output(self, name):
         # Bob's X preparations, Alice's Z reflections and her X collapses
-        # only ever land in other_counts.
+        # only ever land in other_counts.  Which of the other cells they
+        # land in is not an output.
         bob, alice = simulate._outcome_table(attack.statistics(ORACLE_ATTACKS[name]))
         bob_used = np.array([True, True, False, False])
         alice_used = np.zeros((4, 3), dtype=bool)
@@ -150,10 +163,12 @@ class TestRunProtocol:
         buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
         for chunk in range(2):
             args = (simulate.CHUNK_SIZE, 0.5, 0.5, 12345, chunk, *buffers)
-            got = simulate._simulate_chunk(noisy_bob, noisy_alice, *args)
-            want = simulate._simulate_chunk(bob, alice, *args)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+            got, want = (chunk_tally(simulate._simulate_chunk(b, a, *args),
+                                     simulate.CHUNK_SIZE)
+                         for b, a in ((noisy_bob, noisy_alice), (bob, alice)))
+            assert np.array_equal(got.z_counts, want.z_counts)
+            assert np.array_equal(got.x_reflect_counts, want.x_reflect_counts)
+            assert got.other_counts == want.other_counts
 
     def test_one_chunk_run_allocates_little(self):
         # The chunk draws into two reused float64 buffers and builds prep,
@@ -198,7 +213,7 @@ class TestRunProtocol:
 
 class TestEstimateStatistics:
     def test_identity_tallies_are_noiseless(self):
-        tally, _ = run(attack.identity_attack(), 50_000, seed=2)
+        tally = run(attack.identity_attack(), 50_000, seed=2)
         stats, err = simulate.estimate_statistics(tally)
         assert stats.p[0, 0, 0] == 1.0 and stats.p[1, 1, 1] == 1.0
         assert stats.p_pm == 0.0 and stats.p_mp == 0.0
@@ -230,7 +245,7 @@ class TestEstimateStatistics:
 
     def test_bound_from_estimates_tracks_analytic(self):
         atk = attack.random_attack(2, 31)
-        tally, _ = run(atk, 400_000, seed=6)
+        tally = run(atk, 400_000, seed=6)
         stats, err = simulate.estimate_statistics(tally)
         got = keyrate.key_rate_bound(stats, renormalize=True).rate
         want = keyrate.key_rate_bound(attack.statistics(atk)).rate
@@ -240,28 +255,42 @@ class TestEstimateStatistics:
         assert abs(got - want) <= budget
 
 
+def z_tally(z_counts):
+    """Tallies with the given Z counts and nothing else."""
+    z = np.asarray(z_counts, dtype=np.int64)
+    return TallyCounts(z_counts=z, x_reflect_counts=np.zeros((2, 2), dtype=np.int64),
+                       other_counts=0, total=int(z.sum()))
+
+
 class TestQber:
     def test_identical_and_complementary(self):
-        a = np.array([0, 1, 1, 0], dtype=np.uint8)
-        assert simulate.qber(RawKeys(a, a.copy())) == 0.0
-        assert simulate.qber(RawKeys(a, 1 - a)) == 1.0
+        # z_counts[i, j, k]: sent i, Bob's key bit j, Alice's key bit k.
+        agree = np.zeros((2, 2, 2))
+        agree[0, 0, 0], agree[0, 1, 1], agree[1, 1, 1] = 3, 1, 4
+        disagree = np.zeros((2, 2, 2))
+        disagree[0, 0, 1], disagree[1, 1, 0], disagree[1, 0, 1] = 2, 5, 1
+        assert simulate.qber(z_tally(agree)) == 0.0
+        assert simulate.qber(z_tally(disagree)) == 1.0
+        assert simulate.qber(z_tally(agree + disagree)) == 8 / 16
 
     def test_empty_keys_rejected(self):
-        with pytest.raises(ValueError):
-            simulate.qber(RawKeys(np.array([], dtype=np.uint8),
-                                  np.array([], dtype=np.uint8)))
+        empty = TallyCounts(z_counts=np.zeros((2, 2, 2), dtype=np.int64),
+                            x_reflect_counts=np.ones((2, 2), dtype=np.int64),
+                            other_counts=3, total=7)
+        with pytest.raises(ValueError, match="empty sifted key"):
+            simulate.qber(empty)
 
     def test_symmetric_attack_qber_is_reverse_noise(self):
-        # Raw keys disagree exactly when the return pass flips, which is
+        # Sifted key bits disagree exactly when the return pass flips, which is
         # the joint p(0,1) + p(1,0) of the product statistics.
         atk = attack.symmetric_realizing_attack(0.05, 0.05)
-        _, keys = run(atk, 400_000, seed=9)
+        tally = run(atk, 400_000, seed=9)
         s = attack.statistics(atk)
         expected = 0.5 * (s.p[0, 0, 1] + s.p[1, 0, 1]
                           + s.p[0, 1, 0] + s.p[1, 1, 0])
         assert expected == pytest.approx(0.05, abs=1e-12)
-        se = np.sqrt(expected * (1 - expected) / len(keys))
-        assert abs(simulate.qber(keys) - expected) <= 3 * se
+        se = np.sqrt(expected * (1 - expected) / tally.z_counts.sum())
+        assert abs(simulate.qber(tally) - expected) <= 3 * se
 
 
 class TestTallyCounts:
@@ -270,8 +299,3 @@ class TestTallyCounts:
             TallyCounts(z_counts=np.ones((2, 2, 2), dtype=np.int64),
                         x_reflect_counts=np.zeros((2, 2), dtype=np.int64),
                         other_counts=0, total=5)
-
-    def test_key_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RawKeys(np.array([0, 1], dtype=np.uint8),
-                    np.array([0], dtype=np.uint8))
