@@ -7,7 +7,6 @@ Commands raise; ``main`` alone turns an error into one stderr line, `error: ...`
 
 import argparse
 import functools
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -181,13 +180,6 @@ def cmd_simulate(args) -> int:
 VALIDATE_STACK_BYTES = 1 << 20
 
 
-def _workers() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool,
                      workers: int):
     """Yield (positions, labels, build) covering every attack ``validate`` checks.
@@ -292,7 +284,7 @@ def cmd_validate(args) -> int:
     worst_slack = np.inf
     worst_residual = 0.0
     kept: list[tuple] = []
-    workers = _workers()
+    workers = simulate._workers()
     stacks = list(_validate_stacks(dims, args.attacks, args.seed, args.corrupt, workers))
     pool = ThreadPoolExecutor(workers)
     try:

@@ -16,13 +16,19 @@ CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
 SeedSequence([seed, c]).  Each chunk makes five draws in a fixed order and
 with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
 the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
-different dtype for the bits draws a different stream.  The chunks' tallies
-are summed, so the run's output, its tallies alone, is a pure function of
-the ten statistics and the config.  The sifted key and its error rate are read off
-the Z tallies: every Z-prepared, measured iteration is one key bit, counted
-in exactly one z_counts cell.
+different dtype for the bits draws a different stream.  The chunks are
+shared out in contiguous runs over a thread pool with one thread per CPU the
+process may use (``taskset`` restricts them), and their tallies are summed as
+integers, so the run's output, its tallies alone, is a pure function of the
+ten statistics and the config, on any number of CPUs.  The sifted key and its
+error rate are read off the Z tallies: every Z-prepared, measured iteration
+is one key bit, counted in exactly one z_counts cell.
 """
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,32 +120,70 @@ def _outcome_table(stats: ChannelStatistics):
     return bob, alice
 
 
+def _workers() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
                     prob_z: float, prob_measure: float, seed: int, chunk: int,
                     uniforms: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     # Returns the chunk's bincount of its 24 event codes.  uniforms and
     # thresholds are float64 buffers of n or more entries that every chunk
-    # reuses; prep, cell and event code overwrite the bits.
+    # reuses.  prep, cell and event code are built in one uint8 array, whose
+    # in-place sums with the masks cost a third of int64 ones, and Bob's and
+    # then Alice's bits overwrite the X mask.
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
     u, t = uniforms[:n], thresholds[:n]
     # Fixed draw order and dtypes are part of the reproducibility contract;
-    # bits stays the int64 array integers() returns.
-    z_mask = rng.random(out=u) < prob_z
-    bits = rng.integers(0, 2, size=n)
+    # the bits are drawn as the int64 array integers() returns.  u >= prob_z
+    # is the complement of the Z-basis draw u < prob_z: u is never NaN.
+    x_prep = rng.random(out=u) >= prob_z
+    cell = rng.integers(0, 2, size=n).astype(np.uint8)
     measure_mask = rng.random(out=u) < prob_measure
-    x_prep = ~z_mask
-    prep = np.add(np.add(bits, x_prep, out=bits), x_prep, out=bits)    # bits + 2 * x_prep
+    cell += x_prep
+    cell += x_prep                                      # prep: bits + 2 * x_prep
     # mode="raise" would buffer take's output; every index is in range.
-    bob_bits = measure_mask & (rng.random(out=u) < bob.take(prep, out=t, mode="clip"))
-    # Branch 0, 1 or 2, added to the int64 cell: bool + bool would be a
+    bob_bits = np.less(rng.random(out=u), bob.take(cell, out=t, mode="clip"), out=x_prep)
+    bob_bits &= measure_mask
+    # Branch 0, 1 or 2, added to the uint8 cell: bool + bool would be a
     # logical or.
-    cell = np.add(np.multiply(prep, 3, out=bits), measure_mask, out=bits)
+    cell *= 3
+    cell += measure_mask
     cell += bob_bits
-    alice_bits = rng.random(out=u) < alice.reshape(-1).take(cell, out=t, mode="clip")
+    # take without an axis indexes the flattened (prep, branch) table.
+    alice_bits = np.less(rng.random(out=u), alice.take(cell, out=t, mode="clip"), out=bob_bits)
 
     # Event code: the (prep, branch) cell of the table and Alice's bit.
-    code = np.add(np.multiply(cell, 2, out=bits), alice_bits, out=bits)
-    return np.bincount(code, minlength=24)
+    cell *= 2
+    cell += alice_bits
+    return np.bincount(cell, minlength=24)
+
+
+def _simulate_share(bob: np.ndarray, alice: np.ndarray, config: ProtocolConfig,
+                    stop: threading.Event, chunks: range) -> np.ndarray:
+    """Sum of the 24-cell bincounts of ``chunks``, on one pool thread.
+
+    The share draws into its own two buffers.  Once ``stop`` is set it
+    returns at its next chunk, with a partial sum that is never read; a share
+    that raises sets it.
+    """
+    buffers = np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE)
+    counts = np.zeros(24, dtype=np.int64)
+    try:
+        for c in chunks:
+            if stop.is_set():
+                break
+            counts += _simulate_chunk(bob, alice,
+                                      min(CHUNK_SIZE, config.iterations - c * CHUNK_SIZE),
+                                      config.prob_z_basis, config.prob_measure_resend,
+                                      config.seed, c, *buffers)
+    except BaseException:
+        stop.set()
+        raise
+    return counts
 
 
 def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCounts:
@@ -153,12 +197,21 @@ def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCount
         raise ValueError(f"run_protocol takes one member, not a stack {stats.p.shape[:-3]}")
     bob, alice = _outcome_table(validate_statistics(stats))
     n_total = config.iterations
-    buffers = np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE)
-    counts = sum(
-        _simulate_chunk(bob, alice, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
-                        config.prob_z_basis, config.prob_measure_resend, config.seed, c,
-                        *buffers)
-        for c in range((n_total + CHUNK_SIZE - 1) // CHUNK_SIZE)).reshape(4, 3, 2)
+    n_chunks = (n_total + CHUNK_SIZE - 1) // CHUNK_SIZE
+    # One contiguous share of the chunks per thread, as one task: a task per
+    # chunk would add a future and a queue hand-off per chunk.
+    workers = min(_workers(), n_chunks)
+    shares = [range(n_chunks * w // workers, n_chunks * (w + 1) // workers)
+              for w in range(workers)]
+    stop = threading.Event()
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            counts = sum(pool.map(functools.partial(_simulate_share, bob, alice, config, stop),
+                                  shares)).reshape(4, 3, 2)
+        finally:
+            # An error or an interrupt here ends the other shares at their
+            # next chunk rather than at their last.
+            stop.set()
     z, x = counts[:2, 1:], counts[2:, 0]
     return TallyCounts(z_counts=z, x_reflect_counts=x,
                        other_counts=n_total - int(z.sum()) - int(x.sum()), total=n_total)

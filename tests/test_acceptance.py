@@ -168,49 +168,66 @@ def test_criterion_7_monte_carlo_convergence(tmp_path):
            f"seed {MC_SEED}: byte-identical={identical}, worst |z|={worst_z:.2f}")
 
 
-def test_criterion_7_stats_file_matches_recorded_digest(tmp_path):
+# The 13 chunks of a 200000-iteration run are shared over one thread or two;
+# the digests must not move.
+WORKERS = (1, 2)
+
+
+def test_criterion_7_stats_file_matches_recorded_digest(tmp_path, monkeypatch):
     # Criterion 7 compares two runs of the same code, so a change to a
     # draw's dtype or order would pass it; this digest was recorded once and
     # changes only when the sampled stream does.
     out = tmp_path / "mc.txt"
-    assert cli.main(["simulate", "--attack", "symmetric:0.05,0.05",
-                     "--iterations", "200000", "--seed", str(MC_SEED),
-                     "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    report(7, digest == STATS_DIGEST_200K,
-           f"seed {MC_SEED}, 200000 iterations: stats file sha256 {digest}")
+    for workers in WORKERS:
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        assert cli.main(["simulate", "--attack", "symmetric:0.05,0.05",
+                         "--iterations", "200000", "--seed", str(MC_SEED),
+                         "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        report(7, digest == STATS_DIGEST_200K,
+               f"seed {MC_SEED}, 200000 iterations, {workers} worker(s): "
+               f"stats file sha256 {digest}")
 
 
 def test_criterion_7_stdout_matches_recorded_digest(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    code = cli.main(["simulate", "--attack", "symmetric:0.05,0.05",
-                     "--iterations", "200000", "--seed", str(MC_SEED),
-                     "--out", "stats.txt"])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    report(7, code == 0 and digest == STDOUT_DIGEST_200K,
-           f"seed {MC_SEED}, 200000 iterations: exit {code}, stdout sha256 {digest}")
+    runs = {}   # workers -> (exit code, stdout sha256), read before report prints
+    for workers in WORKERS:
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        code = cli.main(["simulate", "--attack", "symmetric:0.05,0.05",
+                         "--iterations", "200000", "--seed", str(MC_SEED),
+                         "--out", "stats.txt"])
+        runs[workers] = code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    report(7, set(runs.values()) == {(0, STDOUT_DIGEST_200K)},
+           f"seed {MC_SEED}, 200000 iterations: exit and stdout sha256 by workers {runs}")
 
 
 @pytest.mark.parametrize("spec", sorted(STATS_DIGESTS_200K))
-def test_criterion_7_more_streams_match_recorded_digests(tmp_path, spec):
+def test_criterion_7_more_streams_match_recorded_digests(tmp_path, monkeypatch, spec):
     out = tmp_path / "mc.txt"
-    assert cli.main(["simulate", "--attack", spec, "--iterations", "200000",
-                     "--seed", str(MC_SEED), "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    report(7, digest == STATS_DIGESTS_200K[spec],
-           f"{spec}, seed {MC_SEED}, 200000 iterations: stats file sha256 {digest}")
+    for workers in WORKERS:
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        assert cli.main(["simulate", "--attack", spec, "--iterations", "200000",
+                         "--seed", str(MC_SEED), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        report(7, digest == STATS_DIGESTS_200K[spec],
+               f"{spec}, seed {MC_SEED}, 200000 iterations, {workers} worker(s): "
+               f"stats file sha256 {digest}")
 
 
 @pytest.mark.parametrize("spec", sorted(STDOUT_DIGESTS_200K))
 def test_criterion_7_more_stdouts_match_recorded_digests(tmp_path, monkeypatch, capsys,
                                                          spec):
     monkeypatch.chdir(tmp_path)
-    code = cli.main(["simulate", "--attack", spec, "--iterations", "200000",
-                     "--seed", str(MC_SEED), "--out", "stats.txt"])
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    report(7, code == 0 and digest == STDOUT_DIGESTS_200K[spec],
-           f"{spec}, seed {MC_SEED}, 200000 iterations: exit {code}, "
-           f"stdout sha256 {digest}")
+    runs = {}   # workers -> (exit code, stdout sha256), read before report prints
+    for workers in WORKERS:
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        code = cli.main(["simulate", "--attack", spec, "--iterations", "200000",
+                         "--seed", str(MC_SEED), "--out", "stats.txt"])
+        runs[workers] = code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    report(7, set(runs.values()) == {(0, STDOUT_DIGESTS_200K[spec])},
+           f"{spec}, seed {MC_SEED}, 200000 iterations: exit and stdout sha256 by "
+           f"workers {runs}")
 
 
 def test_criterion_8_unitarity_and_state_hygiene(attack_pool):

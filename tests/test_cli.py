@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from sqkd import attack, cli, keyrate, linalg
+from sqkd import attack, cli, keyrate, linalg, simulate
 from sqkd.keyrate import ChannelStatistics
 
 
@@ -402,7 +402,7 @@ class TestValidateCommand:
         # on its own: checking them in stacks, on one CPU or two, must not
         # change a byte.
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_workers", lambda: workers)
+            monkeypatch.setattr(simulate, "_workers", lambda: workers)
             assert run_cli("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32",
                            "--seed", "3", *extra) == code
             out = capsys.readouterr().out
@@ -416,7 +416,7 @@ class TestValidateCommand:
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 5):
-                monkeypatch.setattr(cli, "_workers", lambda: workers)
+                monkeypatch.setattr(simulate, "_workers", lambda: workers)
                 assert run_cli("validate", "--attacks", "500", "--ancilla-dims", "1,2,4,32",
                                "--seed", "3") == 0
                 outputs.append(capsys.readouterr().out)
@@ -445,7 +445,7 @@ class TestValidateCommand:
                 raise ValueError("boom")
             return statistics(stack)
 
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
         monkeypatch.setattr(attack, "random_attacks", spy)
         monkeypatch.setattr(attack, "statistics", failing)
         threads = threading.active_count()
@@ -574,7 +574,7 @@ class TestErrorsReachMain:
         # A pool thread may raise while the main thread is still queuing the
         # stacks; every run must still end with the one error line.  Five
         # threads on a short switch interval make that interleaving likely.
-        monkeypatch.setattr(cli, "_workers", lambda: 5)
+        monkeypatch.setattr(simulate, "_workers", lambda: 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

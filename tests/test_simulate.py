@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -5,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import born_rule_chunk
-from sqkd import attack, keyrate, simulate
+from sqkd import attack, cli, keyrate, simulate
 from sqkd.simulate import ProtocolConfig, TallyCounts
 
 
@@ -15,7 +18,7 @@ def run(atk, iterations, seed, **kwargs):
 
 
 def chunk_tally(counts, n):
-    """The tallies of one chunk, read off its (4, 3, 2) count view."""
+    """The tallies of n iterations, read off their 24 counts as a (4, 3, 2) view."""
     view = counts.reshape(4, 3, 2)
     z, x = view[:2, 1:], view[2:, 0]
     return TallyCounts(z_counts=z, x_reflect_counts=x,
@@ -172,7 +175,7 @@ class TestRunProtocol:
 
     def test_one_chunk_run_allocates_little(self):
         # The chunk draws into two reused float64 buffers and builds prep,
-        # cell and event code in its int64 bits; the old chunk's dozen
+        # cell and event code in one uint8 array; the old chunk's dozen
         # 128 KiB temporaries peaked at about 1 MiB.
         stats = attack.statistics(attack.symmetric_realizing_attack(0.05, 0.05))
         config = ProtocolConfig(iterations=simulate.CHUNK_SIZE, seed=3)
@@ -184,6 +187,82 @@ class TestRunProtocol:
         finally:
             tracemalloc.stop()
         assert peak < 640 * 1024
+
+    @pytest.mark.parametrize("iterations", [1000, 200_000, 1_000_000],
+                             ids=["1-chunk", "13-chunks", "62-chunks"])
+    def test_tallies_independent_of_cpu_count(self, monkeypatch, iterations):
+        # The reference sums every chunk on this thread.  Five threads on a
+        # shortened switch interval interleave the shares more finely than
+        # the cores alone would.
+        stats = attack.statistics(attack.random_attack(4, 77))
+        config = ProtocolConfig(iterations=iterations, seed=12345)
+        bob, alice = simulate._outcome_table(stats)
+        buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
+        size = simulate.CHUNK_SIZE
+        want = chunk_tally(sum(simulate._simulate_chunk(
+            bob, alice, min(size, iterations - c * size), 0.5, 0.5, 12345, c, *buffers)
+            for c in range(-(-iterations // size))), iterations)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 5):
+                monkeypatch.setattr(simulate, "_workers", lambda: workers)
+                tally = simulate.run_protocol(stats, config)
+                for field in dataclasses.fields(TallyCounts):
+                    assert np.array_equal(getattr(tally, field.name),
+                                          getattr(want, field.name)), (workers, field.name)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_chunk_run_starts_at_most_one_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(simulate, "_workers", lambda: 5)
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        run(attack.identity_attack(), simulate.CHUNK_SIZE, seed=1)
+        assert len(started) <= 1, started
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_a_chunk_ends_the_run(self, tmp_path, monkeypatch, capsys, workers):
+        # Chunk 31 of 62, the first of the second share on two threads,
+        # raises.  The run ends: the first share stops at its next chunk,
+        # not its last, and the pool's threads are gone when the run
+        # returns.  On two threads the first share is held in chunk 0 until
+        # chunk 31 has failed.
+        begun = []  # per other chunk begun: had chunk 31 failed?
+        failed = threading.Event()
+        simulate_chunk = simulate._simulate_chunk
+
+        def failing(*args):
+            if args[6] == 31:
+                failed.set()
+                raise ValueError("boom")
+            begun.append(failed.is_set())
+            if workers > 1:
+                assert failed.wait(timeout=10)
+            return simulate_chunk(*args)
+
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        monkeypatch.setattr(simulate, "_simulate_chunk", failing)
+        stats = attack.statistics(attack.identity_attack())
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="boom"):
+            simulate.run_protocol(stats, ProtocolConfig(iterations=1_000_000))
+        assert threading.active_count() == threads
+        # One thread: chunks 0 to 30, all before the failure.  Two: chunk 0,
+        # and at most one more chunk.
+        assert len(begun) - sum(begun) == (31 if workers == 1 else 1), begun
+        assert sum(begun) <= 1, begun
+        failed.clear()
+        assert cli.main(["simulate", "--attack", "identity", "--iterations", "1000000",
+                         "--out", str(tmp_path / "unused.txt")]) == 1
+        assert capsys.readouterr() == ("", "error: boom\n")
+        assert threading.active_count() == threads
 
     def test_stack_of_statistics_rejected(self):
         stats = attack.statistics(attack.random_attacks(1, [[1, 0], [1, 1]]))
