@@ -16,11 +16,12 @@ CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
 SeedSequence([seed, c]).  Each chunk makes five draws in a fixed order and
 with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
 the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
-different dtype for the bits draws a different stream.  The chunks are
-shared out in contiguous runs over a thread pool with one thread per CPU the
-process may use (``taskset`` restricts them), and their tallies are summed as
-integers, so the run's output, its tallies alone, is a pure function of the
-ten statistics and the config, on any number of CPUs.  The sifted key and its
+different dtype for the bits draws a different stream.  One thread per CPU
+the process may use (``taskset`` restricts them), the calling thread among
+them, pulls the chunks one at a time from a shared counter, and their tallies
+are summed as integers, so the run's output, its tallies alone, is a pure
+function of the ten statistics and the config, on any number of CPUs and
+whichever thread runs a chunk.  The sifted key and its
 error rate are read off the Z tallies: every Z-prepared, measured iteration
 is one key bit, counted in exactly one z_counts cell.
 """
@@ -28,6 +29,7 @@ is one key bit, counted in exactly one z_counts cell.
 import functools
 import os
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -162,20 +164,19 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
     return np.bincount(cell, minlength=24)
 
 
-def _simulate_share(bob: np.ndarray, alice: np.ndarray, config: ProtocolConfig,
-                    stop: threading.Event, chunks: range) -> np.ndarray:
-    """Sum of the 24-cell bincounts of ``chunks``, on one pool thread.
+def _simulate_pulled(bob: np.ndarray, alice: np.ndarray, config: ProtocolConfig,
+                     stop: threading.Event, pull: Callable[[], int | None]) -> np.ndarray:
+    """Sum of the 24-cell bincounts of the chunks this thread pulls.
 
-    The share draws into its own two buffers.  Once ``stop`` is set it
-    returns at its next chunk, with a partial sum that is never read; a share
-    that raises sets it.
+    ``pull()`` returns the next chunk no thread has taken, or None once all
+    are taken.  The thread draws into its own two buffers.  Once ``stop`` is
+    set it returns before its next pull, with a partial sum that is never
+    read; a thread that raises sets it.
     """
     buffers = np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE)
     counts = np.zeros(24, dtype=np.int64)
     try:
-        for c in chunks:
-            if stop.is_set():
-                break
+        while not stop.is_set() and (c := pull()) is not None:
             counts += _simulate_chunk(bob, alice,
                                       min(CHUNK_SIZE, config.iterations - c * CHUNK_SIZE),
                                       config.prob_z_basis, config.prob_measure_resend,
@@ -198,20 +199,31 @@ def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCount
     bob, alice = _outcome_table(validate_statistics(stats))
     n_total = config.iterations
     n_chunks = (n_total + CHUNK_SIZE - 1) // CHUNK_SIZE
-    # One contiguous share of the chunks per thread, as one task: a task per
-    # chunk would add a future and a queue hand-off per chunk.
-    workers = min(_workers(), n_chunks)
-    shares = [range(n_chunks * w // workers, n_chunks * (w + 1) // workers)
-              for w in range(workers)]
+    # The threads pull chunks one at a time, so one on a slower CPU does
+    # fewer of them rather than holding back the run.  The lock makes every
+    # chunk taken exactly once without leaning on the GIL.
+    chunks, lock = iter(range(n_chunks)), threading.Lock()
+
+    def pull():
+        with lock:
+            return next(chunks, None)
+
+    # The calling thread is one of the pullers; the pool starts its threads
+    # on submit, so on one CPU or for one chunk it starts none.
+    helpers = min(_workers(), n_chunks) - 1
     stop = threading.Event()
-    with ThreadPoolExecutor(workers) as pool:
+    task = functools.partial(_simulate_pulled, bob, alice, config, stop, pull)
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
         try:
-            counts = sum(pool.map(functools.partial(_simulate_share, bob, alice, config, stop),
-                                  shares)).reshape(4, 3, 2)
+            futures = [pool.submit(task) for _ in range(helpers)]
+            counts = task()
+            for future in futures:
+                counts += future.result()
         finally:
-            # An error or an interrupt here ends the other shares at their
-            # next chunk rather than at their last.
+            # An error or an interrupt here ends the pool's threads before
+            # their next pull rather than at the last chunk.
             stop.set()
+    counts = counts.reshape(4, 3, 2)
     z, x = counts[:2, 1:], counts[2:, 0]
     return TallyCounts(z_counts=z, x_reflect_counts=x,
                        other_counts=n_total - int(z.sum()) - int(x.sum()), total=n_total)

@@ -168,7 +168,7 @@ def test_criterion_7_monte_carlo_convergence(tmp_path):
            f"seed {MC_SEED}: byte-identical={identical}, worst |z|={worst_z:.2f}")
 
 
-# The 13 chunks of a 200000-iteration run are shared over one thread or two;
+# The 13 chunks of a 200000-iteration run are pulled by one thread or two;
 # the digests must not move.
 WORKERS = (1, 2)
 

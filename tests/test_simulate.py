@@ -25,6 +25,23 @@ def chunk_tally(counts, n):
                        other_counts=n - int(z.sum()) - int(x.sum()), total=n)
 
 
+def serial_tally(stats, config):
+    """The tallies of a run with every chunk summed on this thread, in order."""
+    bob, alice = simulate._outcome_table(stats)
+    buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
+    size, n = simulate.CHUNK_SIZE, config.iterations
+    return chunk_tally(sum(simulate._simulate_chunk(
+        bob, alice, min(size, n - c * size), config.prob_z_basis,
+        config.prob_measure_resend, config.seed, c, *buffers)
+        for c in range(-(-n // size))), n)
+
+
+def assert_same_tally(got, want, workers):
+    for field in dataclasses.fields(TallyCounts):
+        assert np.array_equal(getattr(got, field.name),
+                              getattr(want, field.name)), (workers, field.name)
+
+
 ORACLE_ATTACKS = {
     "identity": attack.identity_attack(),
     "zmeasure": attack.z_measurement_attack(),
@@ -191,30 +208,54 @@ class TestRunProtocol:
     @pytest.mark.parametrize("iterations", [1000, 200_000, 1_000_000],
                              ids=["1-chunk", "13-chunks", "62-chunks"])
     def test_tallies_independent_of_cpu_count(self, monkeypatch, iterations):
-        # The reference sums every chunk on this thread.  Five threads on a
-        # shortened switch interval interleave the shares more finely than
-        # the cores alone would.
+        # Five threads on a shortened switch interval interleave their pulls
+        # more finely than the cores alone would.
         stats = attack.statistics(attack.random_attack(4, 77))
         config = ProtocolConfig(iterations=iterations, seed=12345)
-        bob, alice = simulate._outcome_table(stats)
-        buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
-        size = simulate.CHUNK_SIZE
-        want = chunk_tally(sum(simulate._simulate_chunk(
-            bob, alice, min(size, iterations - c * size), 0.5, 0.5, 12345, c, *buffers)
-            for c in range(-(-iterations // size))), iterations)
+        want = serial_tally(stats, config)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 3, 5):
                 monkeypatch.setattr(simulate, "_workers", lambda: workers)
-                tally = simulate.run_protocol(stats, config)
-                for field in dataclasses.fields(TallyCounts):
-                    assert np.array_equal(getattr(tally, field.name),
-                                          getattr(want, field.name)), (workers, field.name)
+                assert_same_tally(simulate.run_protocol(stats, config), want, workers)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_one_chunk_run_starts_at_most_one_thread(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_slow_thread_does_not_hold_back_the_run(self, monkeypatch, workers):
+        # Chunk 0, the first any thread takes, blocks until every other chunk
+        # has finished, so the other threads must pull all of them.  Chunks
+        # dealt out in fixed shares would leave the rest of chunk 0's share
+        # undone, and the wait would time out.
+        stats = attack.statistics(attack.random_attack(4, 77))
+        config = ProtocolConfig(iterations=1_000_000, seed=12345)
+        want = serial_tally(stats, config)
+        n_chunks = -(-config.iterations // simulate.CHUNK_SIZE)
+        finished, lock = [], threading.Lock()
+        others_done = threading.Event()
+        simulate_chunk = simulate._simulate_chunk
+
+        def slow(*args):
+            if args[6] == 0:
+                assert others_done.wait(timeout=10)
+                return simulate_chunk(*args)
+            counts = simulate_chunk(*args)
+            with lock:
+                finished.append(args[6])
+                if len(finished) == n_chunks - 1:
+                    others_done.set()
+            return counts
+
+        monkeypatch.setattr(simulate, "_workers", lambda: workers)
+        monkeypatch.setattr(simulate, "_simulate_chunk", slow)
+        tally = simulate.run_protocol(stats, config)
+        assert sorted(finished) == list(range(1, n_chunks))
+        assert_same_tally(tally, want, workers)
+
+    def test_run_starts_one_thread_fewer_than_it_pulls_on(self, monkeypatch):
+        # The calling thread pulls chunks too: min(workers, chunks) - 1 pool
+        # threads, none on one CPU or for one chunk.
         started = []
         start = threading.Thread.start
 
@@ -222,28 +263,38 @@ class TestRunProtocol:
             started.append(thread.name)
             start(thread)
 
-        monkeypatch.setattr(simulate, "_workers", lambda: 5)
         monkeypatch.setattr(threading.Thread, "start", counting)
-        run(attack.identity_attack(), simulate.CHUNK_SIZE, seed=1)
-        assert len(started) <= 1, started
+        for workers, iterations, want in ((1, 1_000_000, 0), (5, simulate.CHUNK_SIZE, 0),
+                                          (2, 1_000_000, 1), (5, 1_000_000, 4)):
+            monkeypatch.setattr(simulate, "_workers", lambda: workers)
+            started.clear()
+            run(attack.identity_attack(), iterations, seed=1)
+            assert len(started) == want, (workers, iterations, started)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_error_in_a_chunk_ends_the_run(self, tmp_path, monkeypatch, capsys, workers):
-        # Chunk 31 of 62, the first of the second share on two threads,
-        # raises.  The run ends: the first share stops at its next chunk,
-        # not its last, and the pool's threads are gone when the run
-        # returns.  On two threads the first share is held in chunk 0 until
-        # chunk 31 has failed.
-        begun = []  # per other chunk begun: had chunk 31 failed?
-        failed = threading.Event()
+    @pytest.mark.parametrize("workers,where", [(1, "caller"), (2, "caller"), (2, "pool")],
+                             ids=["1-caller", "2-caller", "2-pool"])
+    def test_error_in_a_chunk_ends_the_run(self, tmp_path, monkeypatch, capsys,
+                                           workers, where):
+        # The failing thread, the caller or the pool's one thread, raises in
+        # the first chunk from 31 on that it takes, once the other thread is
+        # held in a chunk it began before the failure.  The run raises that
+        # error, the other thread begins at most one chunk after it, and the
+        # pool's threads are gone when the run returns.
+        caller = threading.current_thread()
+        taken = []  # (chunk, on the failing thread, had the failure happened)
+        held, failed = threading.Event(), threading.Event()
         simulate_chunk = simulate._simulate_chunk
 
         def failing(*args):
-            if args[6] == 31:
+            mine = (threading.current_thread() is caller) == (where == "caller")
+            taken.append((args[6], mine, failed.is_set()))
+            if mine and args[6] >= 31:
+                if workers > 1:
+                    assert held.wait(timeout=10)
                 failed.set()
                 raise ValueError("boom")
-            begun.append(failed.is_set())
-            if workers > 1:
+            if not mine:
+                held.set()
                 assert failed.wait(timeout=10)
             return simulate_chunk(*args)
 
@@ -254,10 +305,15 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="boom"):
             simulate.run_protocol(stats, ProtocolConfig(iterations=1_000_000))
         assert threading.active_count() == threads
-        # One thread: chunks 0 to 30, all before the failure.  Two: chunk 0,
-        # and at most one more chunk.
-        assert len(begun) - sum(begun) == (31 if workers == 1 else 1), begun
-        assert sum(begun) <= 1, begun
+        # On one thread: chunks 0 to 31, the last failing.  On two: one chunk
+        # of the other thread's before the failure, at most one after, and
+        # none of the failing thread's after.
+        others = [late for _, mine, late in taken if not mine]
+        assert others.count(False) == workers - 1, taken
+        assert others.count(True) <= 1, taken
+        assert not any(late for _, mine, late in taken if mine), taken
+        if workers == 1:
+            assert [c for c, _, _ in taken] == list(range(32)), taken
         failed.clear()
         assert cli.main(["simulate", "--attack", "identity", "--iterations", "1000000",
                          "--out", str(tmp_path / "unused.txt")]) == 1
