@@ -8,9 +8,7 @@ Commands raise; ``main`` alone turns an error into one stderr line, `error: ...`
 import argparse
 import functools
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -167,16 +165,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Random attacks are built in stacks of one ancilla dimension, on a thread
-# pool with one thread per CPU the process may use (``taskset`` restricts
-# them; with OPENBLAS_NUM_THREADS=1 BLAS adds no threads of its own).  The
-# stacks in flight share this budget of unitaries: each stack is cut at this
-# many bytes over the number of threads (eight attacks at d = 32 on one CPU,
-# four on two).  Each thread also holds its last stack until its next one is
-# built, so at most twice this many bytes of unitaries are alive, on any
-# number of CPUs.  The output does not depend on the number of CPUs.  The
-# sound attacks' Gram matrices are kept across stacks and checked in one pass
-# once they take this many bytes (1024 attacks), and at the end of the run.
+# Random attacks are built in stacks of one ancilla dimension, pulled one at
+# a time by one thread per CPU the process may use, the calling thread among
+# them (``simulate._pull_on_every_cpu``; ``taskset`` restricts them; with
+# OPENBLAS_NUM_THREADS=1 BLAS adds no threads of its own).  The stacks in
+# flight share this budget of unitaries: each stack is cut at this many bytes
+# over the number of threads (eight attacks at d = 32 on one CPU, four on
+# two).  Each thread also holds its last stack until its next one is built,
+# so at most twice this many bytes of unitaries are alive, on any number of
+# CPUs.  Each thread keeps its sound attacks' Gram matrices until they take
+# this many bytes over the number of threads and then checks them in one
+# pass, so the threads keep at most this many bytes of them (1024 attacks);
+# what they keep at the end is checked in one pass.  The output does not
+# depend on the number of CPUs.
 VALIDATE_STACK_BYTES = 1 << 20
 
 
@@ -215,39 +216,43 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool,
                    functools.partial(attack_mod.random_attacks, d_e, seeds))
 
 
-def _sound_members(failed: threading.Event, held: threading.local, build):
-    """Build one stack on a pool thread; return what ``validate`` keeps of it.
+def _check_pulled(budget: int, pull) -> tuple:
+    """Check the stacks one thread pulls; return what ``cmd_validate`` merges.
 
-    That is the residual of every member, a mask of the sound members
-    (residual at most 1e-9 and statistics that ``attack.has_statistics``
-    grants) and, if there are any, their (p, p_pm, p_mp, gram) rows.  Only
-    attacks whose identities hold have states to take entropies of.
-    ``held`` keeps each thread's last stack until the thread has built its
-    next one.  A stack that raises sets ``failed``, and the stacks that
-    start after it return None unbuilt: the pool starts stacks in report
-    order, so the main thread raises the error before it reaches them.
+    That is the attacks checked, the worst residual and slack, the (position,
+    line) FAIL entries and the rows of sound attacks left unchecked.  Sound
+    means a residual of at most 1e-9 and statistics ``attack.has_statistics``
+    grants; only attacks whose identities hold have states to take entropies
+    of.  Kept rows are checked once their Gram matrices take ``budget`` bytes.
     """
-    if failed.is_set():
-        return None
-    try:
-        stack = build()
-        # The thread's previous stack is freed only now.  Freed before this
-        # build, its memory would go back to the system and be faulted in
+    failures: list[tuple[int, str]] = []
+    kept: list[tuple] = []
+    checked, worst_residual, worst_slack = 0, 0.0, np.inf
+    for positions, labels, build in pull:
+        # The previous stack is freed only once this one is built.  Freed
+        # before, its memory would go back to the system and be faulted in
         # again page by page (three times the minor faults per task).
-        held.stack = stack
+        stack = build()
+        checked += len(positions)
         residual = stack.residual
+        # np.max keeps a NaN residual, which the builtin max would drop.
+        worst_residual = float(np.max(residual, initial=worst_residual))
         sound = attack_mod.has_statistics(stack) & (residual <= 1e-9)
+        for m in np.flatnonzero(~sound):
+            failures.append((positions[m], f"FAIL {labels[m]}: unitarity identity "
+                                           f"residual {residual[m]:.3e}"))
         if not sound.any():
-            return residual, sound, None
-        if not sound.all():
-            # statistics refuses a stack with any member it refuses.
-            stack = attack_mod.CollectiveAttack(stack.ancilla_dim, stack.u_e[sound],
-                                                stack.u_f[sound])
-        stats = attack_mod.statistics(stack)
-        return residual, sound, (stats.p, stats.p_pm, stats.p_mp, attack_mod.gram(stack))
-    except BaseException:
-        failed.set()
-        raise
+            continue
+        # statistics refuses a stack with any member it refuses.
+        members = stack if sound.all() else attack_mod.CollectiveAttack(
+            stack.ancilla_dim, stack.u_e[sound], stack.u_f[sound])
+        stats = attack_mod.statistics(members)
+        kept.append((list(compress(positions, sound)), list(compress(labels, sound)),
+                     stats.p, stats.p_pm, stats.p_mp, attack_mod.gram(members)))
+        if sum(part[-1].nbytes for part in kept) >= budget:
+            worst_slack = min(worst_slack, _check_sound(kept, failures))
+            kept = []
+    return checked, worst_residual, worst_slack, failures, kept
 
 
 def _check_sound(kept: list, failures: list) -> float:
@@ -279,43 +284,23 @@ def cmd_validate(args) -> int:
     if args.seed < 0:
         raise ValueError("seed must be non-negative")
 
-    failures: list[tuple[int, str]] = []
-    checked = 0
-    worst_slack = np.inf
-    worst_residual = 0.0
-    kept: list[tuple] = []
     workers = simulate._workers()
     stacks = list(_validate_stacks(dims, args.attacks, args.seed, args.corrupt, workers))
-    pool = ThreadPoolExecutor(workers)
-    try:
-        # map yields in report order, so every line and batch is as if the
-        # stacks were built one after another on this thread.
-        results = pool.map(functools.partial(_sound_members, threading.Event(),
-                                             threading.local()),
-                           [build for _, _, build in stacks])
-        for (positions, labels, _), (residual, sound, rows) in zip(stacks, results):
-            checked += len(positions)
-            # np.max keeps a NaN residual, which the builtin max would drop.
-            worst_residual = float(np.max(residual, initial=worst_residual))
-            for m in np.flatnonzero(~sound):
-                failures.append((positions[m], f"FAIL {labels[m]}: unitarity identity "
-                                               f"residual {residual[m]:.3e}"))
-            if rows is None:
-                continue
-            kept.append((list(compress(positions, sound)), list(compress(labels, sound)),
-                         *rows))
-            if sum(part[-1].nbytes for part in kept) >= VALIDATE_STACK_BYTES:
-                worst_slack = min(worst_slack, _check_sound(kept, failures))
-                kept = []
-    finally:
-        # On an error here the stacks not yet started are dropped, not built.
-        pool.shutdown(cancel_futures=True)
+    results = simulate._pull_on_every_cpu(
+        functools.partial(_check_pulled, VALIDATE_STACK_BYTES // workers), stacks)
+    checked, residuals, slacks, failures, leftovers = zip(*results)
+    failures = list(chain.from_iterable(failures))
+    worst_slack = min(slacks)
+    # The threads' leftover rows in one pass, in an order that does not
+    # depend on which thread kept which.
+    kept = sorted(chain.from_iterable(leftovers), key=lambda part: part[0][0])
     if kept:
         worst_slack = min(worst_slack, _check_sound(kept, failures))
+    # The FAIL lines come in attack order whichever thread found them.
     for _, line in sorted(failures, key=lambda failure: failure[0]):
         print(line)
-    print(f"checked {checked} attacks: worst identity residual "
-          f"{worst_residual:.3e}, worst slack (exact - bound) {worst_slack:.9f}")
+    print(f"checked {sum(checked)} attacks: worst identity residual "
+          f"{float(np.max(residuals)):.3e}, worst slack (exact - bound) {worst_slack:.9f}")
     if failures:
         print(f"{len(failures)} violation(s) found")
         return EXIT_VALIDATION

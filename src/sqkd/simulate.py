@@ -18,18 +18,18 @@ with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
 the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
 different dtype for the bits draws a different stream.  One thread per CPU
 the process may use (``taskset`` restricts them), the calling thread among
-them, pulls the chunks one at a time from a shared counter, and their tallies
-are summed as integers, so the run's output, its tallies alone, is a pure
-function of the ten statistics and the config, on any number of CPUs and
-whichever thread runs a chunk.  The sifted key and its
-error rate are read off the Z tallies: every Z-prepared, measured iteration
-is one key bit, counted in exactly one z_counts cell.
+them, pulls the chunks one at a time (``_pull_on_every_cpu``, which ``sqkd
+validate`` shares), and their tallies are summed as integers, so the run's
+output, its tallies alone, is a pure function of the ten statistics and the
+config, on any number of CPUs and whichever thread runs a chunk.  The sifted
+key and its error rate are read off the Z tallies: every Z-prepared,
+measured iteration is one key bit, counted in exactly one z_counts cell.
 """
 
 import functools
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -129,6 +129,47 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+def _pull_on_every_cpu(work: Callable[[Iterator], object], items: Sequence) -> list:
+    """Run ``work(pull)`` on one thread per CPU, the calling thread among them.
+
+    ``min(_workers(), len(items))`` threads run, so the pool starts none on
+    one CPU or for one item.  Each thread's ``pull`` yields the items no
+    thread has taken, one at a time, so a thread on a slower CPU takes fewer.
+    An error in any thread, or the calling thread's ``work`` ending, stops the
+    others before their next item.  Once every thread has ended, returns
+    their results or raises the calling thread's error, else the first
+    started pool thread's.
+    """
+    shared, end = iter(items), object()
+    lock, stop = threading.Lock(), threading.Event()
+
+    def pull():
+        while not stop.is_set():
+            # The lock, not the GIL, makes every item taken exactly once.
+            with lock:
+                item = next(shared, end)
+            if item is end:
+                return
+            yield item
+
+    def pooled():
+        try:
+            return work(pull())
+        except BaseException:
+            stop.set()
+            raise
+
+    helpers = min(_workers(), len(items)) - 1
+    # The pool starts its threads on submit; the with block joins them.
+    with ThreadPoolExecutor(max(helpers, 1)) as pool:
+        try:
+            futures = [pool.submit(pooled) for _ in range(helpers)]
+            mine = work(pull())
+        finally:
+            stop.set()
+    return [mine] + [future.result() for future in futures]
+
+
 def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
                     prob_z: float, prob_measure: float, seed: int, chunk: int,
                     uniforms: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -165,25 +206,15 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
 
 
 def _simulate_pulled(bob: np.ndarray, alice: np.ndarray, config: ProtocolConfig,
-                     stop: threading.Event, pull: Callable[[], int | None]) -> np.ndarray:
-    """Sum of the 24-cell bincounts of the chunks this thread pulls.
-
-    ``pull()`` returns the next chunk no thread has taken, or None once all
-    are taken.  The thread draws into its own two buffers.  Once ``stop`` is
-    set it returns before its next pull, with a partial sum that is never
-    read; a thread that raises sets it.
-    """
+                     pull: Iterator[int]) -> np.ndarray:
+    """Sum of the 24-cell bincounts of the chunks pulled; draws into its own two buffers."""
     buffers = np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE)
     counts = np.zeros(24, dtype=np.int64)
-    try:
-        while not stop.is_set() and (c := pull()) is not None:
-            counts += _simulate_chunk(bob, alice,
-                                      min(CHUNK_SIZE, config.iterations - c * CHUNK_SIZE),
-                                      config.prob_z_basis, config.prob_measure_resend,
-                                      config.seed, c, *buffers)
-    except BaseException:
-        stop.set()
-        raise
+    for c in pull:
+        counts += _simulate_chunk(bob, alice,
+                                  min(CHUNK_SIZE, config.iterations - c * CHUNK_SIZE),
+                                  config.prob_z_basis, config.prob_measure_resend,
+                                  config.seed, c, *buffers)
     return counts
 
 
@@ -199,30 +230,8 @@ def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCount
     bob, alice = _outcome_table(validate_statistics(stats))
     n_total = config.iterations
     n_chunks = (n_total + CHUNK_SIZE - 1) // CHUNK_SIZE
-    # The threads pull chunks one at a time, so one on a slower CPU does
-    # fewer of them rather than holding back the run.  The lock makes every
-    # chunk taken exactly once without leaning on the GIL.
-    chunks, lock = iter(range(n_chunks)), threading.Lock()
-
-    def pull():
-        with lock:
-            return next(chunks, None)
-
-    # The calling thread is one of the pullers; the pool starts its threads
-    # on submit, so on one CPU or for one chunk it starts none.
-    helpers = min(_workers(), n_chunks) - 1
-    stop = threading.Event()
-    task = functools.partial(_simulate_pulled, bob, alice, config, stop, pull)
-    with ThreadPoolExecutor(max(helpers, 1)) as pool:
-        try:
-            futures = [pool.submit(task) for _ in range(helpers)]
-            counts = task()
-            for future in futures:
-                counts += future.result()
-        finally:
-            # An error or an interrupt here ends the pool's threads before
-            # their next pull rather than at the last chunk.
-            stop.set()
+    counts = sum(_pull_on_every_cpu(functools.partial(_simulate_pulled, bob, alice, config),
+                                    range(n_chunks)))
     counts = counts.reshape(4, 3, 2)
     z, x = counts[:2, 1:], counts[2:, 0]
     return TallyCounts(z_counts=z, x_reflect_counts=x,

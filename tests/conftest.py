@@ -55,8 +55,8 @@ def no_thread_left_behind():
     """Fail a test that leaves a new non-daemon thread alive.
 
     Such a thread would keep the interpreter from exiting after ``main``
-    returns; ``validate``'s pool and ``simulate.run_protocol``'s must be
-    joined on every path.
+    returns; the pool of ``simulate._pull_on_every_cpu``, which ``validate``
+    and ``simulate.run_protocol`` run on, must be joined on every path.
     """
     before = set(threading.enumerate())
     yield

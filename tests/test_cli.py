@@ -456,6 +456,25 @@ class TestValidateCommand:
         assert len(after_failure) < 10 * workers
         assert threading.active_count() == threads
 
+    def test_validate_starts_one_thread_fewer_than_it_pulls_on(self, monkeypatch, capsys):
+        # The calling thread builds stacks too: min(workers, stacks) - 1 pool
+        # threads, none on one CPU.  60 attacks at d = 1, 2, 4, 32 make 20
+        # stacks on five CPUs.
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        for workers, want in ((1, 0), (2, 1), (5, 4)):
+            monkeypatch.setattr(simulate, "_workers", lambda: workers)
+            started.clear()
+            assert run_cli("validate", "--attacks", "60", "--ancilla-dims", "1,2,4,32") == 0
+            assert len(started) == want, (workers, started)
+        capsys.readouterr()
+
     def test_one_bound_call_per_batch(self, monkeypatch, capsys):
         shapes = []
         bound = keyrate.key_rate_bound

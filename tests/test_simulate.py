@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -270,6 +271,37 @@ class TestRunProtocol:
             started.clear()
             run(attack.identity_attack(), iterations, seed=1)
             assert len(started) == want, (workers, iterations, started)
+
+    def test_interrupt_ends_the_pool_threads(self, monkeypatch):
+        # The calling thread is interrupted while the pool's one thread is
+        # inside an item, which it leaves only once the pool is being shut
+        # down.  The interrupt propagates, the pool thread pulls no further
+        # item, and it has ended when the call returns.
+        caller = threading.current_thread()
+        inside, shutting_down = threading.Event(), threading.Event()
+        pooled, waited = [], []
+
+        class Pool(ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                shutting_down.set()
+                super().shutdown(*args, **kwargs)
+
+        def work(pull):
+            for item in pull:
+                if threading.current_thread() is caller:
+                    assert inside.wait(timeout=10)
+                    raise KeyboardInterrupt
+                pooled.append(item)
+                inside.set()
+                waited.append(shutting_down.wait(timeout=10))
+
+        monkeypatch.setattr(simulate, "_workers", lambda: 2)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            simulate._pull_on_every_cpu(work, range(10))
+        assert len(pooled) == 1 and waited == [True], (pooled, waited)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers,where", [(1, "caller"), (2, "caller"), (2, "pool")],
                              ids=["1-caller", "2-caller", "2-pool"])
