@@ -13,20 +13,30 @@ every tally.
 
 Reproducibility contract: iterations are processed in fixed chunks of
 CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
-SeedSequence([seed, c]).  Each chunk makes five draws in a fixed order and
-with fixed dtypes: the basis uniforms, the int64 bits of integers(0, 2),
-the measure-or-reflect uniforms, then Bob's and Alice's uniforms.  A
-different dtype for the bits draws a different stream.  One thread per CPU
-the process may use (``taskset`` restricts them), the calling thread among
-them, pulls the chunks one at a time (``_pull_on_every_cpu``, which ``sqkd
-validate`` shares), and their tallies are summed as integers, so the run's
-output, its tallies alone, is a pure function of the ten statistics and the
-config, on any number of CPUs and whichever thread runs a chunk.  The sifted
-key and its error rate are read off the Z tallies: every Z-prepared,
-measured iteration is one key bit, counted in exactly one z_counts cell.
+SeedSequence([seed, c]).  A chunk of n iterations consumes the stream's raw
+64-bit words in a fixed order: n basis words, ceil(n/2) words of bits, n
+measure-or-reflect words, then n words for Bob and n for Alice.  These are
+the words that numpy's Generator draws ``random(n)``, ``integers(0, 2,
+size=n)`` (int64), ``random(n)``, ``random(n)``, ``random(n)`` consume, and
+the chunk reads the same values off them exactly:
+
+- ``random`` makes u = (w >> 11) * 2**-53 of a word w, and u < p exactly
+  when (w >> 11) < ceil(p * 2**53), for every p in [0, 1] (``_thresholds``);
+- bits 2i and 2i + 1 of ``integers(0, 2)`` are bits 31 and 63 of word i,
+  the top bits of its two 32-bit halves, low half first.
+
+One thread per CPU the process may use (``taskset`` restricts them), the
+calling thread among them, pulls the chunks one at a time
+(``_pull_on_every_cpu``, which ``sqkd validate`` shares), and their tallies
+are summed as integers, so the run's output, its tallies alone, is a pure
+function of the ten statistics and the config, on any number of CPUs and
+whichever thread runs a chunk.  The sifted key and its error rate are read
+off the Z tallies: every Z-prepared, measured iteration is one key bit,
+counted in exactly one z_counts cell.
 """
 
 import functools
+import numbers
 import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
@@ -68,6 +78,8 @@ class ProtocolConfig:
             raise ValueError("iterations must be positive")
         for name in ("prob_z_basis", "prob_measure_resend"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
         if not 0 <= self.seed < 2 ** 64:
@@ -170,34 +182,71 @@ def _pull_on_every_cpu(work: Callable[[Iterator], object], items: Sequence) -> l
     return [mine] + [future.result() for future in futures]
 
 
-def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
-                    prob_z: float, prob_measure: float, seed: int, chunk: int,
-                    uniforms: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    # Returns the chunk's bincount of its 24 event codes.  uniforms and
-    # thresholds are float64 buffers of n or more entries that every chunk
-    # reuses.  prep, cell and event code are built in one uint8 array, whose
-    # in-place sums with the masks cost a third of int64 ones, and Bob's and
-    # then Alice's bits overwrite the X mask.
-    rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
-    u, t = uniforms[:n], thresholds[:n]
-    # Fixed draw order and dtypes are part of the reproducibility contract;
-    # the bits are drawn as the int64 array integers() returns.  u >= prob_z
-    # is the complement of the Z-basis draw u < prob_z: u is never NaN.
-    x_prep = rng.random(out=u) >= prob_z
-    cell = rng.integers(0, 2, size=n).astype(np.uint8)
-    measure_mask = rng.random(out=u) < prob_measure
+def _thresholds(p):
+    """ceil(p * 2**53) as uint64, elementwise for an array of probabilities.
+
+    A word w's uniform u = (w >> 11) * 2**-53 is below p exactly when
+    (w >> 11) is below this: scaling by 2**53 is exact in floating point,
+    and an integer lies below a real exactly when it lies below its ceiling.
+    """
+    return np.ceil(np.ldexp(np.asarray(p, dtype=float), 53)).astype(np.uint64)
+
+
+def _chunk_thresholds(bob: np.ndarray, alice: np.ndarray, prob_z: float,
+                      prob_measure: float) -> tuple:
+    """The four thresholds ``_simulate_chunk`` compares its words with.
+
+    Bob's come as a (prep, reflect / measure / unused) table whose reflect
+    column is 0, so that he never reads 1 when he reflects; Alice's as her
+    (prep, branch) table.  Both compare with words shifted right by 11.
+    prob_z and prob_measure lie strictly inside (0, 1), so their thresholds
+    shifted left by 11 fit in 64 bits and compare with whole words.
+    """
+    bob_t = np.zeros((4, 3), dtype=np.uint64)
+    bob_t[:, 1] = _thresholds(bob)
+    return (bob_t, _thresholds(alice), _thresholds(prob_z) << 11,
+            _thresholds(prob_measure) << 11)
+
+
+def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, z_threshold: np.uint64,
+                    measure_threshold: np.uint64, n: int, seed: int,
+                    chunk: int) -> np.ndarray:
+    # Returns the chunk's bincount of its 24 event codes; the thresholds come
+    # from _chunk_thresholds.  prep, cell and event code are built in one
+    # uint8 array, whose in-place sums with the masks cost a third of int64
+    # ones, and Bob's and then Alice's bits overwrite the X mask.
+    #
+    # The words come in two draws with Bob's thresholds taken between them,
+    # so at most 2n words and n thresholds live at once; one draw of all
+    # 4n + ceil(n/2) words is a little faster on two threads but holds
+    # 200 KiB more per thread.  The masks are allocated before the first
+    # draw and Bob's thresholds before take copies its indices, so each
+    # freed draw or copy returns to the top of the thread's heap and the
+    # next fits there instead of growing the heap.
+    bitgen = np.random.PCG64(np.random.SeedSequence([seed, chunk]))
+    half = -(-n // 2)
+    x_prep, cell = np.empty(n, dtype=bool), np.empty(n, dtype=np.uint8)
+    first = bitgen.random_raw(2 * n + half)             # basis, bits, measure
+    np.greater_equal(first[:n], z_threshold, out=x_prep)  # not u < prob_z
+    # The bits: the top bit of each little-endian 32-bit half, as 0 or 1.
+    halves = first[n:n + half].astype("<u8", copy=False).view("<u4")
+    np.greater_equal(halves[:n], 1 << 31, out=cell.view(bool))
     cell += x_prep
     cell += x_prep                                      # prep: bits + 2 * x_prep
-    # mode="raise" would buffer take's output; every index is in range.
-    bob_bits = np.less(rng.random(out=u), bob.take(cell, out=t, mode="clip"), out=x_prep)
-    bob_bits &= measure_mask
-    # Branch 0, 1 or 2, added to the uint8 cell: bool + bool would be a
-    # logical or.
     cell *= 3
-    cell += measure_mask
-    cell += bob_bits
-    # take without an axis indexes the flattened (prep, branch) table.
-    alice_bits = np.less(rng.random(out=u), alice.take(cell, out=t, mode="clip"), out=bob_bits)
+    cell += first[n + half:] < measure_threshold        # prep, reflect or measure
+    del first, halves
+    # take without an axis indexes the flattened table, and mode="raise"
+    # would buffer its output; every index is in range.
+    bob_t = bob.take(cell, out=np.empty(n, dtype=np.uint64), mode="clip")
+    second = bitgen.random_raw(2 * n)                   # Bob, Alice
+    second >>= 11
+    bob_bits = np.less(second[:n], bob_t, out=x_prep)
+    del bob_t
+    cell += bob_bits                                    # branch 0, 1 or 2
+    # Alice's thresholds overwrite Bob's words, which are spent.
+    alice_bits = np.less(second[n:], alice.take(cell, out=second[:n], mode="clip"),
+                         out=bob_bits)
 
     # Event code: the (prep, branch) cell of the table and Alice's bit.
     cell *= 2
@@ -205,16 +254,14 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int,
     return np.bincount(cell, minlength=24)
 
 
-def _simulate_pulled(bob: np.ndarray, alice: np.ndarray, config: ProtocolConfig,
+def _simulate_pulled(thresholds: tuple, config: ProtocolConfig,
                      pull: Iterator[int]) -> np.ndarray:
-    """Sum of the 24-cell bincounts of the chunks pulled; draws into its own two buffers."""
-    buffers = np.empty(CHUNK_SIZE), np.empty(CHUNK_SIZE)
+    """Sum of the 24-cell bincounts of the chunks pulled."""
     counts = np.zeros(24, dtype=np.int64)
     for c in pull:
-        counts += _simulate_chunk(bob, alice,
+        counts += _simulate_chunk(*thresholds,
                                   min(CHUNK_SIZE, config.iterations - c * CHUNK_SIZE),
-                                  config.prob_z_basis, config.prob_measure_resend,
-                                  config.seed, c, *buffers)
+                                  config.seed, c)
     return counts
 
 
@@ -227,10 +274,11 @@ def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCount
     """
     if stats.p.ndim != 3:
         raise ValueError(f"run_protocol takes one member, not a stack {stats.p.shape[:-3]}")
-    bob, alice = _outcome_table(validate_statistics(stats))
+    thresholds = _chunk_thresholds(*_outcome_table(validate_statistics(stats)),
+                                   config.prob_z_basis, config.prob_measure_resend)
     n_total = config.iterations
     n_chunks = (n_total + CHUNK_SIZE - 1) // CHUNK_SIZE
-    counts = sum(_pull_on_every_cpu(functools.partial(_simulate_pulled, bob, alice, config),
+    counts = sum(_pull_on_every_cpu(functools.partial(_simulate_pulled, thresholds, config),
                                     range(n_chunks)))
     counts = counts.reshape(4, 3, 2)
     z, x = counts[:2, 1:], counts[2:, 0]

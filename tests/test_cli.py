@@ -428,8 +428,9 @@ class TestValidateCommand:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_in_a_stack_ends_the_run(self, monkeypatch, capsys, workers):
         # The first random stack (d = 32) to reach its statistics raises.
-        # The run ends at once: the queued stacks are dropped, not built, and
-        # the pool's threads are gone when validate returns.
+        # The run ends at once: no thread pulls another stack once the error
+        # is raised, so the stacks not yet pulled are never built, and the
+        # pool's threads are gone when validate returns.
         after_failure = []  # per random stack built: did a stack fail before?
         failed = []
         random_attacks = attack.random_attacks
@@ -590,9 +591,10 @@ class TestErrorsReachMain:
             raise ValueError("boom")
 
         monkeypatch.setattr(attack, "statistics", statistics)
-        # A pool thread may raise while the main thread is still queuing the
-        # stacks; every run must still end with the one error line.  Five
-        # threads on a short switch interval make that interleaving likely.
+        # A pool thread may raise while the calling thread is still pulling
+        # and building stacks; every run must still end with the one error
+        # line.  Five threads on a short switch interval make that
+        # interleaving likely.
         monkeypatch.setattr(simulate, "_workers", lambda: 5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

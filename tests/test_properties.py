@@ -1,13 +1,15 @@
-"""Property tests over the statistics file and the key-rate bound."""
+"""Property tests over the statistics file, the key-rate bound and the
+Monte Carlo thresholds."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sqkd import cli, keyrate
+from sqkd import cli, keyrate, simulate
 from sqkd.keyrate import ChannelStatistics, TooNoisyError
 from conftest import report_bytes
 
@@ -144,3 +146,40 @@ def test_swapping_x_disturbances_keeps_the_bound(stats, renormalize):
     for name in ("s_bec", "p_a0", "joint", "h_b_given_a"):
         assert report_bytes(a)[name] == report_bytes(b)[name]
     assert abs(a.rate - b.rate) <= 1e-12
+
+
+@st.composite
+def word_threshold_cases(draw):
+    """A probability p and m = w >> 11 of a word w near p's threshold.
+
+    p is k * 2**-53 (0 and 1 among them) or one ulp either side of it, a
+    subnormal, or any p in [0, 1]; m is within two of the threshold, or
+    anywhere.
+    """
+    kind = draw(st.sampled_from(["grid", "subnormal", "any"]))
+    if kind == "grid":
+        p = math.ldexp(draw(st.integers(0, 2 ** 53)), -53)
+        p = draw(st.sampled_from([p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)]))
+    elif kind == "subnormal":
+        p = draw(st.floats(min_value=0.0, max_value=sys.float_info.min, exclude_max=True,
+                           allow_subnormal=True))
+    else:
+        p = draw(unit_floats)
+    k = int(simulate._thresholds(p))
+    m = draw(st.integers(max(k - 2, 0), min(k + 1, 2 ** 53 - 1)) | st.integers(0, 2 ** 53 - 1))
+    return p, m
+
+
+@PROPERTY_SETTINGS
+@given(case=word_threshold_cases(), low=st.integers(0, 2 ** 11 - 1))
+def test_word_threshold_decides_as_the_uniform(case, low):
+    # Generator.random makes u = m * 2**-53 of a word w = m << 11 | low, and
+    # the chunk decides u < p on the word's integers alone.
+    p, m = case
+    below = m * 2.0 ** -53 < p
+    k = simulate._thresholds(p)
+    assert k.dtype == np.uint64 and simulate._thresholds(np.array([p]))[0] == k
+    assert (np.uint64(m) < k) == below, (p, m, int(k))
+    if 0.0 < p < 1.0:
+        # prob_z and prob_measure: whole words against the shifted threshold.
+        assert (np.uint64(m << 11 | low) < k << 11) == below, (p, m, low, int(k))

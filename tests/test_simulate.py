@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,12 +29,11 @@ def chunk_tally(counts, n):
 
 def serial_tally(stats, config):
     """The tallies of a run with every chunk summed on this thread, in order."""
-    bob, alice = simulate._outcome_table(stats)
-    buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
+    thresholds = simulate._chunk_thresholds(*simulate._outcome_table(stats),
+                                            config.prob_z_basis, config.prob_measure_resend)
     size, n = simulate.CHUNK_SIZE, config.iterations
     return chunk_tally(sum(simulate._simulate_chunk(
-        bob, alice, min(size, n - c * size), config.prob_z_basis,
-        config.prob_measure_resend, config.seed, c, *buffers)
+        *thresholds, min(size, n - c * size), config.seed, c)
         for c in range(-(-n // size))), n)
 
 
@@ -74,22 +74,46 @@ class TestRunProtocol:
         assert np.array_equal(t1.x_reflect_counts, t2.x_reflect_counts)
         assert t1.other_counts == t2.other_counts
 
+    @pytest.mark.parametrize("n", [simulate.CHUNK_SIZE, 1000, 999, 1])
+    def test_raw_words_reproduce_generator_draws(self, n):
+        # The chunk reads its five draws off raw PCG64 words as the module
+        # docstring states.  Here the words are read the slow way and
+        # checked against Generator itself, so a numpy whose Generator
+        # turns words into draws differently fails naming the draw.
+        half = -(-n // 2)
+        for chunk in range(2):
+            rng = np.random.default_rng(np.random.SeedSequence([12345, chunk]))
+            want = {"basis": rng.random(n), "bits": rng.integers(0, 2, size=n),
+                    "measure": rng.random(n), "bob": rng.random(n), "alice": rng.random(n)}
+            words = np.random.PCG64(np.random.SeedSequence([12345, chunk])).random_raw(
+                4 * n + half)
+            basis, bits, measure, bob, alice = np.split(
+                words, [n, n + half, 2 * n + half, 3 * n + half])
+            got = {name: (w >> 11) * 2.0 ** -53 for name, w in
+                   (("basis", basis), ("measure", measure), ("bob", bob), ("alice", alice))}
+            pairs = np.stack([bits >> 31 & 1, bits >> 63], axis=1)
+            got["bits"] = pairs.reshape(-1)[:n].astype(np.int64)
+            for name, draw in want.items():
+                assert draw.dtype == got[name].dtype, (name, draw.dtype)
+                assert np.array_equal(got[name], draw), \
+                    f"the {name} draw differs from its raw words (n={n}, chunk {chunk})"
+
     @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.9, 0.8), (0.1, 0.3)],
                              ids=["unbiased", "biased", "low"])
     @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
     def test_chunks_match_born_rule_oracle(self, name, probs):
         atk = ORACLE_ATTACKS[name]
-        bob, alice = simulate._outcome_table(attack.statistics(atk))
-        buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
-        for n in (simulate.CHUNK_SIZE, 1000, 1):
+        thresholds = simulate._chunk_thresholds(
+            *simulate._outcome_table(attack.statistics(atk)), *probs)
+        # An odd n leaves the last bits word's high half unused.
+        for n in (simulate.CHUNK_SIZE, 1000, 999, 1):
             for chunk in range(2):
-                args = (n, *probs, 12345, chunk)
-                counts = simulate._simulate_chunk(bob, alice, *args, *buffers)
+                counts = simulate._simulate_chunk(*thresholds, n, 12345, chunk)
                 # array_equal ignores dtype, so the dtype is pinned here.
                 assert counts.shape == (24,) and counts.dtype == np.int64
                 tally = chunk_tally(counts, n)
-                *want, a_bits, b_bits = born_rule_chunk(atk.u_e, atk.u_f,
-                                                        atk.ancilla_dim, *args)
+                *want, a_bits, b_bits = born_rule_chunk(atk.u_e, atk.u_f, atk.ancilla_dim,
+                                                        n, *probs, 12345, chunk)
                 got = tally.z_counts, tally.x_reflect_counts, tally.other_counts
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
@@ -181,20 +205,20 @@ class TestRunProtocol:
         rng = np.random.default_rng(2024)
         noisy_bob = np.where(bob_used, bob, rng.random(4))
         noisy_alice = np.where(alice_used, alice, rng.random((4, 3)))
-        buffers = np.empty(simulate.CHUNK_SIZE), np.empty(simulate.CHUNK_SIZE)
+        size = simulate.CHUNK_SIZE
         for chunk in range(2):
-            args = (simulate.CHUNK_SIZE, 0.5, 0.5, 12345, chunk, *buffers)
-            got, want = (chunk_tally(simulate._simulate_chunk(b, a, *args),
-                                     simulate.CHUNK_SIZE)
-                         for b, a in ((noisy_bob, noisy_alice), (bob, alice)))
+            got, want = (chunk_tally(simulate._simulate_chunk(
+                *simulate._chunk_thresholds(b, a, 0.5, 0.5), size, 12345, chunk), size)
+                for b, a in ((noisy_bob, noisy_alice), (bob, alice)))
             assert np.array_equal(got.z_counts, want.z_counts)
             assert np.array_equal(got.x_reflect_counts, want.x_reflect_counts)
             assert got.other_counts == want.other_counts
 
     def test_one_chunk_run_allocates_little(self):
-        # The chunk draws into two reused float64 buffers and builds prep,
-        # cell and event code in one uint8 array; the old chunk's dozen
-        # 128 KiB temporaries peaked at about 1 MiB.
+        # The chunk holds at most 2n raw words and n thresholds at once
+        # (about 420 KiB in all) and builds prep, cell and event code in one
+        # uint8 array; the old chunk's dozen 128 KiB temporaries peaked at
+        # about 1 MiB.
         stats = attack.statistics(attack.symmetric_realizing_attack(0.05, 0.05))
         config = ProtocolConfig(iterations=simulate.CHUNK_SIZE, seed=3)
         simulate.run_protocol(stats, config)
@@ -372,6 +396,22 @@ class TestRunProtocol:
         kwargs = {"iterations": 10, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ProtocolConfig(**kwargs)
+
+    @pytest.mark.parametrize("field,value", [
+        ("prob_z_basis", "0.5"), ("prob_z_basis", None), ("prob_z_basis", 0.5 + 0j),
+        ("prob_measure_resend", np.array([0.5])), ("prob_measure_resend", np.array(0.5)),
+        ("prob_measure_resend", True)])
+    def test_config_rejects_non_real_probabilities_by_name(self, field, value):
+        kwargs = {"iterations": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            ProtocolConfig(**kwargs)
+
+    def test_config_accepts_real_scalars(self):
+        stats = attack.statistics(attack.identity_attack())
+        tallies = [simulate.run_protocol(stats, ProtocolConfig(
+            iterations=5000, seed=1, prob_z_basis=z, prob_measure_resend=m))
+            for z, m in ((np.float32(0.25), Fraction(1, 3)), (0.25, 1 / 3))]
+        assert_same_tally(*tallies, "scalar types")
 
     def test_config_accepts_numpy_integers(self):
         cfg = ProtocolConfig(iterations=np.int64(10), seed=np.uint64(2 ** 63))
