@@ -24,12 +24,6 @@ PROB_NEG_TOL = -1e-12      # probabilities in [PROB_NEG_TOL, 0) are clamped to 0
 PROB_SUM_TOL = 1e-9        # allowed excess of a probability sum over 1
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """True if max entrywise |M - M^dagger| <= HERMITIAN_TOL over every block."""
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_TOL)
-
-
 def shannon_entropy(p):
     """Shannon entropy -sum p_i log2 p_i in bits, with 0*log(0) = 0.
 
@@ -83,7 +77,8 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square blocks, got shape {m.shape}")
-    if not is_hermitian(m):
+    # Phrased so that NaN fails it: max entrywise |M - M^dagger| over every block.
+    if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     lam = np.linalg.eigvalsh(m).reshape(m.shape[:-3] + (-1,))
     return np.sort(lam, axis=-1)[..., ::-1]

@@ -5,11 +5,11 @@ projective Z measurement and resends what he saw or reflects, Eve applies
 u_f, and Alice measures in her preparation basis.  Everything Alice and Bob
 can observe is summed up in the ten statistics an attack induces
 (``attack.statistics``), and ``run_protocol`` samples those statistics alone:
-the Born probabilities of Bob's and Alice's bits are read off them once per
-run and each iteration only compares uniform draws against that table.  An
-iteration's event code is its cell of Alice's table (preparation x branch)
-followed by Alice's bit, 24 codes in all, so one bincount per chunk gives
-every tally.
+``_chunk_thresholds`` reads the Born probabilities of Bob's and Alice's bits
+off them once per run, and each iteration only compares uniform draws
+against that table.  An iteration's event code is its cell of Alice's table
+(preparation x branch) followed by Alice's bit, 24 codes in all, so one
+bincount per chunk gives every tally.
 
 Reproducibility contract: iterations are processed in fixed chunks of
 CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
@@ -35,7 +35,6 @@ off the Z tallies: every Z-prepared, measured iteration is one key bit,
 counted in exactly one z_counts cell.
 """
 
-import functools
 import numbers
 import os
 import threading
@@ -114,26 +113,6 @@ class TallyCounts:
         object.__setattr__(self, "x_reflect_counts", x)
 
 
-def _outcome_table(stats: ChannelStatistics):
-    """Bit-1 probabilities of Bob's and Alice's measurements.
-
-    Returns bob[prep], the probability that Bob's Z measurement reads 1, and
-    alice[prep, branch], the probability that Alice's measurement in her
-    preparation basis reads 1 (|1> or |->).  prep indexes |0>, |1>, |+>,
-    |->; branch 0 is Bob reflecting, 1 and 2 are Bob's collapse onto
-    transit |0> and |1>.  Only Z collapses and X reflections reach an
-    output; every other cell, and a collapse Bob never samples, stays 0.
-    """
-    p = stats.p
-    bob = np.zeros(4)
-    bob[:2] = p[:, 1].sum(axis=-1) / p.sum(axis=(1, 2))
-    branch = p.sum(axis=-1)
-    alice = np.zeros((4, 3))
-    np.divide(p[..., 1], branch, out=alice[:2, 1:], where=branch > 0.0)
-    alice[2:, 0] = stats.p_pm, 1.0 - stats.p_mp
-    return bob, alice
-
-
 def _workers() -> int:
     """Number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -192,20 +171,27 @@ def _thresholds(p):
     return np.ceil(np.ldexp(np.asarray(p, dtype=float), 53)).astype(np.uint64)
 
 
-def _chunk_thresholds(bob: np.ndarray, alice: np.ndarray, prob_z: float,
-                      prob_measure: float) -> tuple:
+def _chunk_thresholds(stats: ChannelStatistics, config: ProtocolConfig) -> tuple:
     """The four thresholds ``_simulate_chunk`` compares its words with.
 
-    Bob's come as a (prep, reflect / measure / unused) table whose reflect
-    column is 0, so that he never reads 1 when he reflects; Alice's as her
-    (prep, branch) table.  Both compare with words shifted right by 11.
-    prob_z and prob_measure lie strictly inside (0, 1), so their thresholds
-    shifted left by 11 fit in 64 bits and compare with whole words.
+    Bob's and Alice's Born probabilities of reading 1 are read off the
+    statistics into (prep, branch) tables: prep indexes |0>, |1>, |+>, |->;
+    branch 0 is Bob reflecting, 1 and 2 his collapse onto transit |0> and
+    |1>.  Bob's sit in the branch-1 column, which the chunk looks up before
+    it adds his bit, so he never reads 1 when he reflects.  Only Z collapses
+    and X reflections reach an output; every other cell, and a collapse Bob
+    never samples, is 0.  Both tables compare with words shifted right by
+    11; the two config probabilities lie strictly inside (0, 1), so their
+    thresholds shifted left by 11 fit in 64 bits and compare with whole words.
     """
-    bob_t = np.zeros((4, 3), dtype=np.uint64)
-    bob_t[:, 1] = _thresholds(bob)
-    return (bob_t, _thresholds(alice), _thresholds(prob_z) << 11,
-            _thresholds(prob_measure) << 11)
+    p = stats.p
+    bob, alice = np.zeros((4, 3)), np.zeros((4, 3))
+    bob[:2, 1] = p[:, 1].sum(axis=-1) / p.sum(axis=(1, 2))
+    branch = p.sum(axis=-1)
+    np.divide(p[..., 1], branch, out=alice[:2, 1:], where=branch > 0.0)
+    alice[2:, 0] = stats.p_pm, 1.0 - stats.p_mp
+    return (_thresholds(bob), _thresholds(alice), _thresholds(config.prob_z_basis) << 11,
+            _thresholds(config.prob_measure_resend) << 11)
 
 
 def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, z_threshold: np.uint64,
@@ -254,17 +240,6 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, z_threshold: np.uint64,
     return np.bincount(cell, minlength=24)
 
 
-def _simulate_pulled(thresholds: tuple, config: ProtocolConfig,
-                     pull: Iterator[int]) -> np.ndarray:
-    """Sum of the 24-cell bincounts of the chunks pulled."""
-    counts = np.zeros(24, dtype=np.int64)
-    for c in pull:
-        counts += _simulate_chunk(*thresholds,
-                                  min(CHUNK_SIZE, config.iterations - c * CHUNK_SIZE),
-                                  config.seed, c)
-    return counts
-
-
 def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCounts:
     """Simulate the quantum communication stage with the given statistics.
 
@@ -274,12 +249,18 @@ def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCount
     """
     if stats.p.ndim != 3:
         raise ValueError(f"run_protocol takes one member, not a stack {stats.p.shape[:-3]}")
-    thresholds = _chunk_thresholds(*_outcome_table(validate_statistics(stats)),
-                                   config.prob_z_basis, config.prob_measure_resend)
+    thresholds = _chunk_thresholds(validate_statistics(stats), config)
     n_total = config.iterations
-    n_chunks = (n_total + CHUNK_SIZE - 1) // CHUNK_SIZE
-    counts = sum(_pull_on_every_cpu(functools.partial(_simulate_pulled, thresholds, config),
-                                    range(n_chunks)))
+
+    def pulled(pull: Iterator[int]) -> np.ndarray:
+        # The sum of the 24-cell bincounts of the chunks this thread pulls.
+        counts = np.zeros(24, dtype=np.int64)
+        for c in pull:
+            counts += _simulate_chunk(*thresholds, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
+                                      config.seed, c)
+        return counts
+
+    counts = sum(_pull_on_every_cpu(pulled, range(-(-n_total // CHUNK_SIZE))))
     counts = counts.reshape(4, 3, 2)
     z, x = counts[:2, 1:], counts[2:, 0]
     return TallyCounts(z_counts=z, x_reflect_counts=x,

@@ -1,0 +1,193 @@
+"""Mutation checks: each listed test still fails on a known-bad program.
+
+    python3 tests/mutations.py [NAME ...]
+
+Every entry below is one text replacement in one source file, whose old
+text must occur exactly once there.  For each entry (or each one named on
+the command line) the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a fresh temporary directory, applies the
+replacement to the copy and runs ``pytest -x`` on the entry's test files.
+The mutation is caught when those tests fail and the entry's expected test
+is among the failures (run alone if ``-x`` stopped at another one).  Exit
+status 1 if any mutation is not caught, 2 if an entry no longer applies.
+
+The file name keeps it out of the test suite, which only checks that each
+old text occurs once (``test_mutations.py``); all entries take about 70 s
+on two CPUs.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str           # source file, relative to the repository root
+    old: str            # text that occurs exactly once in it
+    new: str
+    tests: tuple        # test files pytest -x runs
+    expect: str         # test id that must fail
+
+
+MUTATIONS = [
+    Mutation("thresholds-floor", "src/sqkd/simulate.py",
+             "np.ceil(np.ldexp(", "np.floor(np.ldexp(",
+             ("tests/test_properties.py",),
+             "tests/test_properties.py::test_word_threshold_decides_as_the_uniform"),
+    Mutation("bob-reflect-column-nonzero", "src/sqkd/simulate.py",
+             "    bob[:2, 1] = p[:, 1]",
+             "    bob[:, 0] = 2.0 ** -4\n    bob[:2, 1] = p[:, 1]",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_chunks_match_born_rule_oracle[identity-unbiased]"),
+    Mutation("alice-where-dropped", "src/sqkd/simulate.py",
+             "out=alice[:2, 1:], where=branch > 0.0)", "out=alice[:2, 1:])",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_unreachable_collapse_is_finite_and_silent"),
+    Mutation("alice-collapses-swapped", "src/sqkd/simulate.py",
+             "out=alice[:2, 1:], where", "out=alice[:2, :0:-1], where",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_chunks_match_born_rule_oracle[haar-d1-unbiased]"),
+    Mutation("bob-lookup-one-cell-right", "src/sqkd/simulate.py",
+             "bob_t = bob.take(cell, ", "bob_t = bob.take(cell + 1, ",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_unused_cells_never_reach_an_output[haar-d1]"),
+    Mutation("pulled-chunks-all-full", "src/sqkd/simulate.py",
+             "min(CHUNK_SIZE, n_total - c * CHUNK_SIZE)", "CHUNK_SIZE",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_tallies_independent_of_cpu_count[13-chunks]"),
+    Mutation("x-tallies-wrong-branch", "src/sqkd/simulate.py",
+             "z, x = counts[:2, 1:], counts[2:, 0]", "z, x = counts[:2, 1:], counts[2:, 1]",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::test_identity_attack_has_no_errors"),
+    Mutation("qber-counts-agreement", "src/sqkd/simulate.py",
+             "(z[:, 0, 1].sum() + z[:, 1, 0].sum())", "(z[:, 0, 0].sum() + z[:, 1, 1].sum())",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestQber::test_identical_and_complementary"),
+    Mutation("qber-drops-cell-1-0", "src/sqkd/simulate.py",
+             "(z[:, 0, 1].sum() + z[:, 1, 0].sum())", "z[:, 0, 1].sum()",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestQber::test_identical_and_complementary"),
+    Mutation("pull-without-stop-check", "src/sqkd/simulate.py",
+             "        while not stop.is_set():\n", "        while True:\n",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_error_in_a_chunk_ends_the_run[2-caller]"),
+    Mutation("failing-pool-thread-sets-no-stop", "src/sqkd/simulate.py",
+             "        except BaseException:\n            stop.set()\n",
+             "        except BaseException:\n",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_error_in_a_chunk_ends_the_run[2-pool]"),
+    Mutation("caller-sets-no-stop", "src/sqkd/simulate.py",
+             "        finally:\n            stop.set()\n", "        finally:\n            pass\n",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::test_interrupt_ends_the_pool_threads"),
+    Mutation("hermitian-check-passes-nan", "src/sqkd/linalg.py",
+             "if not np.max(np.abs(m - m.conj().swapaxes(-1, -2))) <= HERMITIAN_TOL:",
+             "if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:",
+             ("tests/test_linalg.py",),
+             "tests/test_linalg.py::TestHermitianEigenvalues::test_rejects_non_hermitian"),
+    Mutation("vector-fields-writable", "src/sqkd/attack.py",
+             "            arr.setflags(write=False)\n", "",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestExtractVectors::test_vector_fields_are_read_only"),
+    Mutation("e-ijk-i-and-k-swapped", "src/sqkd/attack.py",
+             '"...kaib,...jb->...ijka"', '"...kaib,...jb->...kjia"',
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestExtractVectors::"
+             "test_identity_groups_hold_for_random_attacks"),
+    Mutation("haar-seeds-reversed", "src/sqkd/attack.py",
+             "for m, seed in enumerate(seeds):", "for m, seed in enumerate(seeds[::-1]):",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestStacks::test_stack_equals_members_built_alone[1]"),
+    Mutation("entropy-of-e-as-one-operator", "src/sqkd/attack.py",
+             "linalg.von_neumann_entropy(g[..., None, :, :])",
+             "linalg.von_neumann_entropy(g)",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_small_suite_passes"),
+    Mutation("validate-budget-4-mib", "src/sqkd/cli.py",
+             "VALIDATE_STACK_BYTES = 1 << 20", "VALIDATE_STACK_BYTES = 1 << 22",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestStacks::test_validate_stacks_cover_every_attack_once"),
+    Mutation("validate-soundness-off", "src/sqkd/cli.py",
+             "report.rate > exact + attack_mod.SOUNDNESS_TOL", "report.rate > exact + 1e9",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_bound_above_exact_rate_detected"),
+    Mutation("validate-s-bec-check-off", "src/sqkd/cli.py",
+             "mismatch > attack_mod.SOUNDNESS_TOL", "mismatch > 1e9",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_s_bec_mismatch_detected"),
+    Mutation("validate-failures-unsorted", "src/sqkd/cli.py",
+             "for _, line in sorted(failures, key=lambda failure: failure[0]):",
+             "for _, line in failures:",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_s_bec_mismatch_detected"),
+]
+
+
+def pytest(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                           *args], cwd=cwd, capture_output=True, text=True)
+
+
+def failed_ids(output: str) -> list[str]:
+    return [line[len("FAILED "):].split(" - ")[0] for line in output.splitlines()
+            if line.startswith("FAILED ")]
+
+
+def check(mutation: Mutation) -> bool:
+    """Apply one mutation to a fresh copy and report whether it is caught."""
+    started = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="sqkd-mutation-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        target = copy / mutation.path
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutation.old, mutation.new), encoding="utf-8")
+        run = pytest(copy, "-x", *mutation.tests)
+        failed = failed_ids(run.stdout)
+        expected = mutation.expect in failed or (
+            run.returncode == 1 and pytest(copy, mutation.expect).returncode == 1)
+    caught = run.returncode == 1 and expected
+    verdict = "caught" if caught else "NOT CAUGHT"
+    first = failed[0] if failed else f"pytest exit {run.returncode}"
+    print(f"{verdict:10} {mutation.name:34} {time.monotonic() - started:5.1f} s  "
+          f"first failure: {first}", flush=True)
+    if not caught and run.returncode not in (0, 1):
+        print(run.stdout[-2000:] + run.stderr[-2000:])
+    return caught
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTATIONS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTATIONS}
+    if unknown:
+        print(f"unknown mutations: {', '.join(sorted(unknown))}")
+        return 2
+    for m in chosen:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            print(f"{m.name}: its old text occurs {count} times in {m.path}, not once")
+            return 2
+    missed = [m.name for m in chosen if not check(m)]
+    print(f"{len(chosen) - len(missed)} of {len(chosen)} mutations caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -129,10 +129,10 @@ class TestHermitianEigenvalues:
                 np.trace(m).real, abs=1e-9)
 
     def test_rejects_non_hermitian(self, rng):
-        # A plain matrix, and a stack with one non-Hermitian block.
+        # A plain matrix, a stack with one non-Hermitian block, and a NaN.
         stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
         stack[2, 0, 1] += 1e-6
-        for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), stack):
+        for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), stack, np.diag([np.nan, 1.0])):
             with pytest.raises(ValueError, match="not Hermitian"):
                 linalg.hermitian_eigenvalues(m)
 

@@ -29,8 +29,7 @@ def chunk_tally(counts, n):
 
 def serial_tally(stats, config):
     """The tallies of a run with every chunk summed on this thread, in order."""
-    thresholds = simulate._chunk_thresholds(*simulate._outcome_table(stats),
-                                            config.prob_z_basis, config.prob_measure_resend)
+    thresholds = simulate._chunk_thresholds(stats, config)
     size, n = simulate.CHUNK_SIZE, config.iterations
     return chunk_tally(sum(simulate._simulate_chunk(
         *thresholds, min(size, n - c * size), config.seed, c)
@@ -103,8 +102,9 @@ class TestRunProtocol:
     @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
     def test_chunks_match_born_rule_oracle(self, name, probs):
         atk = ORACLE_ATTACKS[name]
-        thresholds = simulate._chunk_thresholds(
-            *simulate._outcome_table(attack.statistics(atk)), *probs)
+        config = ProtocolConfig(iterations=1, prob_z_basis=probs[0],
+                                prob_measure_resend=probs[1])
+        thresholds = simulate._chunk_thresholds(attack.statistics(atk), config)
         # An odd n leaves the last bits word's high half unused.
         for n in (simulate.CHUNK_SIZE, 1000, 999, 1):
             for chunk in range(2):
@@ -188,27 +188,37 @@ class TestRunProtocol:
         atk = attack.identity_attack()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bob, alice = simulate._outcome_table(attack.statistics(atk))
-        assert np.array_equal(bob[:2], [0.0, 1.0])
-        assert np.all(np.isfinite(bob)) and np.all(np.isfinite(alice))
+            bob, *_ = simulate._chunk_thresholds(attack.statistics(atk),
+                                                 ProtocolConfig(iterations=1))
+        assert np.array_equal(bob[:, 1], [0, 2 ** 53, 0, 0])
+        # A 0 / 0 for a collapse Bob never samples would warn in the divide,
+        # and its NaN again in the uint64 cast:
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+            simulate._thresholds(np.nan)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_ATTACKS))
     def test_unused_cells_never_reach_an_output(self, name):
         # Bob's X preparations, Alice's Z reflections and her X collapses
         # only ever land in other_counts.  Which of the other cells they
         # land in is not an output.
-        bob, alice = simulate._outcome_table(attack.statistics(ORACLE_ATTACKS[name]))
-        bob_used = np.array([True, True, False, False])
+        # Bob's reflect column is used: it keeps him from reading 1.
+        bob, alice, *config_thresholds = simulate._chunk_thresholds(
+            attack.statistics(ORACLE_ATTACKS[name]), ProtocolConfig(iterations=1))
+        bob_used = np.zeros((4, 3), dtype=bool)
+        bob_used[:, 0] = True
+        bob_used[:2, 1] = True
         alice_used = np.zeros((4, 3), dtype=bool)
         alice_used[:2, 1:] = True
         alice_used[2:, 0] = True
         rng = np.random.default_rng(2024)
-        noisy_bob = np.where(bob_used, bob, rng.random(4))
-        noisy_alice = np.where(alice_used, alice, rng.random((4, 3)))
+        noisy_bob, noisy_alice = (
+            np.where(used, table, rng.integers(0, 2 ** 53, size=(4, 3), dtype=np.uint64,
+                                               endpoint=True))
+            for used, table in ((bob_used, bob), (alice_used, alice)))
         size = simulate.CHUNK_SIZE
         for chunk in range(2):
             got, want = (chunk_tally(simulate._simulate_chunk(
-                *simulate._chunk_thresholds(b, a, 0.5, 0.5), size, 12345, chunk), size)
+                b, a, *config_thresholds, size, 12345, chunk), size)
                 for b, a in ((noisy_bob, noisy_alice), (bob, alice)))
             assert np.array_equal(got.z_counts, want.z_counts)
             assert np.array_equal(got.x_reflect_counts, want.x_reflect_counts)
