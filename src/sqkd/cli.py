@@ -168,67 +168,60 @@ def cmd_simulate(args) -> int:
 # Random attacks are built in stacks of one ancilla dimension, pulled one at
 # a time by one thread per CPU the process may use, the calling thread among
 # them (``simulate._pull_on_every_cpu``; ``taskset`` restricts them; with
-# OPENBLAS_NUM_THREADS=1 BLAS adds no threads of its own).  The stacks in
-# flight share this budget of unitaries: each stack is cut at this many bytes
-# over the number of threads (eight attacks at d = 32 on one CPU, four on
-# two).  Each thread also holds its last stack until its next one is built,
-# so at most twice this many bytes of unitaries are alive, on any number of
-# CPUs.  Each thread keeps its sound attacks' Gram matrices until they take
-# this many bytes over the number of threads and then checks them in one
-# pass, so the threads keep at most this many bytes of them (1024 attacks);
-# what they keep at the end is checked in one pass.  The output does not
-# depend on the number of CPUs.
-VALIDATE_STACK_BYTES = 1 << 20
+# OPENBLAS_NUM_THREADS=1 BLAS adds no threads of its own).  One budget per
+# stack and per thread, never divided by the number of threads: a stack holds
+# at most this many bytes of unitaries (four attacks at d = 32), and a thread
+# checks its sound attacks' Gram matrices in one pass once they take this
+# many bytes (512 attacks); what the threads keep at the end is checked in
+# one pass.  A thread holds its last stack until its next one is built, so
+# memory grows with the number of threads: each holds at most twice this
+# many bytes of unitaries and this many of Gram matrices.  Stacks and
+# findings carry attack positions only, and FAIL lines name the attacks from
+# them.  Neither the stacks nor the output depend on the number of CPUs.
+VALIDATE_STACK_BYTES = 1 << 19
 
 
-def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool,
-                     workers: int):
-    """Yield (positions, labels, build) covering every attack ``validate`` checks.
+def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
+    """Yield (positions, build) covering every attack ``validate`` checks.
 
-    Positions number the attacks in report order: the identity, the Z
-    measurement, random attack idx (ancilla dimension dims[idx % len(dims)],
-    seed [seed, idx]) and, with ``corrupt``, a copy of the last random attack
-    with a broken u_e.  ``build()`` builds the stack, on whichever thread
-    calls it.  Random stacks are cut so that ``workers`` of them in flight
-    share the ``VALIDATE_STACK_BYTES`` budget of unitaries; only where they
-    are cut depends on ``workers``, not the attacks or the report.
+    Positions number the attacks in report order: 0 the identity, 1 the Z
+    measurement, idx + 2 random attack idx (ancilla dimension
+    dims[idx % len(dims)], seed [seed, idx]) and, with ``corrupt``,
+    attacks + 2 a copy of the last random attack with a broken u_e.
+    ``build()`` builds the stack, on whichever thread calls it.
     """
-    fixed = [(0, "identity", attack_mod.identity_attack()),
-             (1, "zmeasure", attack_mod.z_measurement_attack())]
+    fixed = [attack_mod.identity_attack(), attack_mod.z_measurement_attack()]
     if corrupt:
         last = attacks - 1
         atk = attack_mod.random_attack(dims[last % len(dims)], [seed, last])
         u_bad = atk.u_e.copy()
         u_bad[0, 0] += 0.5
-        fixed.append((attacks + 2, "corrupted (test hook)", attack_mod.CollectiveAttack(
-            atk.ancilla_dim, u_bad, atk.u_f)))
-    for pos, label, atk in fixed:
-        yield [pos], [label], functools.partial(
+        fixed.append(attack_mod.CollectiveAttack(atk.ancilla_dim, u_bad, atk.u_f))
+    for pos, atk in zip((0, 1, attacks + 2), fixed):
+        yield [pos], functools.partial(
             attack_mod.CollectiveAttack, atk.ancilla_dim, atk.u_e[None], atk.u_f[None])
-    budget = VALIDATE_STACK_BYTES // workers
     for d_e in dict.fromkeys(dims):
         members = [idx for idx in range(attacks) if dims[idx % len(dims)] == d_e]
-        size = max(1, budget // (2 * 16 * (2 * d_e) ** 2))
+        size = max(1, VALIDATE_STACK_BYTES // (2 * 16 * (2 * d_e) ** 2))
         for start in range(0, len(members), size):
             part = members[start:start + size]
-            seeds = [[seed, idx] for idx in part]
-            yield ([idx + 2 for idx in part], [f"random seed={s}" for s in seeds],
-                   functools.partial(attack_mod.random_attacks, d_e, seeds))
+            yield [idx + 2 for idx in part], functools.partial(
+                attack_mod.random_attacks, d_e, [[seed, idx] for idx in part])
 
 
-def _check_pulled(budget: int, pull) -> tuple:
+def _check_pulled(pull) -> tuple:
     """Check the stacks one thread pulls; return what ``cmd_validate`` merges.
 
     That is the attacks checked, the worst residual and slack, the (position,
-    line) FAIL entries and the rows of sound attacks left unchecked.  Sound
+    text) failures and the rows of sound attacks left unchecked.  Sound
     means a residual of at most 1e-9 and statistics ``attack.has_statistics``
     grants; only attacks whose identities hold have states to take entropies
-    of.  Kept rows are checked once their Gram matrices take ``budget`` bytes.
+    of.  Kept rows are checked once they take ``VALIDATE_STACK_BYTES``.
     """
     failures: list[tuple[int, str]] = []
     kept: list[tuple] = []
     checked, worst_residual, worst_slack = 0, 0.0, np.inf
-    for positions, labels, build in pull:
+    for positions, build in pull:
         # The previous stack is freed only once this one is built.  Freed
         # before, its memory would go back to the system and be faulted in
         # again page by page (three times the minor faults per task).
@@ -239,17 +232,16 @@ def _check_pulled(budget: int, pull) -> tuple:
         worst_residual = float(np.max(residual, initial=worst_residual))
         sound = attack_mod.has_statistics(stack) & (residual <= 1e-9)
         for m in np.flatnonzero(~sound):
-            failures.append((positions[m], f"FAIL {labels[m]}: unitarity identity "
-                                           f"residual {residual[m]:.3e}"))
+            failures.append((positions[m], f"unitarity identity residual {residual[m]:.3e}"))
         if not sound.any():
             continue
         # statistics refuses a stack with any member it refuses.
         members = stack if sound.all() else attack_mod.CollectiveAttack(
             stack.ancilla_dim, stack.u_e[sound], stack.u_f[sound])
         stats = attack_mod.statistics(members)
-        kept.append((list(compress(positions, sound)), list(compress(labels, sound)),
-                     stats.p, stats.p_pm, stats.p_mp, attack_mod.gram(members)))
-        if sum(part[-1].nbytes for part in kept) >= budget:
+        kept.append((list(compress(positions, sound)), stats.p, stats.p_pm, stats.p_mp,
+                     attack_mod.gram(members)))
+        if sum(part[-1].nbytes for part in kept) >= VALIDATE_STACK_BYTES:
             worst_slack = min(worst_slack, _check_sound(kept, failures))
             kept = []
     return checked, worst_residual, worst_slack, failures, kept
@@ -258,20 +250,19 @@ def _check_pulled(budget: int, pull) -> tuple:
 def _check_sound(kept: list, failures: list) -> float:
     """Check a batch of sound attacks in one pass; return its worst slack.
 
-    ``kept`` holds one (positions, labels, p, p_pm, p_mp, gram) per stack,
-    for the stack's sound members; the batch's bound and exact rate
-    violations and S(BEC) mismatches are appended to ``failures``.
+    ``kept`` holds one (positions, p, p_pm, p_mp, gram) per stack, for the
+    stack's sound members; the batch's bound and exact rate violations and
+    S(BEC) mismatches are appended to ``failures``.
     """
-    positions, labels, *arrays = zip(*kept)
-    positions, labels = (sum(x, []) for x in (positions, labels))
+    positions, *arrays = zip(*kept)
+    positions = sum(positions, [])
     *stats, g = map(np.concatenate, arrays)
     report, exact, mismatch = attack_mod.soundness(ChannelStatistics(*stats), g)
     for i in np.flatnonzero(report.rate > exact + attack_mod.SOUNDNESS_TOL):
-        failures.append((positions[i], f"FAIL {labels[i]}: bound {report.rate[i]:.9f} "
+        failures.append((positions[i], f"bound {report.rate[i]:.9f} "
                                        f"exceeds exact rate {exact[i]:.9f}"))
     for i in np.flatnonzero(mismatch > attack_mod.SOUNDNESS_TOL):
-        failures.append((positions[i], f"FAIL {labels[i]}: S(BEC) mismatch "
-                                       f"{mismatch[i]:.3e}"))
+        failures.append((positions[i], f"S(BEC) mismatch {mismatch[i]:.3e}"))
     return float(np.min(exact - report.rate))
 
 
@@ -284,10 +275,8 @@ def cmd_validate(args) -> int:
     if args.seed < 0:
         raise ValueError("seed must be non-negative")
 
-    workers = simulate._workers()
-    stacks = list(_validate_stacks(dims, args.attacks, args.seed, args.corrupt, workers))
-    results = simulate._pull_on_every_cpu(
-        functools.partial(_check_pulled, VALIDATE_STACK_BYTES // workers), stacks)
+    stacks = list(_validate_stacks(dims, args.attacks, args.seed, args.corrupt))
+    results = simulate._pull_on_every_cpu(_check_pulled, stacks)
     checked, residuals, slacks, failures, leftovers = zip(*results)
     failures = list(chain.from_iterable(failures))
     worst_slack = min(slacks)
@@ -297,8 +286,9 @@ def cmd_validate(args) -> int:
     if kept:
         worst_slack = min(worst_slack, _check_sound(kept, failures))
     # The FAIL lines come in attack order whichever thread found them.
-    for _, line in sorted(failures, key=lambda failure: failure[0]):
-        print(line)
+    names = {0: "identity", 1: "zmeasure", args.attacks + 2: "corrupted (test hook)"}
+    for pos, text in sorted(failures, key=lambda failure: failure[0]):
+        print(f"FAIL {names.get(pos, f'random seed={[args.seed, pos - 2]}')}: {text}")
     print(f"checked {sum(checked)} attacks: worst identity residual "
           f"{float(np.max(residuals)):.3e}, worst slack (exact - bound) {worst_slack:.9f}")
     if failures:

@@ -118,7 +118,7 @@ MUTATIONS = [
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_small_suite_passes"),
     Mutation("validate-budget-4-mib", "src/sqkd/cli.py",
-             "VALIDATE_STACK_BYTES = 1 << 20", "VALIDATE_STACK_BYTES = 1 << 22",
+             "VALIDATE_STACK_BYTES = 1 << 19", "VALIDATE_STACK_BYTES = 1 << 22",
              ("tests/test_attack.py",),
              "tests/test_attack.py::TestStacks::test_validate_stacks_cover_every_attack_once"),
     Mutation("validate-soundness-off", "src/sqkd/cli.py",
@@ -130,10 +130,18 @@ MUTATIONS = [
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_s_bec_mismatch_detected"),
     Mutation("validate-failures-unsorted", "src/sqkd/cli.py",
-             "for _, line in sorted(failures, key=lambda failure: failure[0]):",
-             "for _, line in failures:",
+             "for pos, text in sorted(failures, key=lambda failure: failure[0]):",
+             "for pos, text in failures:",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_s_bec_mismatch_detected"),
+    Mutation("validate-batch-budget-per-cpu", "src/sqkd/cli.py",
+             ">= VALIDATE_STACK_BYTES:", ">= VALIDATE_STACK_BYTES // simulate._workers():",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_batches_independent_of_cpu_count"),
+    Mutation("validate-random-name-shifted", "src/sqkd/cli.py",
+             "pos - 2]", "pos - 1]",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_bound_above_exact_rate_detected"),
 ]
 
 

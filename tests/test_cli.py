@@ -450,7 +450,7 @@ class TestValidateCommand:
         monkeypatch.setattr(attack, "random_attacks", spy)
         monkeypatch.setattr(attack, "statistics", failing)
         threads = threading.active_count()
-        # 80 attacks at d = 32 make 10 stacks on one worker, 20 on two.
+        # 80 attacks at d = 32 make 20 stacks on any number of CPUs.
         assert run_cli("validate", "--attacks", "80", "--ancilla-dims", "32") == 1
         assert capsys.readouterr() == ("", "error: boom\n")
         assert sum(after_failure) <= workers
@@ -459,8 +459,8 @@ class TestValidateCommand:
 
     def test_validate_starts_one_thread_fewer_than_it_pulls_on(self, monkeypatch, capsys):
         # The calling thread builds stacks too: min(workers, stacks) - 1 pool
-        # threads, none on one CPU.  60 attacks at d = 1, 2, 4, 32 make 20
-        # stacks on five CPUs.
+        # threads, none on one CPU.  60 attacks at d = 1, 2, 4, 32 make 9
+        # stacks.
         started = []
         start = threading.Thread.start
 
@@ -490,15 +490,36 @@ class TestValidateCommand:
         clean = capsys.readouterr().out
         # All 62 attacks' Gram matrices fit in one batch.
         assert shapes == [(62,)]
-        # A 40 KiB budget cuts the unitaries into more stacks and the sound
-        # attacks into more batches, without changing a byte of the report.
+        # An 8 KiB budget cuts the unitaries into more stacks and the sound
+        # attacks into more batches on any number of CPUs (62 rows take
+        # 62 KiB), without changing a byte of the report.
         shapes.clear()
-        monkeypatch.setattr(cli, "VALIDATE_STACK_BYTES", 40 << 10)
+        monkeypatch.setattr(cli, "VALIDATE_STACK_BYTES", 8 << 10)
         assert run_cli(*argv) == 0
         assert len(shapes) > 1 and sum(n for n, in shapes) == 62
         assert capsys.readouterr().out == clean
         assert hashlib.sha256(clean.encode()).hexdigest() == (
             "4730ae6669fb8c75ff1fe034aa53a9272c4bd0f4e851351893f692ae21bf7ee0")
+
+    def test_batches_independent_of_cpu_count(self, monkeypatch, capsys):
+        # One thread pulls every stack while five CPUs are reported: every
+        # sound attack of a 500-attack run fits one thread's budget, so all
+        # 502 are checked in one pass, as on any number of CPUs.
+        shapes = []
+        bound = keyrate.key_rate_bound
+
+        def counting(stats, **kwargs):
+            shapes.append(stats.p.shape[:-3])
+            return bound(stats, **kwargs)
+
+        monkeypatch.setattr(keyrate, "key_rate_bound", counting)
+        monkeypatch.setattr(simulate, "_workers", lambda: 5)
+        monkeypatch.setattr(simulate, "_pull_on_every_cpu",
+                            lambda work, items: [work(iter(items))])
+        assert run_cli("validate", "--attacks", "500", "--ancilla-dims", "1,2,4,32",
+                       "--seed", "3") == 0
+        assert "checked 502 attacks" in capsys.readouterr().out
+        assert shapes == [(502,)]
 
     def test_bound_above_exact_rate_detected(self, monkeypatch, capsys):
         # Every bound raised by 10 exceeds its exact rate, which is at most 1.
