@@ -22,6 +22,13 @@ unitary enough to have statistics (``has_statistics``) has none:
 ``statistics`` refuses it, and with it ``exact_collective_rate`` and any
 simulation of it.
 
+Building a CollectiveAttack checks its ancilla dimension and the shapes of
+its unitaries and stores read-only complex copies of them, however the
+attack is built.  Unitarity is gated once, by ``validate_attack``, for
+unitaries made outside the package.  The builders here make exact or
+freshly QR-factorised unitaries and call the constructor directly; the
+tests check that their unitaries pass the same gate.
+
 Eve's post-protocol states are mixtures of the eight records, |r><r|/2
 each, block diagonal in Bob's bit and the agreement register.  Their
 entropies are taken from the 8x8 Gram matrix of the records (``gram``),
@@ -97,6 +104,11 @@ class CollectiveAttack:
     A stack of attacks has unitaries (..., 2d, 2d), and every vector field
     carries the same leading axes.  residual is the worst of the six
     ``unitarity_residuals``, per member of a stack, and keeps a NaN.
+
+    Building one checks that ancilla_dim is an integer in [1,
+    MAX_ANCILLA_DIM] and that u_e and u_f are non-empty stacks of one shape
+    (..., 2d, 2d), and stores read-only complex copies of them.  It does not
+    check unitarity; ``validate_attack`` does.
     """
 
     ancilla_dim: int
@@ -110,7 +122,20 @@ class CollectiveAttack:
     residual: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.ancilla_dim
+        d = _checked_ancilla_dim(self.ancilla_dim)
+        object.__setattr__(self, "ancilla_dim", d)
+        for name in ("u_e", "u_f"):
+            # Always a copy, so the caller's array stays theirs to change.
+            u = np.array(getattr(self, name), dtype=complex, order="C")
+            if u.shape[-2:] != (2 * d, 2 * d):
+                raise ValueError(f"{name} must have shape ({2 * d}, {2 * d}), got {u.shape}")
+            if not u.size:
+                raise ValueError(f"{name} is an empty stack {u.shape}")
+            u.setflags(write=False)
+            object.__setattr__(self, name, u)
+        if self.u_e.shape != self.u_f.shape:
+            raise ValueError(f"u_e and u_f stack shapes differ: {self.u_e.shape} "
+                             f"and {self.u_f.shape}")
         lead = self.u_e.shape[:-2]
         forward = self.u_e[..., [0, d]]            # u_e |0,0> and u_e |1,0>
         e = forward.swapaxes(-1, -2).reshape(lead + (4, d))
@@ -139,32 +164,22 @@ def _checked_ancilla_dim(ancilla_dim) -> int:
 
 
 def validate_attack(u_e: np.ndarray, u_f: np.ndarray, ancilla_dim: int) -> CollectiveAttack:
-    """Check shapes and unitarity, returning an immutable attack.
+    """Build an attack from unitaries made outside the package, checking unitarity.
 
-    ``u_e`` and ``u_f`` may carry the same leading axes, giving a stack; the
-    unitarity residual reported is the worst over the stack.
+    The attack's own construction checks ``ancilla_dim`` and the shapes and
+    makes read-only complex copies; this adds the U^dag U - I gate, each
+    entry within UNITARY_TOL.  ``u_e`` and ``u_f`` may carry the same
+    leading axes, giving a stack; the unitarity residual reported is the
+    worst over the stack.
     """
-    ancilla_dim = _checked_ancilla_dim(ancilla_dim)
-    d = 2 * ancilla_dim
-    out = []
-    for name, u in (("u_e", u_e), ("u_f", u_f)):
-        u = np.asarray(u, dtype=complex)
-        if u.shape[-2:] != (d, d):
-            raise ValueError(f"{name} must have shape ({d}, {d}), got {u.shape}")
-        if not u.size:
-            raise ValueError(f"{name} is an empty stack {u.shape}")
+    atk = CollectiveAttack(ancilla_dim, u_e, u_f)
+    for name, u in (("u_e", atk.u_e), ("u_f", atk.u_f)):
         defect = u.conj().swapaxes(-1, -2) @ u
         np.einsum("...ii->...i", defect)[...] -= 1.0     # U^dag U - I
         residual = np.max(np.abs(defect))
         if not residual <= UNITARY_TOL:     # NaN fails too
             raise ValueError(f"{name} is not unitary: residual {residual}")
-        u = u.copy()
-        u.setflags(write=False)
-        out.append(u)
-    if out[0].shape != out[1].shape:
-        raise ValueError(f"u_e and u_f stack shapes differ: {out[0].shape} "
-                         f"and {out[1].shape}")
-    return CollectiveAttack(ancilla_dim=ancilla_dim, u_e=out[0], u_f=out[1])
+    return atk
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -213,7 +228,8 @@ def has_statistics(attack: CollectiveAttack):
     A member is accepted while its ``residual`` is within what
     validate_attack allows, and refused if it is NaN.
     """
-    # validate_attack bounds each entry of U^dag U - I by UNITARY_TOL, so one
+    # validate_attack bounds each entry of U^dag U - I by UNITARY_TOL, and the
+    # builders' unitaries meet the same bound (checked by the tests), so one
     # unitary moves a squared norm by at most 2d * UNITARY_TOL and a reflected
     # round passes two; 1e-12 is rounding.  Phrased so that NaN fails.
     return attack.residual <= 2 * 2 * attack.ancilla_dim * UNITARY_TOL + 1e-12
@@ -294,7 +310,7 @@ def soundness(stats: ChannelStatistics, g: np.ndarray):
 def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:
     """No-op attack: both unitaries are the identity."""
     u = np.eye(2 * _checked_ancilla_dim(ancilla_dim), dtype=complex)
-    return validate_attack(u, u, ancilla_dim)
+    return CollectiveAttack(ancilla_dim, u, u)
 
 
 def z_measurement_attack() -> CollectiveAttack:
@@ -308,7 +324,7 @@ def z_measurement_attack() -> CollectiveAttack:
     for t in (0, 1):
         for a in (0, 1):
             u_e[2 * t + (a ^ t), 2 * t + a] = 1.0
-    return validate_attack(u_e, np.eye(4, dtype=complex), 2)
+    return CollectiveAttack(2, u_e, np.eye(4, dtype=complex))
 
 
 def _flip_recorder(q: float) -> np.ndarray:
@@ -345,7 +361,7 @@ def symmetric_realizing_attack(q_fwd: float, q_rev: float) -> CollectiveAttack:
     # 0.0 makes every zero of u_f +0.0.
     u_f = (np.kron(_flip_recorder(q_rev), np.eye(2)).reshape((2,) * 6)
            .transpose(0, 2, 1, 3, 5, 4).reshape(8, 8) + 0.0)
-    return validate_attack(u_e, u_f, 4)
+    return CollectiveAttack(4, u_e, u_f)
 
 
 def _haar_pairs(dim: int, seeds) -> np.ndarray:
@@ -375,7 +391,7 @@ def random_attack(ancilla_dim: int, seed) -> CollectiveAttack:
     with ``seeds = [seed]``.
     """
     u = _haar_pairs(2 * _checked_ancilla_dim(ancilla_dim), [seed])[0]
-    return validate_attack(u[0], u[1], ancilla_dim)
+    return CollectiveAttack(ancilla_dim, u[0], u[1])
 
 
 def random_attacks(ancilla_dim: int, seeds) -> CollectiveAttack:
@@ -386,4 +402,4 @@ def random_attacks(ancilla_dim: int, seeds) -> CollectiveAttack:
     of the stack is factorised by one batched QR.
     """
     u = _haar_pairs(2 * _checked_ancilla_dim(ancilla_dim), seeds)
-    return validate_attack(u[:, 0], u[:, 1], ancilla_dim)
+    return CollectiveAttack(ancilla_dim, u[:, 0], u[:, 1])

@@ -33,13 +33,18 @@ class StatsFileError(ValueError):
 def parse_stats_file(path: str) -> ChannelStatistics:
     """Read a `key = value` statistics file.
 
-    All ten keys must appear exactly once; `#` starts a comment; values are
-    decimals in [0, 1].  Errors carry line numbers and key names.
+    The file must be UTF-8 text.  All ten keys must appear exactly once;
+    `#` starts a comment; values are decimals in [0, 1].  Errors name the
+    file and carry line numbers and key names.
     """
     values: dict[str, float] = {}
     # utf-8-sig drops the byte-order mark that Windows editors write.
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise StatsFileError(f"{path}: not UTF-8 text") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -170,12 +175,13 @@ def cmd_simulate(args) -> int:
 # them (``simulate._pull_on_every_cpu``; ``taskset`` restricts them; with
 # OPENBLAS_NUM_THREADS=1 BLAS adds no threads of its own).  One budget per
 # stack and per thread, never divided by the number of threads: a stack holds
-# at most this many bytes of unitaries (four attacks at d = 32), and a thread
-# checks its sound attacks' Gram matrices in one pass once they take this
-# many bytes (512 attacks); what the threads keep at the end is checked in
-# one pass.  A thread holds its last stack until its next one is built, so
+# at most this many bytes of unitaries (four attacks at d = 32), and its
+# Gram matrices take at most this many too (512 attacks, the cap at d <= 2).
+# A thread checks its sound attacks' Gram matrices in one pass once they
+# take this many bytes; what the threads keep at the end is checked in one
+# pass.  A thread holds its last stack until its next one is built, so
 # memory grows with the number of threads: each holds at most twice this
-# many bytes of unitaries and this many of Gram matrices.  Stacks and
+# many bytes of unitaries and twice this many of Gram matrices.  Stacks and
 # findings carry attack positions only, and FAIL lines name the attacks from
 # them.  Neither the stacks nor the output depend on the number of CPUs.
 VALIDATE_STACK_BYTES = 1 << 19
@@ -202,7 +208,8 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
             attack_mod.CollectiveAttack, atk.ancilla_dim, atk.u_e[None], atk.u_f[None])
     for d_e in dict.fromkeys(dims):
         members = [idx for idx in range(attacks) if dims[idx % len(dims)] == d_e]
-        size = max(1, VALIDATE_STACK_BYTES // (2 * 16 * (2 * d_e) ** 2))
+        # Per attack: two (2d, 2d) complex unitaries, one 8x8 complex Gram matrix.
+        size = max(1, VALIDATE_STACK_BYTES // max(2 * 16 * (2 * d_e) ** 2, 16 * 8 * 8))
         for start in range(0, len(members), size):
             part = members[start:start + size]
             yield [idx + 2 for idx in part], functools.partial(

@@ -12,8 +12,8 @@ is among the failures (run alone if ``-x`` stopped at another one).  Exit
 status 1 if any mutation is not caught, 2 if an entry no longer applies.
 
 The file name keeps it out of the test suite, which only checks that each
-old text occurs once (``test_mutations.py``); all entries take about 70 s
-on two CPUs.
+old text occurs once and that each expected test is defined
+(``test_mutations.py``); all entries take about 70 s on two CPUs.
 """
 
 import shutil
@@ -99,6 +99,18 @@ MUTATIONS = [
              "if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:",
              ("tests/test_linalg.py",),
              "tests/test_linalg.py::TestHermitianEigenvalues::test_rejects_non_hermitian"),
+    Mutation("unitaries-writable", "src/sqkd/attack.py",
+             "            u.setflags(write=False)\n", "",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestConstruction::"
+             "test_unitaries_are_read_only_complex_copies"),
+    Mutation("unitary-shape-unchecked", "src/sqkd/attack.py",
+             "            if u.shape[-2:] != (2 * d, 2 * d):\n"
+             "                raise ValueError(f\"{name} must have shape "
+             "({2 * d}, {2 * d}), got {u.shape}\")\n", "",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestConstruction::"
+             "test_structural_faults_raise_validate_attacks_messages[shape]"),
     Mutation("vector-fields-writable", "src/sqkd/attack.py",
              "            arr.setflags(write=False)\n", "",
              ("tests/test_attack.py",),
@@ -121,6 +133,11 @@ MUTATIONS = [
              "VALIDATE_STACK_BYTES = 1 << 19", "VALIDATE_STACK_BYTES = 1 << 22",
              ("tests/test_attack.py",),
              "tests/test_attack.py::TestStacks::test_validate_stacks_cover_every_attack_once"),
+    Mutation("validate-stacks-ignore-gram", "src/sqkd/cli.py",
+             "max(2 * 16 * (2 * d_e) ** 2, 16 * 8 * 8)", "(2 * 16 * (2 * d_e) ** 2)",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestStacks::"
+             "test_validate_stacks_fit_gram_matrices_in_the_budget"),
     Mutation("validate-soundness-off", "src/sqkd/cli.py",
              "report.rate > exact + attack_mod.SOUNDNESS_TOL", "report.rate > exact + 1e9",
              ("tests/test_cli.py",),
@@ -142,6 +159,10 @@ MUTATIONS = [
              "pos - 2]", "pos - 1]",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_bound_above_exact_rate_detected"),
+    Mutation("stats-file-decode-error-uncaught", "src/sqkd/cli.py",
+             "except UnicodeDecodeError:", "except UnicodeEncodeError:",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestStatsFile::test_text_not_utf8_named"),
 ]
 
 

@@ -71,6 +71,70 @@ class TestValidateAttack:
                 build(d)
 
 
+class TestConstruction:
+    """Every way of building an attack checks and freezes its unitaries."""
+
+    def test_unitaries_are_read_only_complex_copies(self):
+        u = np.eye(2)
+        atk = attack.CollectiveAttack(1, u, u)
+        for stored in (atk.u_e, atk.u_f):
+            assert stored.dtype == complex and not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 0.0
+        assert u.flags.writeable and u.dtype == float
+        u[0, 0] = 5.0
+        assert atk.u_e[0, 0] == 1.0 and atk.u_f[0, 0] == 1.0
+        assert type(attack.CollectiveAttack(np.int64(1), u, u).ancilla_dim) is int
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, np.eye(2), np.eye(2)), r"u_e must have shape \(4, 4\), got \(2, 2\)"),
+        ((1, np.eye(2), np.eye(4)), r"u_f must have shape \(2, 2\), got \(4, 4\)"),
+        ((1, np.zeros((0, 2, 2)), np.zeros((0, 2, 2))), r"u_e is an empty stack \(0, 2, 2\)"),
+        ((1, np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 2)),
+         r"u_e and u_f stack shapes differ: \(3, 2, 2\) and \(2, 2, 2\)"),
+        ((1.5, np.eye(2), np.eye(2)), r"ancilla_dim must be an integer, got 1.5"),
+    ], ids=["shape", "shape-u-f", "empty", "stack-shapes", "non-integer-dim"])
+    def test_structural_faults_raise_validate_attacks_messages(self, args, message):
+        d, u_e, u_f = args
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            attack.CollectiveAttack(d, u_e, u_f)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            attack.validate_attack(u_e, u_f, d)
+
+
+def builder_attacks():
+    """One attack, or a stack, from each of the package's five builders."""
+    rng = np.random.default_rng(2028)
+    return ([attack.identity_attack(1), attack.identity_attack(4),
+             attack.z_measurement_attack()]
+            + [attack.symmetric_realizing_attack(*(rng.random(2) * 0.5)) for _ in range(10)]
+            + [attack.random_attack(d, [2028, d]) for d in (1, 2, 4, 32)]
+            + [attack.random_attacks(2, [[2028, idx] for idx in range(6)])])
+
+
+class TestBuilders:
+    """The builders make unitaries the gate accepts, and so skip the gate."""
+
+    def test_unitaries_pass_validate_attack(self):
+        for atk in builder_attacks():
+            checked = attack.validate_attack(atk.u_e, atk.u_f, atk.ancilla_dim)
+            assert np.array_equal(checked.records, atk.records)
+
+    def test_builders_skip_the_gate(self, monkeypatch):
+        want = builder_attacks()
+
+        def refuse(*args):
+            raise AssertionError("validate_attack called")
+
+        monkeypatch.setattr(attack, "validate_attack", refuse)
+        got = builder_attacks()
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.ancilla_dim == b.ancilla_dim
+            for name in TestStacks.FIELDS + ("residual",):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestResidual:
     def test_worst_of_the_identity_residuals(self):
         stack = attack.random_attacks(2, [[7, idx] for idx in range(5)])
@@ -483,3 +547,15 @@ class TestStacks:
                 self.assert_members_match(stack, members)
         assert sorted(positions_seen) == list(range(47))
         assert d32_sizes == [4, 4, 3]
+
+    def test_validate_stacks_fit_gram_matrices_in_the_budget(self):
+        # At d = 1 a stack's unitaries take 128 bytes per attack and its
+        # Gram matrices 1 KiB, so the Gram matrices set the cut.
+        sizes = []
+        for positions, build in cli._validate_stacks([1], 1100, 0, False):
+            stack = build()
+            assert stack.u_e.nbytes + stack.u_f.nbytes <= cli.VALIDATE_STACK_BYTES
+            assert attack.gram(stack).nbytes <= cli.VALIDATE_STACK_BYTES
+            if positions[0] >= 2:
+                sizes.append(len(positions))
+        assert sizes == [512, 512, 76]

@@ -81,6 +81,21 @@ class TestStatsFile:
         assert again.p.tobytes() == stats.p.tobytes()
         assert again.p_pm == stats.p_pm and again.p_mp == stats.p_mp
 
+    def test_text_not_utf8_named(self, tmp_path, capsys):
+        # Notepad's "Unicode" encoding is UTF-16 with a BOM; a stray 0xff
+        # byte mid-file fails the same way.
+        stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.05, 0.03, 0.07))
+        plain = tmp_path / "plain.txt"
+        cli.write_stats_file(str(plain), stats)
+        utf16, stray = tmp_path / "utf16.txt", tmp_path / "stray.txt"
+        utf16.write_bytes(plain.read_text().encode("utf-16"))
+        stray.write_bytes(plain.read_bytes() + b"# \xff\n")
+        for path in (utf16, stray):
+            with pytest.raises(cli.StatsFileError, match=f"^{path}: not UTF-8 text$"):
+                cli.parse_stats_file(str(path))
+            assert run_cli("rate", "--stats", str(path)) == 1
+            assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+
 
 class TestRateCommand:
     def test_noiseless_exit_zero(self, capsys):

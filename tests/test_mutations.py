@@ -4,6 +4,8 @@ Only the text checks run here; ``python3 tests/mutations.py`` runs the
 mutations themselves.
 """
 
+import ast
+
 import pytest
 
 from mutations import MUTATIONS, ROOT
@@ -21,3 +23,20 @@ def test_old_text_occurs_once(mutation):
     for path in mutation.tests:
         assert (ROOT / path).is_file(), path
     assert mutation.expect.split("::")[0] in mutation.tests
+
+
+def defined_tests(path: str) -> set:
+    """``Class::function`` and ``function`` ids of the tests a file defines."""
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    ids = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        ids.update(f"{cls.name}::{node.name}" for node in cls.body
+                   if isinstance(node, ast.FunctionDef))
+    return ids
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
+def test_expected_test_is_defined(mutation):
+    # A renamed test would otherwise surface only when the script is run.
+    path, _, test = mutation.expect.partition("::")
+    assert test.split("[")[0] in defined_tests(path), mutation.expect
