@@ -380,7 +380,9 @@ def _haar_pairs(dim: int, seeds) -> np.ndarray:
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    # In place: a product would be one more stack-sized temporary.
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 def random_attack(ancilla_dim: int, seed) -> CollectiveAttack:

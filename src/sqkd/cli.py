@@ -3,6 +3,7 @@
 Commands raise; ``main`` alone turns an error into one stderr line, `error: ...`
 (exit 1) or `abort: ...` (exit 3).  Exit codes: 0 success / positive rate,
 1 input error, 2 non-positive rate, 3 abort (p000 <= 0), 4 validation failure.
+An input too large to allocate (MemoryError) is an input error.
 """
 
 import argparse
@@ -207,13 +208,18 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
         yield [pos], functools.partial(
             attack_mod.CollectiveAttack, atk.ancilla_dim, atk.u_e[None], atk.u_f[None])
     for d_e in dict.fromkeys(dims):
-        members = [idx for idx in range(attacks) if dims[idx % len(dims)] == d_e]
+        members = [idx + 2 for idx in range(attacks) if dims[idx % len(dims)] == d_e]
         # Per attack: two (2d, 2d) complex unitaries, one 8x8 complex Gram matrix.
         size = max(1, VALIDATE_STACK_BYTES // max(2 * 16 * (2 * d_e) ** 2, 16 * 8 * 8))
         for start in range(0, len(members), size):
-            part = members[start:start + size]
-            yield [idx + 2 for idx in part], functools.partial(
-                attack_mod.random_attacks, d_e, [[seed, idx] for idx in part])
+            positions = members[start:start + size]
+            yield positions, functools.partial(_random_stack, d_e, seed, positions)
+
+
+def _random_stack(d_e: int, seed: int, positions: list[int]) -> attack_mod.CollectiveAttack:
+    # The seeds are made here, on the thread that builds the stack, so the
+    # plan holds positions only.
+    return attack_mod.random_attacks(d_e, [[seed, pos - 2] for pos in positions])
 
 
 def _check_pulled(pull) -> tuple:
@@ -380,6 +386,9 @@ def main(argv=None) -> int:
         return EXIT_ABORT
     except (ValueError, OSError) as exc:  # StatsFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy's names the size; Python's own is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

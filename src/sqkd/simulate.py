@@ -11,6 +11,10 @@ against that table.  An iteration's event code is its cell of Alice's table
 (preparation x branch) followed by Alice's bit, 24 codes in all, so one
 bincount per chunk gives every tally.
 
+Alice prepares in either basis, and Bob measures or reflects, with
+probability 1/2 each.  Every statistic is conditioned on both choices, so
+their probabilities only decide how many iterations land in each class.
+
 Reproducibility contract: iterations are processed in fixed chunks of
 CHUNK_SIZE; chunk c draws from an independent PCG64 stream seeded with
 SeedSequence([seed, c]).  A chunk of n iterations consumes the stream's raw
@@ -22,6 +26,9 @@ the chunk reads the same values off them exactly:
 
 - ``random`` makes u = (w >> 11) * 2**-53 of a word w, and u < p exactly
   when (w >> 11) < ceil(p * 2**53), for every p in [0, 1] (``_thresholds``);
+- so u < 1/2 exactly when w's top bit is clear: Alice prepares in X when
+  her basis word's top bit is set, and Bob measures when his
+  measure-or-reflect word's top bit is clear;
 - bits 2i and 2i + 1 of ``integers(0, 2)`` are bits 31 and 63 of word i,
   the top bits of its two 32-bit halves, low half first.
 
@@ -35,7 +42,6 @@ off the Z tallies: every Z-prepared, measured iteration is one key bit,
 counted in exactly one z_counts cell.
 """
 
-import numbers
 import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
@@ -55,17 +61,9 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Run parameters for the quantum communication stage.
-
-    prob_z_basis is Alice's probability of preparing (and later measuring)
-    in the Z basis; prob_measure_resend is Bob's probability of measuring
-    instead of reflecting.  Both may be biased but must stay strictly inside
-    (0, 1).
-    """
+    """Run parameters: the number of iterations and the seed of every chunk's stream."""
 
     iterations: int
-    prob_z_basis: float = 0.5
-    prob_measure_resend: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -75,12 +73,6 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-        for name in ("prob_z_basis", "prob_measure_resend"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -171,18 +163,21 @@ def _thresholds(p):
     return np.ceil(np.ldexp(np.asarray(p, dtype=float), 53)).astype(np.uint64)
 
 
-def _chunk_thresholds(stats: ChannelStatistics, config: ProtocolConfig) -> tuple:
-    """The four thresholds ``_simulate_chunk`` compares its words with.
+# 2**63: a word's uniform lies below 1/2 exactly when the word is below this,
+# that is when its top bit is clear.
+_HALF = _thresholds(0.5) << 11
 
-    Bob's and Alice's Born probabilities of reading 1 are read off the
-    statistics into (prep, branch) tables: prep indexes |0>, |1>, |+>, |->;
-    branch 0 is Bob reflecting, 1 and 2 his collapse onto transit |0> and
-    |1>.  Bob's sit in the branch-1 column, which the chunk looks up before
-    it adds his bit, so he never reads 1 when he reflects.  Only Z collapses
-    and X reflections reach an output; every other cell, and a collapse Bob
-    never samples, is 0.  Both tables compare with words shifted right by
-    11; the two config probabilities lie strictly inside (0, 1), so their
-    thresholds shifted left by 11 fit in 64 bits and compare with whole words.
+
+def _chunk_thresholds(stats: ChannelStatistics) -> tuple:
+    """Bob's and Alice's thresholds, which ``_simulate_chunk`` compares words with.
+
+    Their Born probabilities of reading 1 are read off the statistics into
+    (prep, branch) tables: prep indexes |0>, |1>, |+>, |->; branch 0 is Bob
+    reflecting, 1 and 2 his collapse onto transit |0> and |1>.  Bob's sit in
+    the branch-1 column, which the chunk looks up before it adds his bit, so
+    he never reads 1 when he reflects.  Only Z collapses and X reflections
+    reach an output; every other cell, and a collapse Bob never samples, is
+    0.  Both tables compare with words shifted right by 11.
     """
     p = stats.p
     bob, alice = np.zeros((4, 3)), np.zeros((4, 3))
@@ -190,12 +185,10 @@ def _chunk_thresholds(stats: ChannelStatistics, config: ProtocolConfig) -> tuple
     branch = p.sum(axis=-1)
     np.divide(p[..., 1], branch, out=alice[:2, 1:], where=branch > 0.0)
     alice[2:, 0] = stats.p_pm, 1.0 - stats.p_mp
-    return (_thresholds(bob), _thresholds(alice), _thresholds(config.prob_z_basis) << 11,
-            _thresholds(config.prob_measure_resend) << 11)
+    return _thresholds(bob), _thresholds(alice)
 
 
-def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, z_threshold: np.uint64,
-                    measure_threshold: np.uint64, n: int, seed: int,
+def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int, seed: int,
                     chunk: int) -> np.ndarray:
     # Returns the chunk's bincount of its 24 event codes; the thresholds come
     # from _chunk_thresholds.  prep, cell and event code are built in one
@@ -213,14 +206,14 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, z_threshold: np.uint64,
     half = -(-n // 2)
     x_prep, cell = np.empty(n, dtype=bool), np.empty(n, dtype=np.uint8)
     first = bitgen.random_raw(2 * n + half)             # basis, bits, measure
-    np.greater_equal(first[:n], z_threshold, out=x_prep)  # not u < prob_z
+    np.greater_equal(first[:n], _HALF, out=x_prep)      # top bit set
     # The bits: the top bit of each little-endian 32-bit half, as 0 or 1.
     halves = first[n:n + half].astype("<u8", copy=False).view("<u4")
     np.greater_equal(halves[:n], 1 << 31, out=cell.view(bool))
     cell += x_prep
     cell += x_prep                                      # prep: bits + 2 * x_prep
     cell *= 3
-    cell += first[n + half:] < measure_threshold        # prep, reflect or measure
+    cell += first[n + half:] < _HALF                    # prep, reflect or measure
     del first, halves
     # take without an axis indexes the flattened table, and mode="raise"
     # would buffer its output; every index is in range.
@@ -249,7 +242,7 @@ def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCount
     """
     if stats.p.ndim != 3:
         raise ValueError(f"run_protocol takes one member, not a stack {stats.p.shape[:-3]}")
-    thresholds = _chunk_thresholds(validate_statistics(stats), config)
+    thresholds = _chunk_thresholds(validate_statistics(stats))
     n_total = config.iterations
 
     def pulled(pull: Iterator[int]) -> np.ndarray:

@@ -46,7 +46,12 @@ MUTATIONS = [
              "    bob[:, 0] = 2.0 ** -4\n    bob[:2, 1] = p[:, 1]",
              ("tests/test_simulate.py",),
              "tests/test_simulate.py::TestRunProtocol::"
-             "test_chunks_match_born_rule_oracle[identity-unbiased]"),
+             "test_chunks_match_born_rule_oracle[identity]"),
+    Mutation("half-threshold-2-62", "src/sqkd/simulate.py",
+             "_HALF = _thresholds(0.5) << 11", "_HALF = _thresholds(0.5) << 10",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_chunks_match_born_rule_oracle[identity]"),
     Mutation("alice-where-dropped", "src/sqkd/simulate.py",
              "out=alice[:2, 1:], where=branch > 0.0)", "out=alice[:2, 1:])",
              ("tests/test_simulate.py",),
@@ -56,7 +61,7 @@ MUTATIONS = [
              "out=alice[:2, 1:], where", "out=alice[:2, :0:-1], where",
              ("tests/test_simulate.py",),
              "tests/test_simulate.py::TestRunProtocol::"
-             "test_chunks_match_born_rule_oracle[haar-d1-unbiased]"),
+             "test_chunks_match_born_rule_oracle[haar-d1]"),
     Mutation("bob-lookup-one-cell-right", "src/sqkd/simulate.py",
              "bob_t = bob.take(cell, ", "bob_t = bob.take(cell + 1, ",
              ("tests/test_simulate.py",),
@@ -156,9 +161,13 @@ MUTATIONS = [
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_batches_independent_of_cpu_count"),
     Mutation("validate-random-name-shifted", "src/sqkd/cli.py",
-             "pos - 2]", "pos - 1]",
+             "[args.seed, pos - 2]", "[args.seed, pos - 1]",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_bound_above_exact_rate_detected"),
+    Mutation("memory-error-uncaught", "src/sqkd/cli.py",
+             "except MemoryError as exc:", "except () as exc:",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestErrorsReachMain::test_failed_allocation[no-message]"),
     Mutation("stats-file-decode-error-uncaught", "src/sqkd/cli.py",
              "except UnicodeDecodeError:", "except UnicodeEncodeError:",
              ("tests/test_cli.py",),

@@ -138,11 +138,12 @@ def born_x_flip_probabilities(u_e, u_f, d):
 def born_rule_chunk(u_e, u_f, d, n, prob_z, prob_measure, seed, chunk):
     """One Monte Carlo chunk by batched state-vector evolution.
 
-    Same draws, in the same order, as ``simulate._simulate_chunk``; every
-    row's state is prepared, evolved through u_e, collapsed by Bob's
-    measurement, evolved through u_f and measured by Alice.  Returns the Z
-    tallies, reflected X tallies and other count that the chunk's event
-    codes tally, then Alice's and Bob's sifted key bits.
+    Same draws, in the same order, as ``simulate._simulate_chunk``, which
+    makes both choices with probability 1/2; every row's state is prepared,
+    evolved through u_e, collapsed by Bob's measurement, evolved through u_f
+    and measured by Alice.  Returns the Z tallies, reflected X tallies and
+    other count that the chunk's event codes tally, then Alice's and Bob's
+    sifted key bits.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
     z_mask = rng.random(n) < prob_z

@@ -622,6 +622,20 @@ class TestErrorsReachMain:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(prefix)
 
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array"),
+        ("", "out of memory")], ids=["numpy", "no-message"])
+    def test_failed_allocation(self, monkeypatch, capsys, message, line):
+        # Raised, not provoked: a host that overcommits memory would try to
+        # allocate.
+        def sweep(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_sweep", sweep)
+        assert run_cli("sweep", "--scenario", "equal", "--qx-ratio", "1",
+                       "--out", "unused.csv") == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_error_inside_validate_loop(self, monkeypatch, capsys):
         def statistics(stack):
             raise ValueError("boom")

@@ -181,5 +181,6 @@ def test_word_threshold_decides_as_the_uniform(case, low):
     assert k.dtype == np.uint64 and simulate._thresholds(np.array([p]))[0] == k
     assert (np.uint64(m) < k) == below, (p, m, int(k))
     if 0.0 < p < 1.0:
-        # prob_z and prob_measure: whole words against the shifted threshold.
+        # Whole words against the shifted threshold, as the chunk compares its
+        # basis and measure words with that of 1/2.
         assert (np.uint64(m << 11 | low) < k << 11) == below, (p, m, low, int(k))
