@@ -195,7 +195,9 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
     measurement, idx + 2 random attack idx (ancilla dimension
     dims[idx % len(dims)], seed [seed, idx]) and, with ``corrupt``,
     attacks + 2 a copy of the last random attack with a broken u_e.
-    ``build()`` builds the stack, on whichever thread calls it.
+    Entry r of ``dims`` has stacks of its own, each a range of the
+    positions r + 2, r + 2 + len(dims), ..., so the plan holds O(stacks)
+    ints.  ``build()`` builds the stack, on whichever thread calls it.
     """
     fixed = [attack_mod.identity_attack(), attack_mod.z_measurement_attack()]
     if corrupt:
@@ -207,8 +209,8 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
     for pos, atk in zip((0, 1, attacks + 2), fixed):
         yield [pos], functools.partial(
             attack_mod.CollectiveAttack, atk.ancilla_dim, atk.u_e[None], atk.u_f[None])
-    for d_e in dict.fromkeys(dims):
-        members = [idx + 2 for idx in range(attacks) if dims[idx % len(dims)] == d_e]
+    for r, d_e in enumerate(dims):
+        members = range(r + 2, attacks + 2, len(dims))
         # Per attack: two (2d, 2d) complex unitaries, one 8x8 complex Gram matrix.
         size = max(1, VALIDATE_STACK_BYTES // max(2 * 16 * (2 * d_e) ** 2, 16 * 8 * 8))
         for start in range(0, len(members), size):
@@ -216,7 +218,7 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
             yield positions, functools.partial(_random_stack, d_e, seed, positions)
 
 
-def _random_stack(d_e: int, seed: int, positions: list[int]) -> attack_mod.CollectiveAttack:
+def _random_stack(d_e: int, seed: int, positions: range) -> attack_mod.CollectiveAttack:
     # The seeds are made here, on the thread that builds the stack, so the
     # plan holds positions only.
     return attack_mod.random_attacks(d_e, [[seed, pos - 2] for pos in positions])

@@ -6,9 +6,11 @@ state |i>, Bob measured-and-resent |j> and Alice finally measured |k>, plus
 the two X-basis disturbance probabilities p_pm (sent |+>, reflected,
 measured |->) and p_mp (sent |->, measured |+>).  This module turns those
 ten observables into a lower bound on the asymptotic secret-key rate under
-reverse reconciliation, together with every intermediate quantity, and
-provides the symmetric-noise scenario generators, the noise-threshold
-search and the rate sweep used to tabulate them.
+reverse reconciliation, and provides the symmetric-noise scenario
+generators, the noise-threshold search and the rate sweep used to tabulate
+it.  The report, KeyRateReport, carries every intermediate quantity and is
+where each one is defined; lambda_tilde and h_b_given_a are also functions
+of their own, for callers that need them apart from a report.
 
 Statistics stack over the leading axes of p (..., 2, 2, 2), as in linalg:
 each member gives bit for bit the floats it gives alone, and a stack raises
@@ -131,7 +133,7 @@ def _validated(stats: ChannelStatistics, renormalize: bool, *later) -> ChannelSt
         with np.errstate(divide="ignore", invalid="ignore"):
             p = p / sums[..., None, None]
     else:
-        # s_bec takes the Shannon entropy of exactly these halved entries.
+        # KeyRateReport.s_bec is the Shannon entropy of exactly these halved entries.
         checks += [(np.max(np.abs(sums - 1.0), axis=-1) > STATS_SUM_TOL, ValueError,
                     lambda m: f"conditional blocks sum to {sums[m][0]} and {sums[m][1]}, "
                               f"expected 1 within {STATS_SUM_TOL} (pass renormalize to rescale)"),
@@ -176,14 +178,33 @@ class ScenarioParams:
 class KeyRateReport:
     """Key-rate lower bound together with every intermediate quantity.
 
-    b is the X-disturbance lower bound on the real part of Eve's critical
-    ancilla overlap; cal_b its non-negative squared version; lambda_tilde
-    the resulting dominant eigenvalue bound for the "both bits agree, no
-    flips" ancilla block.  s_bec is the joint entropy of Bob's bit, the
-    agreement register and Eve's ancilla; s_ec_upper the upper bound on the
-    same entropy without Bob.  joint holds p(b, a) for Bob's and Alice's raw
-    key bits in order (0,0), (0,1), (1,0), (1,1).  For a stack every field
-    is an array over its leading axes, and joint one of shape (..., 4).
+    rate = s_bec - s_ec_upper + h(p_a0) - H(joint), the last two terms
+    being -h_b_given_a.  Each step, from the ten observables:
+
+    - b: lower bound B on Re<e_{0,0}^0|e_{1,3}^1>, Eve's critical ancilla
+      overlap: 1 - p_pm - p_mp less seven Cauchy-Schwarz cross terms, which
+      pair each "Alice sent 0" outcome with the "Alice sent 1" outcomes that
+      could interfere with it on reflected X iterations.  May be negative
+      when the noise is large.
+    - cal_b: B^2 if B >= 0, else 0.
+    - lambda_tilde: ``lambda_tilde(p[0,0,0], p[1,1,1], cal_b)``, the
+      dominant eigenvalue bound for the "both bits agree, no flips" ancilla
+      block.
+    - s_bec: joint entropy (bits) of Bob's bit, the agreement register and
+      Eve's ancilla.  The state is diagonal across those labels with weights
+      p[i, j, k] / 2, so this is a plain Shannon entropy.
+    - s_ec_upper: upper bound (bits) on the same entropy without Bob.  With
+      t[l] the sum of p over the two rounds of REGISTER_LABEL l (twice the
+      trace of register block l), it is H(t/2) plus t[l]/2 times the trivial
+      1-bit bound for l = 1, 2, 3 and times h(lambda_tilde) for the dominant
+      block l = 0.  Vanishing blocks drop out through 0*log(0) = 0.
+    - p_a0: probability that Alice's raw key bit (her final measurement) is 0.
+    - joint: p(b, a) for Bob's and Alice's raw key bits in order (0,0),
+      (0,1), (1,0), (1,1).
+    - h_b_given_a: H(joint) - h(p_a0), Bob's raw bit given Alice's.
+
+    For a stack every field is an array over its leading axes, and joint one
+    of shape (..., 4).
     """
 
     b: float | np.ndarray
@@ -197,39 +218,24 @@ class KeyRateReport:
     rate: float | np.ndarray
 
 
-def cross_overlap_lower_bound(stats: ChannelStatistics):
-    """Lower bound B on Re<e_{0,0}^0|e_{1,3}^1> from the ten observables.
-
-    May be negative when the noise is large; the Cauchy-Schwarz cross terms
-    pair each "Alice sent 0" outcome with the "Alice sent 1" outcomes that
-    could interfere with it on reflected X iterations.
-    """
-    p = stats.p
-    return _floats(
-        1.0 - stats.p_pm - stats.p_mp
-        - np.sqrt(p[..., 0, 0, 0] * p[..., 1, 0, 1])
-        - np.sqrt(p[..., 0, 1, 0] * p[..., 1, 0, 1])
-        - np.sqrt(p[..., 0, 1, 0] * p[..., 1, 1, 1])
-        - np.sqrt(p[..., 0, 0, 1] * p[..., 1, 0, 0])
-        - np.sqrt(p[..., 0, 0, 1] * p[..., 1, 1, 0])
-        - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 0, 0])
-        - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 1, 0]))
-
-
-def cap_cal_b(b):
-    """Squared overlap bound, capped at zero: B^2 if B >= 0 else 0."""
-    return _floats(np.where(np.asarray(b) >= 0.0, np.square(b), 0.0))
-
-
 def lambda_tilde(p000, p111, cal_b):
     """Dominant-eigenvalue bound for the normalized "agree, no flip" block.
 
     Returns 1/2 + sqrt((p000 - p111)^2 + 4*cal_b) / (2*(p000 + p111)),
     clamped into [1/2, 1].  Statistics realizable by an actual attack never
-    need the upper clamp; inconsistent user input triggers a warning.
+    need the upper clamp; inconsistent user input triggers a warning.  The
+    arguments broadcast together; a non-finite one, or a negative p111 or
+    cal_b, raises ValueError, and p000 <= 0 raises TooNoisyError.
     """
-    p000 = np.asarray(p000, dtype=float)
-    _raise_first([(p000 <= 0.0, TooNoisyError, lambda m: _TOO_NOISY)])
+    names = ("p000", "p111", "cal_b")
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (p000, p111, cal_b)))
+    p000, p111, cal_b = args
+    # NaN passes p000 <= 0, so finiteness is checked first.
+    _raise_first([(~np.isfinite(v), ValueError, lambda m, n=n, v=v: f"{n} = {v[m]} is not finite")
+                  for n, v in zip(names, args)]
+                 + [(p000 <= 0.0, TooNoisyError, lambda m: _TOO_NOISY)]
+                 + [(v < 0.0, ValueError, lambda m, n=n, v=v: f"{n} = {v[m]} is negative")
+                    for n, v in zip(names[1:], args[1:])])
     lam = 0.5 + np.sqrt(np.square(p000 - p111) + 4.0 * cal_b) / (2.0 * (p000 + p111))
     clamped = lam > 1.0 + 1e-9
     if clamped.any():
@@ -239,83 +245,56 @@ def lambda_tilde(p000, p111, cal_b):
     return _floats(np.clip(lam, 0.5, 1.0))
 
 
-def s_bec(stats: ChannelStatistics):
-    """Joint entropy (bits) of Bob's bit, agreement register and ancilla.
-
-    The post-protocol state is diagonal across those labels with weights
-    p[i, j, k] / 2, so this is a plain Shannon entropy.
-    """
-    p = stats.p
-    return shannon_entropy(0.5 * p.reshape(p.shape[:-3] + (8,)))
-
-
 # Row l: the C-order indices of the two rounds with REGISTER_LABEL l.
 _REGISTER_PAIRS = np.argsort(REGISTER_LABEL.reshape(-1), kind="stable").reshape(4, 2)
 
 
-def _pair_sums(p: np.ndarray) -> np.ndarray:
-    # p summed over the two rounds of each REGISTER_LABEL: twice the traces
-    # of the four agreement-register blocks, over the last axis.
-    return p.reshape(p.shape[:-3] + (8,))[..., _REGISTER_PAIRS].sum(axis=-1)
-
-
-def s_ec_upper(stats: ChannelStatistics, lam):
-    """Upper bound (bits) on the entropy of Eve's side information.
-
-    Uses the trivial 1-bit bound for every agreement block except the
-    dominant "agree, no flip" one, whose entropy is bounded by the binary
-    entropy of ``lam``.  Vanishing blocks drop out through the 0*log(0)
-    convention.
-    """
-    t = _pair_sums(stats.p)
-    return _floats(shannon_entropy(0.5 * t)
-                   + 0.5 * (t[..., 1] + t[..., 2] + t[..., 3])
-                   + 0.5 * t[..., 0] * binary_entropy(lam))
-
-
-def p_alice_zero(stats: ChannelStatistics):
-    """Probability that Alice's raw key bit (her final measurement) is 0."""
-    p = stats.p
-    return _floats(0.5 * (p[..., 0, 0, 0] + p[..., 0, 1, 0] + p[..., 1, 1, 0] + p[..., 1, 0, 0]))
-
-
-def _joint_key_distribution(stats: ChannelStatistics) -> np.ndarray:
-    # p(b, a) over the last axis, in order (0,0), (0,1), (1,0), (1,1).
-    p = stats.p
-    return (0.5 * (p[..., 0, :, :] + p[..., 1, :, :])).reshape(p.shape[:-3] + (4,))
+def _raw_keys(p: np.ndarray) -> tuple:
+    # p_a0, and p(b, a) over the last axis in order (0,0), (0,1), (1,0), (1,1).
+    return (_floats(0.5 * (p[..., 0, 0, 0] + p[..., 0, 1, 0] + p[..., 1, 1, 0] + p[..., 1, 0, 0])),
+            (0.5 * (p[..., 0, :, :] + p[..., 1, :, :])).reshape(p.shape[:-3] + (4,)))
 
 
 def h_b_given_a(stats: ChannelStatistics):
     """Conditional Shannon entropy (bits) of Bob's raw bit given Alice's."""
-    return _floats(shannon_entropy(_joint_key_distribution(stats))
-                   - binary_entropy(p_alice_zero(stats)))
+    pa0, joint = _raw_keys(stats.p)
+    return _floats(shannon_entropy(joint) - binary_entropy(pa0))
 
 
 def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> KeyRateReport:
     """Lower bound on the asymptotic key rate, with all intermediates.
 
-    rate = s_bec - s_ec_upper + h(p_a0) - H(joint); the last two terms are
-    -H(B|A).  Raises TooNoisyError when p[0,0,0] <= 0 and ValueError when
-    the statistics fail validation.
+    KeyRateReport defines each of them.  Raises TooNoisyError when
+    p[0,0,0] <= 0 and ValueError when the statistics fail validation.
     """
     stats = _validated(stats, renormalize,
                        (stats.p[..., 0, 0, 0] <= 0.0, TooNoisyError, lambda m: _TOO_NOISY))
     p = stats.p
-    b = cross_overlap_lower_bound(stats)
-    cal_b = cap_cal_b(b)
+    b = _floats(
+        1.0 - stats.p_pm - stats.p_mp
+        - np.sqrt(p[..., 0, 0, 0] * p[..., 1, 0, 1])
+        - np.sqrt(p[..., 0, 1, 0] * p[..., 1, 0, 1])
+        - np.sqrt(p[..., 0, 1, 0] * p[..., 1, 1, 1])
+        - np.sqrt(p[..., 0, 0, 1] * p[..., 1, 0, 0])
+        - np.sqrt(p[..., 0, 0, 1] * p[..., 1, 1, 0])
+        - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 0, 0])
+        - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 1, 0]))
+    cal_b = _floats(np.where(np.asarray(b) >= 0.0, np.square(b), 0.0))
     lam = lambda_tilde(p[..., 0, 0, 0], p[..., 1, 1, 1], cal_b)
-    entropy_bec = s_bec(stats)
-    entropy_ec = s_ec_upper(stats, lam)
-    pa0 = p_alice_zero(stats)
-    joint = _joint_key_distribution(stats)
+    flat = p.reshape(p.shape[:-3] + (8,))
+    entropy_bec = shannon_entropy(0.5 * flat)
+    t = flat[..., _REGISTER_PAIRS].sum(axis=-1)
+    entropy_ec = _floats(shannon_entropy(0.5 * t)
+                         + 0.5 * (t[..., 1] + t[..., 2] + t[..., 3])
+                         + 0.5 * t[..., 0] * binary_entropy(lam))
+    pa0, joint = _raw_keys(p)
     h_a = binary_entropy(pa0)
     h_ab = shannon_entropy(joint)
-    h_cond = h_ab - h_a
     rate = entropy_bec - entropy_ec + h_a - h_ab
     return KeyRateReport(b=b, cal_b=cal_b, lambda_tilde=lam, s_bec=entropy_bec,
                          s_ec_upper=entropy_ec, p_a0=pa0,
                          joint=tuple(joint.tolist()) if joint.ndim == 1 else joint,
-                         h_b_given_a=h_cond, rate=rate)
+                         h_b_given_a=h_ab - h_a, rate=rate)
 
 
 def symmetric_stats(params: ScenarioParams) -> ChannelStatistics:

@@ -134,10 +134,32 @@ MUTATIONS = [
              "linalg.von_neumann_entropy(g)",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_small_suite_passes"),
+    Mutation("cross-term-dropped", "src/sqkd/keyrate.py",
+             "        - np.sqrt(p[..., 0, 0, 0] * p[..., 1, 0, 1])\n", "",
+             ("tests/test_keyrate.py",),
+             "tests/test_keyrate.py::TestCrossOverlapLowerBound::test_symmetric_hand_evaluation"),
+    Mutation("lambda-tilde-2-cal-b", "src/sqkd/keyrate.py",
+             "+ 4.0 * cal_b)", "+ 2.0 * cal_b)",
+             ("tests/test_keyrate.py",),
+             "tests/test_keyrate.py::TestEntropyPieces::test_s_ec_upper_noiseless"),
+    Mutation("s-ec-dominant-block-1", "src/sqkd/keyrate.py",
+             "0.5 * t[..., 0] * binary_entropy(lam)", "0.5 * t[..., 1] * binary_entropy(lam)",
+             ("tests/test_keyrate.py",),
+             "tests/test_keyrate.py::TestEntropyPieces::test_s_ec_upper_unit_blocks"),
+    Mutation("rate-h-b-given-a-added", "src/sqkd/keyrate.py",
+             "entropy_bec - entropy_ec + h_a - h_ab", "entropy_bec - entropy_ec - h_a + h_ab",
+             ("tests/test_keyrate.py",),
+             "tests/test_keyrate.py::TestEntropyPieces::test_s_bec_uniform"),
     Mutation("validate-budget-4-mib", "src/sqkd/cli.py",
              "VALIDATE_STACK_BYTES = 1 << 19", "VALIDATE_STACK_BYTES = 1 << 22",
              ("tests/test_attack.py",),
-             "tests/test_attack.py::TestStacks::test_validate_stacks_cover_every_attack_once"),
+             "tests/test_attack.py::TestStacks::"
+             "test_validate_stacks_cover_every_attack_once[1,2,4,32]"),
+    Mutation("validate-stacks-end-short", "src/sqkd/cli.py",
+             "range(r + 2, attacks + 2, len(dims))", "range(r + 2, attacks + 1, len(dims))",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestStacks::"
+             "test_validate_stacks_cover_every_attack_once[1,2,1,32]"),
     Mutation("validate-stacks-ignore-gram", "src/sqkd/cli.py",
              "max(2 * 16 * (2 * d_e) ** 2, 16 * 8 * 8)", "(2 * 16 * (2 * d_e) ** 2)",
              ("tests/test_attack.py",),

@@ -122,7 +122,7 @@ def test_criterion_5_sigma1_closed_form(attack_pool):
 def test_criterion_6_x_bound_soundness(attack_pool):
     worst = np.inf
     for atk in attack_pool:
-        b = keyrate.cross_overlap_lower_bound(attack.statistics(atk))
+        b = keyrate.key_rate_bound(attack.statistics(atk)).b
         overlap = np.vdot(atk.records[0, 0, 0], atk.records[1, 1, 1])
         worst = min(worst, overlap.real - b)
     report(6, worst >= -1e-9,

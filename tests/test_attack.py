@@ -273,7 +273,7 @@ class TestOverlap:
 
     def test_x_bound_is_sound(self, attack_pool):
         for atk in attack_pool:
-            bound = keyrate.cross_overlap_lower_bound(attack.statistics(atk))
+            bound = keyrate.key_rate_bound(attack.statistics(atk)).b
             overlap = np.vdot(atk.records[0, 0, 0], atk.records[1, 1, 1])
             assert overlap.real >= bound - 1e-9
 
@@ -325,7 +325,7 @@ class TestRhoBEC:
     def test_entropy_matches_halved_statistics(self, attack_pool):
         for atk in attack_pool[:60]:
             d = atk.ancilla_dim
-            s_direct = keyrate.s_bec(attack.statistics(atk))
+            s_direct = keyrate.key_rate_bound(attack.statistics(atk)).s_bec
             s_eigen = linalg.von_neumann_entropy(rho_bec(atk).reshape(8, d, d))
             assert s_direct == pytest.approx(s_eigen, abs=1e-9)
 
@@ -337,12 +337,14 @@ class TestRhoBEC:
             assert linalg.hermitian_eigenvalues(rho.reshape(8, d, d)).min() >= -1e-10
 
     def test_register_blocks_match_keyrate_pair_sums(self, attack_pool):
-        # keyrate bounds S(EC) from the pair sums of its register labels;
+        # keyrate bounds S(EC) from the sums of p over each register label;
         # the oracle places each record in the block its label's definition
         # names.
+        labels = keyrate.REGISTER_LABEL.ravel()
         for atk in attack_pool:
             rho_ec = rho_bec(atk).sum(axis=0)
-            want = 0.5 * np.array(keyrate._pair_sums(attack.statistics(atk).p))
+            p = attack.statistics(atk).p.ravel()
+            want = 0.5 * np.bincount(labels, weights=p, minlength=4)
             np.testing.assert_allclose(block_traces(rho_ec), want, rtol=0, atol=1e-12)
 
     def test_conditioning_cannot_help_bob(self, attack_pool):
@@ -518,10 +520,11 @@ class TestStacks:
             atk, want = attack.random_attack(d, rng), haar_pair(2 * d, ref)
             assert np.array_equal(atk.u_e, want[0]) and np.array_equal(atk.u_f, want[1])
 
-    def test_validate_stacks_cover_every_attack_once(self):
-        # 44 attacks over d = 1, 2, 4, 32 give 11 at d = 32, which the byte
-        # budget cuts into stacks of 4, 4 and 3 on any number of CPUs.
-        dims = [1, 2, 4, 32]
+    @pytest.mark.parametrize("dims", [[1, 2, 4, 32], [1, 2, 1, 32]], ids=["1,2,4,32", "1,2,1,32"])
+    def test_validate_stacks_cover_every_attack_once(self, dims):
+        # 44 attacks over four dimensions give 11 at d = 32, which the byte
+        # budget cuts into stacks of 4, 4 and 3 on any number of CPUs.  A
+        # repeated dimension has stacks of its own for each of its entries.
         positions_seen = []
         d32_sizes = []
         for positions, build in cli._validate_stacks(dims, 44, 5, corrupt=True):

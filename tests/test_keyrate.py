@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -85,13 +86,13 @@ class TestValidateStatistics:
 
 
 class TestCrossOverlapLowerBound:
+    # KeyRateReport.b, the lower bound B on Eve's critical overlap.
     def test_noiseless_is_one(self):
-        assert keyrate.cross_overlap_lower_bound(NOISELESS) == pytest.approx(
-            1.0, abs=1e-15)
+        assert keyrate.key_rate_bound(NOISELESS).b == pytest.approx(1.0, abs=1e-15)
 
     def test_full_x_noise_is_zero(self):
         s = stats_from_blocks([1, 0, 0, 0], [0, 0, 0, 1], p_pm=0.5, p_mp=0.5)
-        assert keyrate.cross_overlap_lower_bound(s) == pytest.approx(0.0, abs=1e-15)
+        assert keyrate.key_rate_bound(s).b == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_hand_evaluation(self):
         s = keyrate.symmetric_stats(ScenarioParams(0.05, 0.05, 0.05))
@@ -101,14 +102,18 @@ class TestCrossOverlapLowerBound:
                     - math.sqrt(0.9025 * 0.0025) - math.sqrt(0.0025 * 0.0025)
                     - math.sqrt(0.0025 * 0.9025) - 4 * 0.0475)
         assert expected == pytest.approx(0.6125, abs=1e-12)
-        assert keyrate.cross_overlap_lower_bound(s) == pytest.approx(
-            expected, abs=1e-12)
+        assert keyrate.key_rate_bound(s).b == pytest.approx(expected, abs=1e-12)
 
 
 class TestCapCalB:
+    # KeyRateReport.cal_b.  Noiseless Z statistics have no cross terms, so
+    # p_pm = p_mp = (1 - b) / 2 gives B = b.
     @pytest.mark.parametrize("b,expected", [(1.0, 1.0), (-0.3, 0.0), (0.5, 0.25)])
     def test_values(self, b, expected):
-        assert keyrate.cap_cal_b(b) == expected
+        p_x = (1.0 - b) / 2
+        report = keyrate.key_rate_bound(ChannelStatistics(p=NOISELESS.p, p_pm=p_x, p_mp=p_x))
+        assert report.b == pytest.approx(b, abs=1e-15)
+        assert report.cal_b == expected
 
 
 class TestLambdaTilde:
@@ -122,6 +127,21 @@ class TestLambdaTilde:
     def test_abort_when_p000_vanishes(self):
         with pytest.raises(TooNoisyError):
             keyrate.lambda_tilde(0.0, 0.5, 0.1)
+
+    @pytest.mark.parametrize("args, match", [
+        ((math.nan, 0.5, 0.1), r"^p000 = nan is not finite$"),
+        ((0.5, math.inf, 0.1), r"^p111 = inf is not finite$"),
+        ((0.5, -0.6, 0.0), r"^p111 = -0.6 is negative$"),
+        ((0.5, 0.5, -1.0), r"^cal_b = -1.0 is negative$"),
+        ((math.nan, 0.5, -1.0), r"^p000 = nan is not finite$"),
+    ], ids=["nan-p000", "inf-p111", "negative-p111", "negative-cal_b", "nan-before-negative"])
+    def test_rejects_bad_argument_by_name(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            keyrate.lambda_tilde(*args)
+
+    def test_stack_names_the_first_failing_member(self):
+        with pytest.raises(ValueError, match=r"^member 1: p111 = -0.1 is negative$"):
+            keyrate.lambda_tilde([0.5, 0.5, 0.0], [0.5, -0.1, 0.5], 0.0)
 
     def test_unrealizable_input_clamps_with_warning(self):
         with pytest.warns(UserWarning):
@@ -150,18 +170,27 @@ class TestLambdaTilde:
 
 class TestEntropyPieces:
     def test_s_bec_noiseless(self):
-        assert keyrate.s_bec(NOISELESS) == pytest.approx(1.0, abs=1e-12)
+        assert keyrate.key_rate_bound(NOISELESS).s_bec == pytest.approx(1.0, abs=1e-12)
 
     def test_s_bec_uniform(self):
-        s = stats_from_blocks([0.25] * 4, [0.25] * 4)
-        assert keyrate.s_bec(s) == pytest.approx(3.0, abs=1e-12)
+        # Every step by hand: B = 1 - 7/4 < 0, so lambda_tilde = 1/2; the
+        # four register blocks weigh 1/4 each, so S(EC) <= 2 + 3/4 + 1/4.
+        # rate = 3 - 3 + h(1/2) - H(uniform joint) = 3 - 3 + 1 - 2.
+        report = keyrate.key_rate_bound(stats_from_blocks([0.25] * 4, [0.25] * 4))
+        assert report.s_bec == pytest.approx(3.0, abs=1e-12)
+        assert report.lambda_tilde == 0.5
+        assert report.s_ec_upper == pytest.approx(3.0, abs=1e-12)
+        assert report.rate == pytest.approx(-1.0, abs=1e-12)
 
     def test_s_ec_upper_noiseless(self):
-        assert keyrate.s_ec_upper(NOISELESS, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert keyrate.key_rate_bound(NOISELESS).s_ec_upper == pytest.approx(0.0, abs=1e-12)
 
     def test_s_ec_upper_unit_blocks(self):
-        s = stats_from_blocks([1, 0, 0, 0], [0, 0, 0, 1])
-        assert keyrate.s_ec_upper(s, 0.5) == pytest.approx(1.0, abs=1e-12)
+        # B = 0, so lambda_tilde = 1/2: the one block present costs 1 bit.
+        s = stats_from_blocks([1, 0, 0, 0], [0, 0, 0, 1], p_pm=0.5, p_mp=0.5)
+        report = keyrate.key_rate_bound(s)
+        assert report.lambda_tilde == 0.5
+        assert report.s_ec_upper == pytest.approx(1.0, abs=1e-12)
 
     def test_s_ec_upper_dominates_exact(self):
         # The bound must sit above the exact entropy of Eve's side
@@ -173,21 +202,23 @@ class TestEntropyPieces:
             assert report.s_ec_upper >= linalg.von_neumann_entropy(rho_ec) - 1e-9
 
     def test_s_ec_upper_monotone_in_overlap_bound(self):
-        # Less overlap knowledge can only loosen (raise) the bound.
-        s = keyrate.symmetric_stats(ScenarioParams(0.04, 0.04, 0.04))
-        p000, p111 = s.p[0, 0, 0], s.p[1, 1, 1]
-        cal_bs = [frac * p000 * p111 for frac in (0.0, 0.2, 0.5, 0.8, 1.0)]
-        values = [keyrate.s_ec_upper(s, keyrate.lambda_tilde(p000, p111, cb))
-                  for cb in cal_bs]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+        # Less overlap knowledge can only loosen (raise) the bound: more X
+        # noise at the same Z statistics lowers B, from about 0.77 to below 0.
+        s = keyrate.symmetric_stats(ScenarioParams(0.04, 0.04, 0.0))
+        p_x = np.linspace(0.0, 0.4, 9)
+        report = keyrate.key_rate_bound(ChannelStatistics(
+            p=np.broadcast_to(s.p, p_x.shape + s.p.shape), p_pm=p_x, p_mp=p_x))
+        assert report.cal_b[0] > 0.5 and report.cal_b[-1] == 0.0
+        assert np.all(np.diff(report.cal_b) <= 0.0)
+        assert np.all(np.diff(report.s_ec_upper) >= -1e-12)
 
     def test_p_alice_zero(self):
-        assert keyrate.p_alice_zero(NOISELESS) == 0.5
+        assert keyrate.key_rate_bound(NOISELESS).p_a0 == 0.5
         sym = keyrate.symmetric_stats(ScenarioParams(0.13, 0.21, 0.0))
-        assert keyrate.p_alice_zero(sym) == pytest.approx(0.5, abs=1e-12)
+        assert keyrate.key_rate_bound(sym).p_a0 == pytest.approx(0.5, abs=1e-12)
         lopsided = stats_from_blocks([0.7, 0.1, 0.15, 0.05],
                                      [0.2, 0.3, 0.1, 0.4])
-        assert keyrate.p_alice_zero(lopsided) == pytest.approx(
+        assert keyrate.key_rate_bound(lopsided).p_a0 == pytest.approx(
             0.5 * (0.7 + 0.15 + 0.1 + 0.2), abs=1e-15)
 
     def test_h_b_given_a_noiseless(self):
@@ -299,6 +330,25 @@ class TestStacks:
             keyrate.key_rate_bound(stack)
         with pytest.raises(ValueError, match=r"^member \(0, 2\): statistics entry p_pm is not"):
             keyrate.validate_statistics(stack)
+
+    def test_report_bytes_match_recorded_digest(self, attack_pool):
+        # Every field of the reports of the nine sweep grids (three scenarios
+        # at ratios 1/2, 1 and 2, Q from 0 to 0.1 in 101 points) and of the
+        # 500 pool attacks, bit for bit; the digest was taken before the
+        # intermediates were folded into key_rate_bound.
+        q = np.linspace(0.0, 0.1, 101)
+        parts = [keyrate.symmetric_stats(ScenarioParams(fwd(q), rev(q), ratio * q))
+                 for fwd, rev in keyrate.SCENARIOS.values() for ratio in (0.5, 1.0, 2.0)]
+        parts += [attack.statistics(atk) for atk in attack_pool]
+        stack = ChannelStatistics(p=np.concatenate([np.reshape(s.p, (-1, 2, 2, 2)) for s in parts]),
+                                  p_pm=np.concatenate([np.ravel(s.p_pm) for s in parts]),
+                                  p_mp=np.concatenate([np.ravel(s.p_mp) for s in parts]))
+        digest = hashlib.sha256()
+        for name, data in report_bytes(keyrate.key_rate_bound(stack)).items():
+            digest.update(name.encode() + data)
+        assert stack.p.shape == (1409, 2, 2, 2)
+        assert digest.hexdigest() == (
+            "7018c0b6897a7cb6e3d978a71cab6fc6b497905867c3557d262e86725f7f5076")
 
     def test_clamp_warning_names_the_member(self):
         s = stats_from_blocks([1.0, 0.0, 9e-10, 0.0], [1.0, 0.0, 0.0, 0.0])

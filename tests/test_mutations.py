@@ -25,6 +25,16 @@ def test_old_text_occurs_once(mutation):
     assert mutation.expect.split("::")[0] in mutation.tests
 
 
+def test_every_code_module_has_an_entry():
+    # Each module of the package that defines a function has tests shown to
+    # fail on at least one known-bad copy of it.
+    modules = {f"src/sqkd/{path.name}" for path in (ROOT / "src" / "sqkd").glob("*.py")
+               if any(isinstance(node, ast.FunctionDef)
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert len(modules) >= 5
+    assert modules - {m.path for m in MUTATIONS} == set()
+
+
 def defined_tests(path: str) -> set:
     """``Class::function`` and ``function`` ids of the tests a file defines."""
     tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
