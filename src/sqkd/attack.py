@@ -34,7 +34,9 @@ each, block diagonal in Bob's bit and the agreement register.  Their
 entropies are taken from the 8x8 Gram matrix of the records (``gram``),
 whose principal submatrices share the blocks' non-zero spectra, so no d x d
 state is ever built.  ``soundness`` sets the statistics-only bound against
-the exact rate and the S(BEC) it assumes, given statistics and Gram matrices.
+the exact rate and the S(BEC) it assumes, given statistics and Gram matrices,
+and ``audit`` gives the one verdict on stacks of attacks, which ``sqkd
+validate`` and the acceptance tests share.
 
 Attacks stack: unitaries of shape (..., 2d, 2d) make one CollectiveAttack
 whose vectors, Gram matrices, statistics, residuals and entropies carry the
@@ -53,16 +55,26 @@ Transit is the most significant tensor factor throughout (see linalg).
 """
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
-from . import keyrate, linalg
+from . import keyrate, linalg, simulate
 from .keyrate import REGISTER_LABEL, ChannelStatistics
 
 UNITARY_TOL = 1e-10
 # The bound is sound while neither rate - exact nor the S(BEC) mismatch exceeds this.
 SOUNDNESS_TOL = 1e-9
 MAX_ANCILLA_DIM = 32
+# One byte budget per stack and per thread of ``audit``, never divided by the
+# number of threads: a stack should hold at most this many bytes of
+# unitaries, and a thread checks the Gram matrices of the sound attacks it
+# keeps in one pass once they take this many bytes; what the threads keep at
+# the end is checked in one pass.  A thread holds its last stack until its
+# next one is built, so memory grows with the number of threads: each holds
+# at most twice this many bytes of unitaries and twice this many of Gram
+# matrices.  What ``audit`` returns does not depend on the number of CPUs.
+STACK_BYTES = 1 << 19
 
 # Key-round record [i, j, k] (sent i, Bob j, Alice k) is e_ijk[j, 2i+j, k];
 # e_ijk[_RECORDS] gathers all eight as a (2, 2, 2, d) array.
@@ -305,6 +317,95 @@ def soundness(stats: ChannelStatistics, g: np.ndarray):
     report = keyrate.key_rate_bound(stats)
     s_bec = linalg.von_neumann_entropy(gram_blocks(g, BOB_REGISTER_GROUPS))
     return report, _exact_rate(stats, g), abs(report.s_bec - s_bec)
+
+
+def audit(stacks) -> tuple:
+    """Check every attack of ``stacks``: the one soundness verdict.
+
+    ``stacks`` is a sequence of (positions, build), ``build()`` returning a
+    stack whose member m is the attack numbered positions[m].  One thread
+    per CPU the process may use, the calling thread among them, builds and
+    checks them (``simulate._pull_on_every_cpu``).  An attack fails on its
+    residual unless that is at most 1e-9 and ``has_statistics`` grants it;
+    only attacks whose identities hold have states to take entropies of.
+    For the others ``soundness`` gives the bound, the exact rate and the
+    S(BEC) mismatch, and an attack fails where its bound exceeds its exact
+    rate by more than SOUNDNESS_TOL, or its mismatch exceeds SOUNDNESS_TOL;
+    a NaN in any of the three fails too.
+
+    Returns the number of attacks, the worst residual, the worst slack
+    (exact - bound, inf if no attack reached ``soundness``) and the
+    (position, text) failures in position order; a NaN residual or slack
+    is kept.  None of them depends on the number of CPUs.
+    """
+    results = simulate._pull_on_every_cpu(_check_pulled, stacks)
+    checked, residuals, slacks, failures, leftovers = zip(*results)
+    failures = list(chain.from_iterable(failures))
+    # The threads' leftover rows in one pass, in an order that does not
+    # depend on which thread kept which.
+    kept = sorted(chain.from_iterable(leftovers), key=lambda part: part[0][0])
+    if kept:
+        slacks += (_check_sound(kept, failures),)
+    # np.max and np.min keep a NaN, which the builtin max and min would drop.
+    return (sum(checked), float(np.max(residuals)), float(np.min(slacks)),
+            sorted(failures, key=lambda failure: failure[0]))
+
+
+def _check_pulled(pull) -> tuple:
+    """Check the stacks one thread pulls; return what ``audit`` merges.
+
+    That is the attacks checked, the worst residual and slack, the (position,
+    text) failures and the rows of sound attacks left unchecked.  Kept rows
+    are checked once they take ``STACK_BYTES``.
+    """
+    failures: list[tuple[int, str]] = []
+    kept: list[tuple] = []
+    checked, worst_residual, worst_slack = 0, 0.0, np.inf
+    for positions, build in pull:
+        # The previous stack is freed only once this one is built.  Freed
+        # before, its memory would go back to the system and be faulted in
+        # again page by page (three times the minor faults per task).
+        stack = build()
+        checked += len(positions)
+        residual = stack.residual
+        # np.max keeps a NaN residual, which the builtin max would drop.
+        worst_residual = float(np.max(residual, initial=worst_residual))
+        sound = has_statistics(stack) & (residual <= 1e-9)
+        for m in np.flatnonzero(~sound):
+            failures.append((positions[m], f"unitarity identity residual {residual[m]:.3e}"))
+        if not sound.any():
+            continue
+        # statistics refuses a stack with any member it refuses.
+        members = stack if sound.all() else CollectiveAttack(
+            stack.ancilla_dim, stack.u_e[sound], stack.u_f[sound])
+        stats = statistics(members)
+        kept.append((list(compress(positions, sound)), stats.p, stats.p_pm, stats.p_mp,
+                     gram(members)))
+        if sum(part[-1].nbytes for part in kept) >= STACK_BYTES:
+            # np.minimum keeps a NaN, which the builtin min would drop.
+            worst_slack = float(np.minimum(worst_slack, _check_sound(kept, failures)))
+            kept = []
+    return checked, worst_residual, worst_slack, failures, kept
+
+
+def _check_sound(kept: list, failures: list) -> float:
+    """Check a batch of sound attacks in one pass; return its worst slack.
+
+    ``kept`` holds one (positions, p, p_pm, p_mp, gram) per stack, for the
+    stack's sound members; the batch's bound and exact rate violations and
+    S(BEC) mismatches are appended to ``failures``.
+    """
+    positions, *arrays = zip(*kept)
+    positions = sum(positions, [])
+    *stats, g = map(np.concatenate, arrays)
+    report, exact, mismatch = soundness(ChannelStatistics(*stats), g)
+    # Phrased so that NaN fails.
+    for i in np.flatnonzero(~(report.rate <= exact + SOUNDNESS_TOL)):
+        failures.append((positions[i], f"bound {report.rate[i]:.9f} "
+                                       f"exceeds exact rate {exact[i]:.9f}"))
+    for i in np.flatnonzero(~(mismatch <= SOUNDNESS_TOL)):
+        failures.append((positions[i], f"S(BEC) mismatch {mismatch[i]:.3e}"))
+    return float(np.min(exact - report.rate))
 
 
 def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:

@@ -9,7 +9,6 @@ An input too large to allocate (MemoryError) is an input error.
 import argparse
 import functools
 import sys
-from itertools import chain, compress
 
 import numpy as np
 
@@ -171,23 +170,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Random attacks are built in stacks of one ancilla dimension, pulled one at
-# a time by one thread per CPU the process may use, the calling thread among
-# them (``simulate._pull_on_every_cpu``; ``taskset`` restricts them; with
-# OPENBLAS_NUM_THREADS=1 BLAS adds no threads of its own).  One budget per
-# stack and per thread, never divided by the number of threads: a stack holds
-# at most this many bytes of unitaries (four attacks at d = 32), and its
-# Gram matrices take at most this many too (512 attacks, the cap at d <= 2).
-# A thread checks its sound attacks' Gram matrices in one pass once they
-# take this many bytes; what the threads keep at the end is checked in one
-# pass.  A thread holds its last stack until its next one is built, so
-# memory grows with the number of threads: each holds at most twice this
-# many bytes of unitaries and twice this many of Gram matrices.  Stacks and
-# findings carry attack positions only, and FAIL lines name the attacks from
-# them.  Neither the stacks nor the output depend on the number of CPUs.
-VALIDATE_STACK_BYTES = 1 << 19
-
-
+# Random attacks are built in stacks of one ancilla dimension, which
+# ``attack.audit`` pulls one at a time on every CPU the process may use
+# (``taskset`` restricts them; with OPENBLAS_NUM_THREADS=1 BLAS adds no
+# threads of its own).  A stack holds at most ``attack.STACK_BYTES`` bytes
+# of unitaries (four attacks at d = 32), and its Gram matrices take at most as
+# many too (512 attacks, the cap at d <= 2).  Stacks and findings carry
+# attack positions only, and FAIL lines name the attacks from them.  Neither
+# the stacks nor the output depend on the number of CPUs.
 def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
     """Yield (positions, build) covering every attack ``validate`` checks.
 
@@ -212,7 +202,7 @@ def _validate_stacks(dims: list[int], attacks: int, seed: int, corrupt: bool):
     for r, d_e in enumerate(dims):
         members = range(r + 2, attacks + 2, len(dims))
         # Per attack: two (2d, 2d) complex unitaries, one 8x8 complex Gram matrix.
-        size = max(1, VALIDATE_STACK_BYTES // max(2 * 16 * (2 * d_e) ** 2, 16 * 8 * 8))
+        size = max(1, attack_mod.STACK_BYTES // max(2 * 16 * (2 * d_e) ** 2, 16 * 8 * 8))
         for start in range(0, len(members), size):
             positions = members[start:start + size]
             yield positions, functools.partial(_random_stack, d_e, seed, positions)
@@ -222,63 +212,6 @@ def _random_stack(d_e: int, seed: int, positions: range) -> attack_mod.Collectiv
     # The seeds are made here, on the thread that builds the stack, so the
     # plan holds positions only.
     return attack_mod.random_attacks(d_e, [[seed, pos - 2] for pos in positions])
-
-
-def _check_pulled(pull) -> tuple:
-    """Check the stacks one thread pulls; return what ``cmd_validate`` merges.
-
-    That is the attacks checked, the worst residual and slack, the (position,
-    text) failures and the rows of sound attacks left unchecked.  Sound
-    means a residual of at most 1e-9 and statistics ``attack.has_statistics``
-    grants; only attacks whose identities hold have states to take entropies
-    of.  Kept rows are checked once they take ``VALIDATE_STACK_BYTES``.
-    """
-    failures: list[tuple[int, str]] = []
-    kept: list[tuple] = []
-    checked, worst_residual, worst_slack = 0, 0.0, np.inf
-    for positions, build in pull:
-        # The previous stack is freed only once this one is built.  Freed
-        # before, its memory would go back to the system and be faulted in
-        # again page by page (three times the minor faults per task).
-        stack = build()
-        checked += len(positions)
-        residual = stack.residual
-        # np.max keeps a NaN residual, which the builtin max would drop.
-        worst_residual = float(np.max(residual, initial=worst_residual))
-        sound = attack_mod.has_statistics(stack) & (residual <= 1e-9)
-        for m in np.flatnonzero(~sound):
-            failures.append((positions[m], f"unitarity identity residual {residual[m]:.3e}"))
-        if not sound.any():
-            continue
-        # statistics refuses a stack with any member it refuses.
-        members = stack if sound.all() else attack_mod.CollectiveAttack(
-            stack.ancilla_dim, stack.u_e[sound], stack.u_f[sound])
-        stats = attack_mod.statistics(members)
-        kept.append((list(compress(positions, sound)), stats.p, stats.p_pm, stats.p_mp,
-                     attack_mod.gram(members)))
-        if sum(part[-1].nbytes for part in kept) >= VALIDATE_STACK_BYTES:
-            worst_slack = min(worst_slack, _check_sound(kept, failures))
-            kept = []
-    return checked, worst_residual, worst_slack, failures, kept
-
-
-def _check_sound(kept: list, failures: list) -> float:
-    """Check a batch of sound attacks in one pass; return its worst slack.
-
-    ``kept`` holds one (positions, p, p_pm, p_mp, gram) per stack, for the
-    stack's sound members; the batch's bound and exact rate violations and
-    S(BEC) mismatches are appended to ``failures``.
-    """
-    positions, *arrays = zip(*kept)
-    positions = sum(positions, [])
-    *stats, g = map(np.concatenate, arrays)
-    report, exact, mismatch = attack_mod.soundness(ChannelStatistics(*stats), g)
-    for i in np.flatnonzero(report.rate > exact + attack_mod.SOUNDNESS_TOL):
-        failures.append((positions[i], f"bound {report.rate[i]:.9f} "
-                                       f"exceeds exact rate {exact[i]:.9f}"))
-    for i in np.flatnonzero(mismatch > attack_mod.SOUNDNESS_TOL):
-        failures.append((positions[i], f"S(BEC) mismatch {mismatch[i]:.3e}"))
-    return float(np.min(exact - report.rate))
 
 
 def cmd_validate(args) -> int:
@@ -291,21 +224,12 @@ def cmd_validate(args) -> int:
         raise ValueError("seed must be non-negative")
 
     stacks = list(_validate_stacks(dims, args.attacks, args.seed, args.corrupt))
-    results = simulate._pull_on_every_cpu(_check_pulled, stacks)
-    checked, residuals, slacks, failures, leftovers = zip(*results)
-    failures = list(chain.from_iterable(failures))
-    worst_slack = min(slacks)
-    # The threads' leftover rows in one pass, in an order that does not
-    # depend on which thread kept which.
-    kept = sorted(chain.from_iterable(leftovers), key=lambda part: part[0][0])
-    if kept:
-        worst_slack = min(worst_slack, _check_sound(kept, failures))
-    # The FAIL lines come in attack order whichever thread found them.
+    checked, worst_residual, worst_slack, failures = attack_mod.audit(stacks)
     names = {0: "identity", 1: "zmeasure", args.attacks + 2: "corrupted (test hook)"}
-    for pos, text in sorted(failures, key=lambda failure: failure[0]):
+    for pos, text in failures:
         print(f"FAIL {names.get(pos, f'random seed={[args.seed, pos - 2]}')}: {text}")
-    print(f"checked {sum(checked)} attacks: worst identity residual "
-          f"{float(np.max(residuals)):.3e}, worst slack (exact - bound) {worst_slack:.9f}")
+    print(f"checked {checked} attacks: worst identity residual "
+          f"{worst_residual:.3e}, worst slack (exact - bound) {worst_slack:.9f}")
     if failures:
         print(f"{len(failures)} violation(s) found")
         return EXIT_VALIDATION

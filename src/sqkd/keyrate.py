@@ -236,12 +236,17 @@ def lambda_tilde(p000, p111, cal_b):
                  + [(p000 <= 0.0, TooNoisyError, lambda m: _TOO_NOISY)]
                  + [(v < 0.0, ValueError, lambda m, n=n, v=v: f"{n} = {v[m]} is negative")
                     for n, v in zip(names[1:], args[1:])])
+    return _lambda_tilde(p000, p111, cal_b)
+
+
+def _lambda_tilde(p000, p111, cal_b):
+    # lambda_tilde without its argument checks, for arguments that pass them.
     lam = 0.5 + np.sqrt(np.square(p000 - p111) + 4.0 * cal_b) / (2.0 * (p000 + p111))
     clamped = lam > 1.0 + 1e-9
     if clamped.any():
         m = tuple(map(int, np.unravel_index(np.argmax(clamped), lam.shape)))
         warnings.warn(_for_member(m, f"lambda_tilde = {lam[m]} clamped to 1; statistics "
-                                     "are not realizable by any attack"), stacklevel=2)
+                                     "are not realizable by any attack"), stacklevel=3)
     return _floats(np.clip(lam, 0.5, 1.0))
 
 
@@ -280,7 +285,9 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
         - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 0, 0])
         - np.sqrt(p[..., 0, 1, 1] * p[..., 1, 1, 0]))
     cal_b = _floats(np.where(np.asarray(b) >= 0.0, np.square(b), 0.0))
-    lam = lambda_tilde(p[..., 0, 0, 0], p[..., 1, 1, 1], cal_b)
+    # _validated has passed what lambda_tilde checks: every entry finite and in
+    # [0, 1], p000 > 0; cal_b is B^2 or 0.
+    lam = _lambda_tilde(p[..., 0, 0, 0], p[..., 1, 1, 1], cal_b)
     flat = p.reshape(p.shape[:-3] + (8,))
     entropy_bec = shannon_entropy(0.5 * flat)
     t = flat[..., _REGISTER_PAIRS].sum(axis=-1)

@@ -34,7 +34,7 @@ the chunk reads the same values off them exactly:
 
 One thread per CPU the process may use (``taskset`` restricts them), the
 calling thread among them, pulls the chunks one at a time
-(``_pull_on_every_cpu``, which ``sqkd validate`` shares), and their tallies
+(``_pull_on_every_cpu``, which ``attack.audit`` shares), and their tallies
 are summed as integers, so the run's output, its tallies alone, is a pure
 function of the ten statistics and the config, on any number of CPUs and
 whichever thread runs a chunk.  The sifted key and its error rate are read

@@ -30,6 +30,13 @@ def soundness_inputs(attacks):
             np.stack([attack.gram(atk) for atk in attacks]))
 
 
+def one_member_stacks(attacks):
+    """``attack.audit`` stacks holding each of ``attacks`` alone, at positions 0, 1, ..."""
+    return [([m], lambda atk=atk: attack.CollectiveAttack(atk.ancilla_dim, atk.u_e[None],
+                                                          atk.u_f[None]))
+            for m, atk in enumerate(attacks)]
+
+
 def report_bytes(report, m=()):
     """Field name -> bytes of member ``m`` of a KeyRateReport (all of it by default).
 

@@ -13,7 +13,7 @@ status 1 if any mutation is not caught, 2 if an entry no longer applies.
 
 The file name keeps it out of the test suite, which only checks that each
 old text occurs once and that each expected test is defined
-(``test_mutations.py``); all entries take about 70 s on two CPUs.
+(``test_mutations.py``); all entries take about 100 s on two CPUs.
 """
 
 import shutil
@@ -150,8 +150,8 @@ MUTATIONS = [
              "entropy_bec - entropy_ec + h_a - h_ab", "entropy_bec - entropy_ec - h_a + h_ab",
              ("tests/test_keyrate.py",),
              "tests/test_keyrate.py::TestEntropyPieces::test_s_bec_uniform"),
-    Mutation("validate-budget-4-mib", "src/sqkd/cli.py",
-             "VALIDATE_STACK_BYTES = 1 << 19", "VALIDATE_STACK_BYTES = 1 << 22",
+    Mutation("validate-budget-4-mib", "src/sqkd/attack.py",
+             "STACK_BYTES = 1 << 19", "STACK_BYTES = 1 << 22",
              ("tests/test_attack.py",),
              "tests/test_attack.py::TestStacks::"
              "test_validate_stacks_cover_every_attack_once[1,2,4,32]"),
@@ -165,23 +165,34 @@ MUTATIONS = [
              ("tests/test_attack.py",),
              "tests/test_attack.py::TestStacks::"
              "test_validate_stacks_fit_gram_matrices_in_the_budget"),
-    Mutation("validate-soundness-off", "src/sqkd/cli.py",
-             "report.rate > exact + attack_mod.SOUNDNESS_TOL", "report.rate > exact + 1e9",
+    Mutation("validate-soundness-off", "src/sqkd/attack.py",
+             "~(report.rate <= exact + SOUNDNESS_TOL)", "~(report.rate <= exact + 1e9)",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_bound_above_exact_rate_detected"),
-    Mutation("validate-s-bec-check-off", "src/sqkd/cli.py",
-             "mismatch > attack_mod.SOUNDNESS_TOL", "mismatch > 1e9",
+    Mutation("validate-nan-rate-passes", "src/sqkd/attack.py",
+             "~(report.rate <= exact + SOUNDNESS_TOL)", "report.rate > exact + SOUNDNESS_TOL",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_nan_rate_fails_every_attack[bound]"),
+    Mutation("validate-s-bec-check-off", "src/sqkd/attack.py",
+             "~(mismatch <= SOUNDNESS_TOL)", "~(mismatch <= 1e9)",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_s_bec_mismatch_detected"),
-    Mutation("validate-failures-unsorted", "src/sqkd/cli.py",
-             "for pos, text in sorted(failures, key=lambda failure: failure[0]):",
-             "for pos, text in failures:",
+    Mutation("validate-worst-slack-drops-nan", "src/sqkd/attack.py",
+             "float(np.min(slacks))", "float(min(slacks))",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestValidateCommand::test_nan_rate_fails_every_attack[bound]"),
+    Mutation("validate-failures-unsorted", "src/sqkd/attack.py",
+             "sorted(failures, key=lambda failure: failure[0])", "failures",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_s_bec_mismatch_detected"),
-    Mutation("validate-batch-budget-per-cpu", "src/sqkd/cli.py",
-             ">= VALIDATE_STACK_BYTES:", ">= VALIDATE_STACK_BYTES // simulate._workers():",
+    Mutation("validate-batch-budget-per-cpu", "src/sqkd/attack.py",
+             ">= STACK_BYTES:", ">= STACK_BYTES // simulate._workers():",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_batches_independent_of_cpu_count"),
+    Mutation("audit-leftover-rows-unchecked", "src/sqkd/attack.py",
+             "    if kept:\n        slacks +=", "    if False:\n        slacks +=",
+             ("tests/test_acceptance.py",),
+             "tests/test_acceptance.py::test_criterion_3_soundness"),
     Mutation("validate-random-name-shifted", "src/sqkd/cli.py",
              "[args.seed, pos - 2]", "[args.seed, pos - 1]",
              ("tests/test_cli.py",),

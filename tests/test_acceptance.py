@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sqkd import attack, cli, keyrate, linalg, simulate
-from conftest import soundness_inputs
+from conftest import one_member_stacks, soundness_inputs
 from oracles import rho_be, rho_bec
 from test_linalg import random_density
 
@@ -70,15 +70,15 @@ def test_criterion_2_noiseless_rate():
 
 
 def test_criterion_3_soundness(attack_pool):
-    # The pool's ancilla dimensions cycle 1, 2, 4; it is checked as one batch.
+    # The pool's ancilla dimensions cycle 1, 2, 4; the audit that validate
+    # runs checks every attack, and a run that checks none cannot pass.
     start = time.perf_counter()
-    bound, exact, _ = attack.soundness(*soundness_inputs(attack_pool))
-    violations = int(np.count_nonzero(bound.rate > exact + attack.SOUNDNESS_TOL))
-    worst_slack = np.min(exact - bound.rate)
+    checked, _, worst_slack, failures = attack.audit(one_member_stacks(attack_pool))
     elapsed = time.perf_counter() - start
-    report(3, violations == 0 and elapsed < 60.0,
-           f"{len(attack_pool)} attacks, 0 violations expected, got "
-           f"{violations}; min slack {worst_slack:.3e}; {elapsed:.1f}s")
+    ok = checked == len(attack_pool) and not failures and np.isfinite(worst_slack)
+    report(3, ok and elapsed < 60.0,
+           f"{checked} attacks, 0 violations expected, got "
+           f"{len(failures)}; min slack {worst_slack:.3e}; {elapsed:.1f}s")
 
 
 def test_criterion_4_block_entropy_equivalence(rng):
@@ -294,13 +294,13 @@ def test_criterion_10_soundness_where_bound_is_positive():
                 rng = np.random.default_rng([NEAR_IDENTITY_SEED, e_idx, d, idx])
                 attacks.append(attack.validate_attack(near_identity_unitary(2 * d, eps, rng),
                                                       near_identity_unitary(2 * d, eps, rng), d))
-    bound, exact, _ = attack.soundness(*soundness_inputs(attacks))
+    checked, _, worst_slack, failures = attack.audit(one_member_stacks(attacks))
     count = len(attacks)
-    positive = int(np.count_nonzero(bound.rate > 0.0))
-    violations = int(np.count_nonzero(bound.rate > exact + attack.SOUNDNESS_TOL))
-    worst_slack = np.min(exact - bound.rate)
+    stats, _ = soundness_inputs(attacks)
+    positive = int(np.count_nonzero(keyrate.key_rate_bound(stats).rate > 0.0))
     elapsed = time.perf_counter() - start
-    report(10, positive == count and violations == 0,
+    ok = checked == count and not failures and np.isfinite(worst_slack)
+    report(10, ok and positive == count,
            f"{count} near-identity attacks (eps 0.02, 0.05; d = 1, 2, 4, 32): "
-           f"{positive} positive bounds, {violations} violations, "
+           f"{positive} positive bounds, {len(failures)} violations, "
            f"min slack {worst_slack:.3e}; {elapsed:.1f}s")

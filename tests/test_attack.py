@@ -529,7 +529,7 @@ class TestStacks:
         d32_sizes = []
         for positions, build in cli._validate_stacks(dims, 44, 5, corrupt=True):
             stack = build()
-            assert stack.u_e.nbytes + stack.u_f.nbytes <= cli.VALIDATE_STACK_BYTES
+            assert stack.u_e.nbytes + stack.u_f.nbytes <= attack.STACK_BYTES
             positions_seen += positions
             if stack.ancilla_dim == 32 and positions[0] < 46:
                 d32_sizes.append(len(positions))
@@ -557,8 +557,8 @@ class TestStacks:
         sizes = []
         for positions, build in cli._validate_stacks([1], 1100, 0, False):
             stack = build()
-            assert stack.u_e.nbytes + stack.u_f.nbytes <= cli.VALIDATE_STACK_BYTES
-            assert attack.gram(stack).nbytes <= cli.VALIDATE_STACK_BYTES
+            assert stack.u_e.nbytes + stack.u_f.nbytes <= attack.STACK_BYTES
+            assert attack.gram(stack).nbytes <= attack.STACK_BYTES
             if positions[0] >= 2:
                 sizes.append(len(positions))
         assert sizes == [512, 512, 76]

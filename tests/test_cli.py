@@ -509,7 +509,7 @@ class TestValidateCommand:
         # attacks into more batches on any number of CPUs (62 rows take
         # 62 KiB), without changing a byte of the report.
         shapes.clear()
-        monkeypatch.setattr(cli, "VALIDATE_STACK_BYTES", 8 << 10)
+        monkeypatch.setattr(attack, "STACK_BYTES", 8 << 10)
         assert run_cli(*argv) == 0
         assert len(shapes) > 1 and sum(n for n, in shapes) == 62
         assert capsys.readouterr().out == clean
@@ -553,6 +553,32 @@ class TestValidateCommand:
             "FAIL identity", "FAIL zmeasure"] + [
             f"FAIL random seed=[9, {idx}]" for idx in range(3)]
         assert all(": bound " in line and " exceeds exact rate " in line for line in fails)
+
+    @pytest.mark.parametrize("patched", ["bound", "exact"])
+    def test_nan_rate_fails_every_attack(self, monkeypatch, capsys, patched):
+        # NaN passes a plain "rate > exact + tolerance" test, and the builtin
+        # min drops a NaN slack; both must count as violations.
+        bound, exact_rate = keyrate.key_rate_bound, attack._exact_rate
+
+        def nan_bound(stats, **kwargs):
+            report = bound(stats, **kwargs)
+            return dataclasses.replace(report, rate=report.rate * np.nan)
+
+        if patched == "bound":
+            monkeypatch.setattr(keyrate, "key_rate_bound", nan_bound)
+        else:
+            monkeypatch.setattr(attack, "_exact_rate",
+                                lambda stats, g: exact_rate(stats, g) * np.nan)
+        assert run_cli("validate", "--attacks", "3", "--ancilla-dims", "1",
+                       "--seed", "9") == 4
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in fails] == [
+            "FAIL identity", "FAIL zmeasure"] + [
+            f"FAIL random seed=[9, {idx}]" for idx in range(3)]
+        assert all(" exceeds exact rate " in line and "nan" in line for line in fails)
+        assert lines[len(fails)].endswith("worst slack (exact - bound) nan")
+        assert lines[len(fails) + 1] == "5 violation(s) found"
 
     def test_s_bec_mismatch_detected(self, monkeypatch, capsys):
         # Records (0, 0, 0) and (0, 0, 1), rows 0 and 1 of the Gram matrix,
