@@ -27,7 +27,12 @@ its unitaries and stores read-only complex copies of them, however the
 attack is built.  Unitarity is gated once, by ``validate_attack``, for
 unitaries made outside the package.  The builders here make exact or
 freshly QR-factorised unitaries and call the constructor directly; the
-tests check that their unitaries pass the same gate.
+tests check that their unitaries pass the same gate.  A per-pass qubit
+channel becomes an attack only through ``channel_attack(kraus_fwd,
+kraus_rev)``: each pass's Stinespring unitary records its Kraus index in a
+register of its own, in the ancilla index order |t, a_fwd, a_rev>, so d =
+r_e * r_f.  ``z_measurement_attack`` and ``symmetric_realizing_attack`` are
+its Kraus lists; ``identity_attack`` is the identity of any d.
 
 Eve's post-protocol states are mixtures of the eight records, |r><r|/2
 each, block diagonal in Bob's bit and the agreement register.  Their
@@ -414,55 +419,70 @@ def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:
     return CollectiveAttack(ancilla_dim, u, u)
 
 
+def _stinespring(kraus, name: str) -> np.ndarray:
+    # Unitary (2, r, 2, r) on |t, a>, a in r = len(kraus) levels, with
+    # U|t, 0> = sum_k K_k|t> (x) |k>: these two columns are the isometry V,
+    # and the others V's orthogonal complement from a complete QR (appending
+    # identity columns to V instead gives NaN when some K_k has a zero column).
+    k = np.asarray(kraus, dtype=complex)
+    if k.ndim != 3 or k.shape[1:] != (2, 2) or not 1 <= len(k) <= 4:
+        raise ValueError(f"{name} must have shape (r, 2, 2) with 1 <= r <= 4, got {k.shape}")
+    defect = np.abs(np.einsum("kst,ksu->tu", k.conj(), k) - np.eye(2)).max()
+    if not defect <= UNITARY_TOL:       # NaN fails too
+        raise ValueError(f"{name} is not trace preserving: residual {defect}")
+    v = k.transpose(1, 0, 2).reshape(-1, 2)         # V[(s, k), t] = K_k[s, t]
+    q = np.linalg.qr(v, mode="complete")[0]
+    u = np.concatenate([v[..., None], q[:, 2:].reshape(len(v), 2, len(k) - 1)], axis=-1)
+    return u.reshape(2, len(k), 2, len(k))
+
+
+def channel_attack(kraus_fwd, kraus_rev) -> CollectiveAttack:
+    """Attack that applies one qubit channel per pass, given by its Kraus operators.
+
+    ``kraus_fwd`` and ``kraus_rev`` are sequences of r_e and r_f 2x2
+    operators (1 <= r <= 4) with sum K^dag K = I within UNITARY_TOL, the
+    channel on the way to Bob and the channel on the way back.  Each pass
+    records its Kraus index in a register of its own, in the index order
+    |t, a_fwd, a_rev>, so d = r_e * r_f: u_e|t, 0, 0> = sum_k K_k|t> (x)
+    |k, 0>, u_e acting on (t, a_fwd) and u_f likewise on (t, a_rev).  A
+    list of another shape, or one that is not trace preserving (NaN
+    included), raises ValueError naming it.
+    """
+    w_e, w_f = _stinespring(kraus_fwd, "kraus_fwd"), _stinespring(kraus_rev, "kraus_rev")
+    # Each pass is the identity on the other's register.  Written into zeros,
+    # so no entry is a signed zero from a product with the identity.
+    u_e, u_f = np.zeros((2,) + (2, w_e.shape[1], w_f.shape[1]) * 2, dtype=complex)
+    np.einsum("sabtcb->bsatc", u_e)[...] = w_e
+    np.einsum("sabtac->asbtc", u_f)[...] = w_f
+    d = w_e.shape[1] * w_f.shape[1]
+    return CollectiveAttack(d, u_e.reshape(2 * d, 2 * d), u_f.reshape(2 * d, 2 * d))
+
+
 def z_measurement_attack() -> CollectiveAttack:
     """Eve copies the transit bit into a fresh ancilla qubit on the way in.
 
-    The forward unitary maps |t, a> -> |t, a xor t>; the return pass is the
-    identity.  Z statistics look noiseless while both X disturbances are
-    1/2, and Eve's record determines Bob's bit exactly.
+    ``channel_attack([|0><0|, |1><1|], [I])``: the forward pass measures Z
+    and records the outcome (d = 2), and the return pass is the identity.
+    Z statistics look noiseless while both X disturbances are 1/2, and
+    Eve's record determines Bob's bit exactly.
     """
-    u_e = np.zeros((4, 4), dtype=complex)
-    for t in (0, 1):
-        for a in (0, 1):
-            u_e[2 * t + (a ^ t), 2 * t + a] = 1.0
-    return CollectiveAttack(2, u_e, np.eye(4, dtype=complex))
-
-
-def _flip_recorder(q: float) -> np.ndarray:
-    # Two-level rotation on (transit, one ancilla qubit): flips the transit
-    # with amplitude sqrt(q) while raising the ancilla qubit.  Basis order
-    # |t, a> = 00, 01, 10, 11.
-    c = np.sqrt(1.0 - q)
-    s = np.sqrt(q)
-    return np.array([[c, 0.0, 0.0, -s],
-                     [0.0, c, s, 0.0],
-                     [0.0, -s, c, 0.0],
-                     [s, 0.0, 0.0, c]], dtype=complex)
+    return channel_attack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [np.eye(2)])
 
 
 def symmetric_realizing_attack(q_fwd: float, q_rev: float) -> CollectiveAttack:
     """Explicit attack realizing the symmetric product-form Z statistics.
 
-    Eve's ancilla is two qubits (d = 4).  The forward pass flips the transit
-    with probability q_fwd, recording into the first ancilla qubit; the
-    return pass does the same with q_rev into the second.  The induced Z
-    statistics are exactly the symmetric products; the X disturbances are
-    whatever the construction yields (zero, as the flips commute with X on
-    X-basis states).
+    ``channel_attack`` with the bit-flip list [sqrt(1 - q) I, sqrt(q) X]
+    per pass, q = q_fwd on the way to Bob and q_rev on the way back, so
+    Eve's ancilla is two qubits (d = 4), one recording each pass's flip.
+    The induced Z statistics are exactly the symmetric products; the X
+    disturbances are zero, as the flips commute with X on X-basis states.
     """
     for name, q in (("q_fwd", q_fwd), ("q_rev", q_rev)):
         if not 0.0 <= q <= 0.5:
             raise ValueError(f"{name} = {q} outside [0, 1/2]")
-    # Forward: rotation on (transit, first ancilla qubit), identity on the
-    # second.  Index order is |t, a1, a2>.
-    u_e = np.kron(_flip_recorder(q_fwd), np.eye(2))
-    # Return: the same construction with the two ancilla qubits swapped on
-    # both sides, so the rotation acts on (transit, second ancilla qubit).
-    # kron leaves -0.0 where -sqrt(q) meets a zero of the identity; adding
-    # 0.0 makes every zero of u_f +0.0.
-    u_f = (np.kron(_flip_recorder(q_rev), np.eye(2)).reshape((2,) * 6)
-           .transpose(0, 2, 1, 3, 5, 4).reshape(8, 8) + 0.0)
-    return CollectiveAttack(4, u_e, u_f)
+    return channel_attack(*([np.sqrt(1.0 - q) * np.eye(2), np.sqrt(q) * np.eye(2)[::-1]]
+                            for q in (q_fwd, q_rev)))
 
 
 def _haar_pairs(dim: int, seeds) -> np.ndarray:

@@ -120,6 +120,21 @@ MUTATIONS = [
              "            arr.setflags(write=False)\n", "",
              ("tests/test_attack.py",),
              "tests/test_attack.py::TestExtractVectors::test_vector_fields_are_read_only"),
+    Mutation("kraus-trace-unchecked", "src/sqkd/attack.py",
+             "    if not defect <= UNITARY_TOL:       # NaN fails too\n"
+             "        raise ValueError(f\"{name} is not trace preserving: "
+             "residual {defect}\")\n", "",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestChannelAttack::"
+             "test_rejects_bad_kraus_list_by_name[kraus_fwd-not-trace-preserving]"),
+    Mutation("kraus-transposed", "src/sqkd/attack.py",
+             "k.transpose(1, 0, 2)", "k.transpose(2, 0, 1)",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestChannelAttack::test_amplitude_damping_statistics"),
+    Mutation("return-pass-on-forward-register", "src/sqkd/attack.py",
+             '"sabtac->asbtc"', '"sbatca->asbtc"',
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestChannelAttack::test_amplitude_damping_statistics"),
     Mutation("e-ijk-i-and-k-swapped", "src/sqkd/attack.py",
              '"...kaib,...jb->...ijka"', '"...kaib,...jb->...kjia"',
              ("tests/test_attack.py",),

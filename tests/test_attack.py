@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqkd import attack, cli, keyrate, linalg
-from conftest import make_attack_pool, report_bytes, soundness_inputs
+from conftest import make_attack_pool, one_member_stacks, report_bytes, soundness_inputs
 from oracles import (assemble_block_diagonal, born_x_flip_probabilities, haar_pair,
                      partial_trace_bruteforce, rho_be, rho_bec)
 
@@ -102,14 +102,54 @@ class TestConstruction:
             attack.validate_attack(u_e, u_f, d)
 
 
+# I, X, Y, Z: a pass's X flips the Z basis, its Z flips the X basis.
+PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]],
+                   np.diag([1.0, -1.0])])
+
+
+def pauli_kraus(q, x):
+    """Kraus list of a pass that flips Z with probability q and X with x, independently."""
+    p = np.array([(1.0 - q) * (1.0 - x), q * (1.0 - x), q * x, (1.0 - q) * x])
+    return np.sqrt(p)[:, None, None] * PAULIS
+
+
+def damping_kraus(gamma):
+    """Amplitude damping: |1> decays to |0> with probability gamma."""
+    return [np.diag([1.0, np.sqrt(1.0 - gamma)]), [[0.0, np.sqrt(gamma)], [0.0, 0.0]]]
+
+
+def table_points():
+    """(q_fwd, q_rev, q_x) at five Q in [0.001, 0.1] of each threshold-table cell.
+
+    The cells are the nine ``keyrate.SCENARIOS`` x qx_ratio 1/2, 1, 2 of the
+    paper's table.
+    """
+    return [(fwd(q), rev(q), ratio * q) for fwd, rev in keyrate.SCENARIOS.values()
+            for ratio in (0.5, 1.0, 2.0) for q in np.linspace(0.001, 0.1, 25)[::6]]
+
+
+def pauli_table_attack(q_fwd, q_rev, q_x):
+    """Pauli passes with Z flips q_fwd and q_rev, and an X flip x on both.
+
+    x is chosen so that a reflected round's X disturbance, 2x(1 - x), is q_x.
+    """
+    x = (1.0 - np.sqrt(1.0 - 2.0 * q_x)) / 2.0
+    return attack.channel_attack(pauli_kraus(q_fwd, x), pauli_kraus(q_rev, x))
+
+
 def builder_attacks():
-    """One attack, or a stack, from each of the package's five builders."""
+    """One attack, or a stack, from each of the package's six builders."""
     rng = np.random.default_rng(2028)
     return ([attack.identity_attack(1), attack.identity_attack(4),
              attack.z_measurement_attack()]
             + [attack.symmetric_realizing_attack(*(rng.random(2) * 0.5)) for _ in range(10)]
             + [attack.random_attack(d, [2028, d]) for d in (1, 2, 4, 32)]
-            + [attack.random_attacks(2, [[2028, idx] for idx in range(6)])])
+            + [attack.random_attacks(2, [[2028, idx] for idx in range(6)])]
+            # d = 8 with zero-column operators, d = 3, d = 16.
+            + [attack.channel_attack(damping_kraus(0.3), pauli_kraus(0.1, 0.2)),
+               attack.channel_attack(np.sqrt([0.5, 0.3, 0.2])[:, None, None] * PAULIS[:3],
+                                     [np.eye(2)]),
+               attack.channel_attack(pauli_kraus(0.05, 0.02), pauli_kraus(0.1, 0.03))])
 
 
 class TestBuilders:
@@ -456,9 +496,16 @@ class TestSymmetricRealizingAttack:
         assert s.p[0, 1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_z_statistics_match_products(self):
-        got = attack.statistics(attack.symmetric_realizing_attack(0.05, 0.05))
-        want = keyrate.symmetric_stats(keyrate.ScenarioParams(0.05, 0.05, 0.0))
-        np.testing.assert_allclose(got.p, want.p, atol=1e-9)
+        # The realizing attack at q_x = 0, and Pauli passes at the table's
+        # own points, where every statistic is the product form.
+        cases = [((0.05, 0.05, 0.0), attack.symmetric_realizing_attack(0.05, 0.05))]
+        cases += [(point, pauli_table_attack(*point)) for point in table_points()]
+        for point, atk in cases:
+            got = attack.statistics(atk)
+            want = keyrate.symmetric_stats(keyrate.ScenarioParams(*point))
+            np.testing.assert_allclose(got.p, want.p, rtol=0, atol=1e-14, err_msg=str(point))
+            for flips in (got.p_pm, got.p_mp):
+                assert flips == pytest.approx(point[2], rel=0, abs=1e-14), point
 
     def test_construction_is_unitary(self, rng):
         for _ in range(10):
@@ -473,6 +520,54 @@ class TestSymmetricRealizingAttack:
             attack.symmetric_realizing_attack(0.6, 0.0)
         with pytest.raises(ValueError):
             attack.symmetric_realizing_attack(0.0, -0.1)
+
+
+class TestChannelAttack:
+    """``channel_attack`` against channels whose statistics are known in closed form."""
+
+    def test_pauli_table_points_exact_rate_and_audit(self):
+        # At these statistics H(B|A) = h(q_rev), and the exact rate is
+        # 1 - h(q_rev) - h(q_x); the bound stays below it.
+        points = table_points()
+        attacks = [pauli_table_attack(*point) for point in points]
+        q_rev, q_x = np.array(points)[:, 1:].T
+        exact = [attack.exact_collective_rate(atk) for atk in attacks]
+        np.testing.assert_allclose(
+            exact, 1.0 - linalg.binary_entropy(q_rev) - linalg.binary_entropy(q_x),
+            rtol=0, atol=1e-13)
+        checked, worst_residual, worst_slack, failures = attack.audit(one_member_stacks(attacks))
+        assert (checked, failures) == (len(attacks), [])
+        assert worst_residual <= 1e-12 and worst_slack >= 0.0
+        stats, _ = soundness_inputs(attacks)
+        assert np.count_nonzero(keyrate.key_rate_bound(stats).rate > 0.0) >= len(attacks) // 2
+
+    def test_amplitude_damping_statistics(self):
+        # |0> never decays; |1> survives each pass with probability 1 - gamma.
+        # The operators are not symmetric, so a transposed K_k shows, and a
+        # return pass acting on the forward register moves p[1, 0, :].
+        for g_f in np.linspace(0.0, 0.3, 4):
+            for g_r in np.linspace(0.0, 0.3, 4):
+                p = attack.statistics(attack.channel_attack(damping_kraus(g_f),
+                                                            damping_kraus(g_r))).p
+                want = np.zeros((2, 2, 2))
+                want[0, 0, 0] = 1.0
+                want[1, 1, 1] = (1.0 - g_f) * (1.0 - g_r)
+                want[1, 1, 0] = (1.0 - g_f) * g_r
+                want[1, 0, 0] = g_f
+                np.testing.assert_allclose(p, want, rtol=0, atol=1e-15,
+                                           err_msg=f"gamma {g_f}, {g_r}")
+
+    @pytest.mark.parametrize("kraus", [
+        pytest.param([np.eye(2), np.eye(2)], id="not-trace-preserving"),
+        pytest.param(np.sqrt(0.2) * np.array([np.eye(2)] * 5), id="five-operators"),
+        pytest.param(np.eye(2), id="bare-matrix"),
+        pytest.param([[[np.nan, 0.0], [0.0, 1.0]]], id="nan-entry"),
+    ])
+    @pytest.mark.parametrize("side", ["kraus_fwd", "kraus_rev"])
+    def test_rejects_bad_kraus_list_by_name(self, side, kraus):
+        lists = {"kraus_fwd": [np.eye(2)], "kraus_rev": [np.eye(2)], side: kraus}
+        with pytest.raises(ValueError, match=f"^{side} "):
+            attack.channel_attack(**lists)
 
 
 class TestStacks:
