@@ -424,7 +424,10 @@ def _stinespring(kraus, name: str) -> np.ndarray:
     # U|t, 0> = sum_k K_k|t> (x) |k>: these two columns are the isometry V,
     # and the others V's orthogonal complement from a complete QR (appending
     # identity columns to V instead gives NaN when some K_k has a zero column).
-    k = np.asarray(kraus, dtype=complex)
+    try:
+        k = np.asarray(kraus, dtype=complex)
+    except ValueError as exc:           # a ragged list, whose shape numpy names
+        raise ValueError(f"{name} must have shape (r, 2, 2) with 1 <= r <= 4: {exc}") from None
     if k.ndim != 3 or k.shape[1:] != (2, 2) or not 1 <= len(k) <= 4:
         raise ValueError(f"{name} must have shape (r, 2, 2) with 1 <= r <= 4, got {k.shape}")
     defect = np.abs(np.einsum("kst,ksu->tu", k.conj(), k) - np.eye(2)).max()

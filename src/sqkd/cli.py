@@ -14,7 +14,7 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import keyrate, simulate
-from .keyrate import ChannelStatistics, ScenarioParams, TooNoisyError
+from .keyrate import ChannelStatistics, TooNoisyError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -99,19 +99,18 @@ def _parse_number(kind, text: str, what: str):
         raise ValueError(f"{what}: {text!r} is not {noun}") from None
 
 
-def _parse_triple(text: str) -> ScenarioParams:
+def _parse_triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated values Qf,Qr,Qx")
-    qf, qr, qx = (_parse_number(float, x, "--symmetric") for x in parts)
-    return ScenarioParams(q_fwd=qf, q_rev=qr, q_x=qx)
+    return tuple(_parse_number(float, x, "--symmetric") for x in parts)
 
 
 def cmd_rate(args) -> int:
     if args.stats is not None:
         stats = parse_stats_file(args.stats)
     else:
-        stats = keyrate.symmetric_stats(_parse_triple(args.symmetric))
+        stats = keyrate.symmetric_stats(*_parse_triple(args.symmetric))
     report = keyrate.key_rate_bound(stats, renormalize=args.normalize)
     _print_report(report)
     return EXIT_OK if report.rate > 0.0 else EXIT_NONPOSITIVE
@@ -153,9 +152,11 @@ def _build_attack(spec: str, seed: int) -> attack_mod.CollectiveAttack:
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ValueError("workers must be positive")
-    config = simulate.ProtocolConfig(iterations=args.iterations, seed=args.seed)
+    # random:dE hands the seed to numpy, whose error would not name it.
+    if args.seed < 0:
+        raise ValueError("seed must fit in 64 unsigned bits")
     analytic = attack_mod.statistics(_build_attack(args.attack, args.seed))
-    tally = simulate.run_protocol(analytic, config)
+    tally = simulate.run_protocol(analytic, args.iterations, args.seed)
     stats, err = simulate.estimate_statistics(tally)
     write_stats_file(args.out, stats)
     print(f"iterations = {args.iterations}  sifted key bits = {int(tally.z_counts.sum())}")

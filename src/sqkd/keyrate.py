@@ -147,34 +147,6 @@ def _validated(stats: ChannelStatistics, renormalize: bool, *later) -> ChannelSt
 
 
 @dataclass(frozen=True)
-class ScenarioParams:
-    """Symmetric-noise scenario: independent Z flips in each channel pass.
-
-    q_fwd is the probability a Z state flips on the way to Bob, q_rev the
-    flip probability on the way back, q_x the X-basis disturbance seen on
-    reflected iterations.  Each must lie in [0, 1/2].  Arrays whose shapes
-    broadcast together give a stack of scenarios of the broadcast shape.
-    """
-
-    q_fwd: float | np.ndarray
-    q_rev: float | np.ndarray
-    q_x: float | np.ndarray
-
-    def __post_init__(self):
-        for name in ("q_fwd", "q_rev", "q_x"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            bad = v[~((0.0 <= v) & (v <= 0.5))]
-            if bad.size:
-                raise ValueError(f"{name} = {bad[0]} outside [0, 1/2]")
-            object.__setattr__(self, name, _floats(v))
-        shapes = [np.shape(getattr(self, name)) for name in ("q_fwd", "q_rev", "q_x")]
-        try:
-            np.broadcast_shapes(*shapes)
-        except ValueError:
-            raise ValueError(f"q_fwd, q_rev and q_x shapes {shapes} do not broadcast") from None
-
-
-@dataclass(frozen=True)
 class KeyRateReport:
     """Key-rate lower bound together with every intermediate quantity.
 
@@ -304,20 +276,31 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
                          h_b_given_a=h_ab - h_a, rate=rate)
 
 
-def symmetric_stats(params: ScenarioParams) -> ChannelStatistics:
+def symmetric_stats(q_fwd, q_rev, q_x) -> ChannelStatistics:
     """Statistics of independent symmetric Z flips in each channel pass.
 
-    The two passes flip independently with probabilities q_fwd and q_rev,
-    giving product-form Z statistics; the X disturbance is q_x in both
-    directions.  A stack of scenarios gives a stack of statistics.
+    q_fwd is the probability a Z state flips on the way to Bob, q_rev the
+    flip probability on the way back, giving product-form Z statistics;
+    q_x is the X-basis disturbance seen on reflected iterations, in both
+    directions.  Each must lie in [0, 1/2], or ValueError names it.  Arrays
+    whose shapes broadcast together give a stack of statistics of the
+    broadcast shape.
     """
-    qf, qr = np.asarray(params.q_fwd), np.asarray(params.q_rev)
-    p = np.empty(np.broadcast_shapes(qf.shape, qr.shape, np.shape(params.q_x)) + (2, 2, 2))
+    qf, qr, qx = qs = [np.asarray(v, dtype=float) for v in (q_fwd, q_rev, q_x)]
+    for name, v in zip(("q_fwd", "q_rev", "q_x"), qs):
+        bad = v[~((0.0 <= v) & (v <= 0.5))]
+        if bad.size:
+            raise ValueError(f"{name} = {bad[0]} outside [0, 1/2]")
+    shapes = [v.shape for v in qs]
+    try:
+        p = np.empty(np.broadcast_shapes(*shapes) + (2, 2, 2))
+    except ValueError:
+        raise ValueError(f"q_fwd, q_rev and q_x shapes {shapes} do not broadcast") from None
     p[..., 0, 0, 0] = p[..., 1, 1, 1] = (1.0 - qf) * (1.0 - qr)
     p[..., 0, 0, 1] = p[..., 1, 1, 0] = (1.0 - qf) * qr
     p[..., 0, 1, 0] = p[..., 1, 0, 1] = qf * qr
     p[..., 0, 1, 1] = p[..., 1, 0, 0] = qf * (1.0 - qr)
-    return ChannelStatistics(p=p, p_pm=params.q_x, p_mp=params.q_x)
+    return ChannelStatistics(p=p, p_pm=qx, p_mp=qx)
 
 
 # Scenario tag -> (q_fwd, q_rev) as functions of the headline noise Q.
@@ -341,8 +324,7 @@ def _scenario(scenario: str):
 
 def _scenario_rate(scenario: str, qx_ratio: float, q):
     fwd, rev = _scenario(scenario)
-    params = ScenarioParams(q_fwd=fwd(q), q_rev=rev(q), q_x=qx_ratio * q)
-    return key_rate_bound(symmetric_stats(params)).rate
+    return key_rate_bound(symmetric_stats(fwd(q), rev(q), qx_ratio * q)).rate
 
 
 def noise_threshold(scenario: str, qx_ratio: float) -> float:
@@ -397,7 +379,7 @@ def sweep(scenario: str, qx_ratio: float, q_max: float, steps: int) -> list[tupl
     # itself, sets the largest q_fwd, q_rev and q_x.
     fwd, rev = _scenario(scenario)
     try:
-        ScenarioParams(q_fwd=fwd(q_max), q_rev=rev(q_max), q_x=qx_ratio * q_max)
+        symmetric_stats(fwd(q_max), rev(q_max), qx_ratio * q_max)
     except ValueError as exc:
         raise ValueError(f"q_max = {q_max} puts {exc}") from None
     q = np.linspace(0.0, q_max, steps)

@@ -36,10 +36,10 @@ One thread per CPU the process may use (``taskset`` restricts them), the
 calling thread among them, pulls the chunks one at a time
 (``_pull_on_every_cpu``, which ``attack.audit`` shares), and their tallies
 are summed as integers, so the run's output, its tallies alone, is a pure
-function of the ten statistics and the config, on any number of CPUs and
-whichever thread runs a chunk.  The sifted key and its error rate are read
-off the Z tallies: every Z-prepared, measured iteration is one key bit,
-counted in exactly one z_counts cell.
+function of the ten statistics, the iterations and the seed, on any number
+of CPUs and whichever thread runs a chunk.  The sifted key and its error
+rate are read off the Z tallies: every Z-prepared, measured iteration is
+one key bit, counted in exactly one z_counts cell.
 """
 
 import os
@@ -57,24 +57,6 @@ CHUNK_SIZE = 1 << 14  # fixed; changing it changes every sampled trajectory
 
 class InsufficientDataError(ValueError):
     """A conditioning class required for estimation has no samples."""
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Run parameters: the number of iterations and the seed of every chunk's stream."""
-
-    iterations: int
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("iterations", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -233,31 +215,39 @@ def _simulate_chunk(bob: np.ndarray, alice: np.ndarray, n: int, seed: int,
     return np.bincount(cell, minlength=24)
 
 
-def run_protocol(stats: ChannelStatistics, config: ProtocolConfig) -> TallyCounts:
+def run_protocol(stats: ChannelStatistics, iterations: int, seed: int = 0) -> TallyCounts:
     """Simulate the quantum communication stage with the given statistics.
 
-    Returns the per-class tallies, a pure function of the ten statistics
-    and the config; statistics that ``keyrate.validate_statistics`` rejects
-    raise its ValueError, as does a stack.
+    Returns the per-class tallies, a pure function of the ten statistics,
+    the iterations and the seed of every chunk's stream.  iterations and
+    seed must be integers, not bools, with iterations >= 1 and 0 <= seed <
+    2**64; these are checked first, then the statistics, which raise the
+    ValueError of ``keyrate.validate_statistics``, as does a stack.
     """
+    for name, v in (("iterations", iterations), ("seed", seed)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
     if stats.p.ndim != 3:
         raise ValueError(f"run_protocol takes one member, not a stack {stats.p.shape[:-3]}")
     thresholds = _chunk_thresholds(validate_statistics(stats))
-    n_total = config.iterations
 
     def pulled(pull: Iterator[int]) -> np.ndarray:
         # The sum of the 24-cell bincounts of the chunks this thread pulls.
         counts = np.zeros(24, dtype=np.int64)
         for c in pull:
-            counts += _simulate_chunk(*thresholds, min(CHUNK_SIZE, n_total - c * CHUNK_SIZE),
-                                      config.seed, c)
+            counts += _simulate_chunk(*thresholds, min(CHUNK_SIZE, iterations - c * CHUNK_SIZE),
+                                      seed, c)
         return counts
 
-    counts = sum(_pull_on_every_cpu(pulled, range(-(-n_total // CHUNK_SIZE))))
+    counts = sum(_pull_on_every_cpu(pulled, range(-(-iterations // CHUNK_SIZE))))
     counts = counts.reshape(4, 3, 2)
     z, x = counts[:2, 1:], counts[2:, 0]
     return TallyCounts(z_counts=z, x_reflect_counts=x,
-                       other_counts=n_total - int(z.sum()) - int(x.sum()), total=n_total)
+                       other_counts=iterations - int(z.sum()) - int(x.sum()), total=iterations)
 
 
 _CLASS_NAMES = {

@@ -68,10 +68,15 @@ MUTATIONS = [
              "tests/test_simulate.py::TestRunProtocol::"
              "test_unused_cells_never_reach_an_output[haar-d1]"),
     Mutation("pulled-chunks-all-full", "src/sqkd/simulate.py",
-             "min(CHUNK_SIZE, n_total - c * CHUNK_SIZE)", "CHUNK_SIZE",
+             "min(CHUNK_SIZE, iterations - c * CHUNK_SIZE)", "CHUNK_SIZE",
              ("tests/test_simulate.py",),
              "tests/test_simulate.py::TestRunProtocol::"
              "test_tallies_independent_of_cpu_count[13-chunks]"),
+    Mutation("run-protocol-takes-bools", "src/sqkd/simulate.py",
+             "if isinstance(v, bool) or not", "if not",
+             ("tests/test_simulate.py",),
+             "tests/test_simulate.py::TestRunProtocol::"
+             "test_config_rejects_non_integers_by_name[iterations-True]"),
     Mutation("x-tallies-wrong-branch", "src/sqkd/simulate.py",
              "z, x = counts[:2, 1:], counts[2:, 0]", "z, x = counts[:2, 1:], counts[2:, 1]",
              ("tests/test_simulate.py",),
@@ -127,6 +132,12 @@ MUTATIONS = [
              ("tests/test_attack.py",),
              "tests/test_attack.py::TestChannelAttack::"
              "test_rejects_bad_kraus_list_by_name[kraus_fwd-not-trace-preserving]"),
+    Mutation("kraus-ragged-list-unnamed", "src/sqkd/attack.py",
+             "except ValueError as exc:           # a ragged list",
+             "except () as exc:           # a ragged list",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestChannelAttack::"
+             "test_rejects_bad_kraus_list_by_name[kraus_fwd-ragged]"),
     Mutation("kraus-transposed", "src/sqkd/attack.py",
              "k.transpose(1, 0, 2)", "k.transpose(2, 0, 1)",
              ("tests/test_attack.py",),
@@ -149,6 +160,10 @@ MUTATIONS = [
              "linalg.von_neumann_entropy(g)",
              ("tests/test_cli.py",),
              "tests/test_cli.py::TestValidateCommand::test_small_suite_passes"),
+    Mutation("symmetric-q-up-to-one", "src/sqkd/keyrate.py",
+             "(v <= 0.5)", "(v <= 1.0)",
+             ("tests/test_keyrate.py",),
+             "tests/test_keyrate.py::TestSymmetricStats::test_rejects_out_of_range"),
     Mutation("cross-term-dropped", "src/sqkd/keyrate.py",
              "        - np.sqrt(p[..., 0, 0, 0] * p[..., 1, 0, 1])\n", "",
              ("tests/test_keyrate.py",),
@@ -208,6 +223,11 @@ MUTATIONS = [
              "    if kept:\n        slacks +=", "    if False:\n        slacks +=",
              ("tests/test_acceptance.py",),
              "tests/test_acceptance.py::test_criterion_3_soundness"),
+    Mutation("simulate-negative-seed-to-numpy", "src/sqkd/cli.py",
+             "    if args.seed < 0:\n        raise ValueError(\"seed must fit in 64 unsigned bits\")\n",
+             "",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestSimulateCommand::test_negative_seed_named[random:4]"),
     Mutation("validate-random-name-shifted", "src/sqkd/cli.py",
              "[args.seed, pos - 2]", "[args.seed, pos - 1]",
              ("tests/test_cli.py",),

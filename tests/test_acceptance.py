@@ -65,7 +65,7 @@ def test_criterion_1_threshold_table():
 
 def test_criterion_2_noiseless_rate():
     rate = keyrate.key_rate_bound(
-        keyrate.symmetric_stats(keyrate.ScenarioParams(0.0, 0.0, 0.0))).rate
+        keyrate.symmetric_stats(0.0, 0.0, 0.0)).rate
     report(2, abs(rate - 1.0) <= 1e-12, f"rate {rate!r}")
 
 
@@ -139,8 +139,7 @@ def test_criterion_7_monte_carlo_convergence(tmp_path):
         assert code == 0
     identical = out1.read_bytes() == out2.read_bytes()
 
-    tally = simulate.run_protocol(
-        attack.statistics(atk), simulate.ProtocolConfig(iterations=1_000_000, seed=MC_SEED))
+    tally = simulate.run_protocol(attack.statistics(atk), 1_000_000, MC_SEED)
     stats, _ = simulate.estimate_statistics(tally)
     file_stats = cli.parse_stats_file(str(out1))
     assert np.array_equal(stats.p, file_stats.p)

@@ -502,7 +502,7 @@ class TestSymmetricRealizingAttack:
         cases += [(point, pauli_table_attack(*point)) for point in table_points()]
         for point, atk in cases:
             got = attack.statistics(atk)
-            want = keyrate.symmetric_stats(keyrate.ScenarioParams(*point))
+            want = keyrate.symmetric_stats(*point)
             np.testing.assert_allclose(got.p, want.p, rtol=0, atol=1e-14, err_msg=str(point))
             for flips in (got.p_pm, got.p_mp):
                 assert flips == pytest.approx(point[2], rel=0, abs=1e-14), point
@@ -562,6 +562,7 @@ class TestChannelAttack:
         pytest.param(np.sqrt(0.2) * np.array([np.eye(2)] * 5), id="five-operators"),
         pytest.param(np.eye(2), id="bare-matrix"),
         pytest.param([[[np.nan, 0.0], [0.0, 1.0]]], id="nan-entry"),
+        pytest.param([np.eye(2), [1.0, 0.0]], id="ragged"),
     ])
     @pytest.mark.parametrize("side", ["kraus_fwd", "kraus_rev"])
     def test_rejects_bad_kraus_list_by_name(self, side, kraus):

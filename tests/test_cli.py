@@ -23,7 +23,7 @@ def read_rate(output):
 
 class TestStatsFile:
     def test_round_trip_is_exact(self, tmp_path):
-        stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.05, 0.03, 0.07))
+        stats = keyrate.symmetric_stats(0.05, 0.03, 0.07)
         path = tmp_path / "stats.txt"
         cli.write_stats_file(str(path), stats)
         again = cli.parse_stats_file(str(path))
@@ -73,7 +73,7 @@ class TestStatsFile:
 
     def test_byte_order_mark_skipped(self, tmp_path):
         # Notepad and other Windows editors start UTF-8 files with a BOM.
-        stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.05, 0.03, 0.07))
+        stats = keyrate.symmetric_stats(0.05, 0.03, 0.07)
         plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
         cli.write_stats_file(str(plain), stats)
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
@@ -84,7 +84,7 @@ class TestStatsFile:
     def test_text_not_utf8_named(self, tmp_path, capsys):
         # Notepad's "Unicode" encoding is UTF-16 with a BOM; a stray 0xff
         # byte mid-file fails the same way.
-        stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.05, 0.03, 0.07))
+        stats = keyrate.symmetric_stats(0.05, 0.03, 0.07)
         plain = tmp_path / "plain.txt"
         cli.write_stats_file(str(plain), stats)
         utf16, stray = tmp_path / "utf16.txt", tmp_path / "stray.txt"
@@ -123,7 +123,7 @@ class TestRateCommand:
         assert "--symmetric: 'a' is not a number" in capsys.readouterr().err
 
     def test_file_and_symmetric_agree(self, tmp_path, capsys):
-        stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.02, 0.04, 0.03))
+        stats = keyrate.symmetric_stats(0.02, 0.04, 0.03)
         path = tmp_path / "stats.txt"
         cli.write_stats_file(str(path), stats)
         assert run_cli("rate", "--stats", str(path)) == 0
@@ -132,7 +132,7 @@ class TestRateCommand:
         assert capsys.readouterr().out == from_file
 
     def test_denormalized_needs_normalize_flag(self, tmp_path, capsys):
-        stats = keyrate.symmetric_stats(keyrate.ScenarioParams(0.05, 0.05, 0.05))
+        stats = keyrate.symmetric_stats(0.05, 0.05, 0.05)
         p = stats.p * 1.001  # slightly denormalized blocks
         path = tmp_path / "stats.txt"
         cli.write_stats_file(str(path), ChannelStatistics(p=p, p_pm=0.05,
@@ -326,10 +326,13 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "x.txt")) == 1
         assert "no samples in class" in capsys.readouterr().err
 
-    def test_negative_seed_named(self, tmp_path, capsys):
-        assert run_cli("simulate", "--attack", "random:4", "--seed", "-3",
+    @pytest.mark.parametrize("spec", ["identity", "symmetric:0.05,0.05", "random:4"])
+    def test_negative_seed_named(self, tmp_path, capsys, spec):
+        # Rejected before the attack is built: random:dE would hand the seed
+        # to numpy, whose error does not name it.
+        assert run_cli("simulate", "--attack", spec, "--seed", "-3",
                        "--iterations", "100", "--out", str(tmp_path / "x.txt")) == 1
-        assert "seed" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: seed must fit in 64 unsigned bits\n")
 
 
 class TestValidateCommand:

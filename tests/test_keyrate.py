@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sqkd import attack, keyrate, linalg
-from sqkd.keyrate import ChannelStatistics, ScenarioParams, TooNoisyError
+from sqkd.keyrate import ChannelStatistics, TooNoisyError
 from conftest import make_attack_pool, report_bytes
 from oracles import independent_rate, rho_bec
 
@@ -15,7 +15,7 @@ def stats_from_blocks(block0, block1, p_pm=0.0, p_mp=0.0):
     return ChannelStatistics(p=p, p_pm=p_pm, p_mp=p_mp)
 
 
-NOISELESS = keyrate.symmetric_stats(ScenarioParams(0.0, 0.0, 0.0))
+NOISELESS = keyrate.symmetric_stats(0.0, 0.0, 0.0)
 
 
 class TestSymmetricStats:
@@ -26,7 +26,7 @@ class TestSymmetricStats:
         assert NOISELESS.p_pm == 0.0 and NOISELESS.p_mp == 0.0
 
     def test_product_values(self):
-        s = keyrate.symmetric_stats(ScenarioParams(0.1, 0.2, 0.1))
+        s = keyrate.symmetric_stats(0.1, 0.2, 0.1)
         assert s.p[0, 0, 0] == pytest.approx(0.72, abs=1e-15)
         assert s.p[0, 0, 1] == pytest.approx(0.18, abs=1e-15)
         assert s.p[0, 1, 0] == pytest.approx(0.02, abs=1e-15)
@@ -35,15 +35,15 @@ class TestSymmetricStats:
     def test_blocks_always_normalized(self, rng):
         for _ in range(50):
             qf, qr, qx = rng.random(3) * 0.5
-            s = keyrate.symmetric_stats(ScenarioParams(qf, qr, qx))
+            s = keyrate.symmetric_stats(qf, qr, qx)
             np.testing.assert_allclose(s.p.reshape(2, 4).sum(axis=1), 1.0,
                                        atol=1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ScenarioParams(0.6, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            ScenarioParams(0.1, 0.1, -0.01)
+        with pytest.raises(ValueError, match=r"^q_fwd = 0.6 outside \[0, 1/2\]$"):
+            keyrate.symmetric_stats(0.6, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^q_x = -0.01 outside \[0, 1/2\]$"):
+            keyrate.symmetric_stats(0.1, 0.1, -0.01)
 
 
 class TestValidateStatistics:
@@ -95,7 +95,7 @@ class TestCrossOverlapLowerBound:
         assert keyrate.key_rate_bound(s).b == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetric_hand_evaluation(self):
-        s = keyrate.symmetric_stats(ScenarioParams(0.05, 0.05, 0.05))
+        s = keyrate.symmetric_stats(0.05, 0.05, 0.05)
         # Nine-term formula evaluated by hand from the product entries:
         # p000 = p111 = 0.9025, four entries of 0.0475, two of 0.0025.
         expected = (1.0 - 0.05 - 0.05
@@ -204,7 +204,7 @@ class TestEntropyPieces:
     def test_s_ec_upper_monotone_in_overlap_bound(self):
         # Less overlap knowledge can only loosen (raise) the bound: more X
         # noise at the same Z statistics lowers B, from about 0.77 to below 0.
-        s = keyrate.symmetric_stats(ScenarioParams(0.04, 0.04, 0.0))
+        s = keyrate.symmetric_stats(0.04, 0.04, 0.0)
         p_x = np.linspace(0.0, 0.4, 9)
         report = keyrate.key_rate_bound(ChannelStatistics(
             p=np.broadcast_to(s.p, p_x.shape + s.p.shape), p_pm=p_x, p_mp=p_x))
@@ -214,7 +214,7 @@ class TestEntropyPieces:
 
     def test_p_alice_zero(self):
         assert keyrate.key_rate_bound(NOISELESS).p_a0 == 0.5
-        sym = keyrate.symmetric_stats(ScenarioParams(0.13, 0.21, 0.0))
+        sym = keyrate.symmetric_stats(0.13, 0.21, 0.0)
         assert keyrate.key_rate_bound(sym).p_a0 == pytest.approx(0.5, abs=1e-12)
         lopsided = stats_from_blocks([0.7, 0.1, 0.15, 0.05],
                                      [0.2, 0.3, 0.1, 0.4])
@@ -234,7 +234,7 @@ class TestEntropyPieces:
         # four-cell joint distribution built by hand.
         for _ in range(20):
             qf, qr = rng.random(2) * 0.5
-            s = keyrate.symmetric_stats(ScenarioParams(qf, qr, 0.0))
+            s = keyrate.symmetric_stats(qf, qr, 0.0)
             joint = [0.5 * (s.p[0, 0, 0] + s.p[1, 0, 0]),
                      0.5 * (s.p[0, 0, 1] + s.p[1, 0, 1]),
                      0.5 * (s.p[0, 1, 0] + s.p[1, 1, 0]),
@@ -257,23 +257,20 @@ class TestKeyRateBound:
         assert report.lambda_tilde == pytest.approx(1.0, abs=1e-15)
 
     def test_above_threshold_rate_is_negative(self):
-        s = keyrate.symmetric_stats(ScenarioParams(0.06, 0.06, 0.06))
+        s = keyrate.symmetric_stats(0.06, 0.06, 0.06)
         assert keyrate.key_rate_bound(s).rate < 0.0
 
     def test_matches_independent_reimplementation(self, rng):
-        cases = [ScenarioParams(0.03, 0.03, 0.03)]
-        for _ in range(30):
-            qf, qr, qx = rng.random(3) * 0.4
-            cases.append(ScenarioParams(qf, qr, qx))
-        for params in cases:
-            s = keyrate.symmetric_stats(params)
+        cases = [(0.03, 0.03, 0.03)] + [tuple(rng.random(3) * 0.4) for _ in range(30)]
+        for qs in cases:
+            s = keyrate.symmetric_stats(*qs)
             want = independent_rate(s.p, s.p_pm, s.p_mp)
             assert keyrate.key_rate_bound(s).rate == pytest.approx(want, abs=1e-12)
         assert keyrate.key_rate_bound(
-            keyrate.symmetric_stats(cases[0])).rate > 0.0
+            keyrate.symmetric_stats(*cases[0])).rate > 0.0
 
     def test_report_joint_sums_to_one(self):
-        s = keyrate.symmetric_stats(ScenarioParams(0.04, 0.02, 0.03))
+        s = keyrate.symmetric_stats(0.04, 0.02, 0.03)
         report = keyrate.key_rate_bound(s)
         assert sum(report.joint) == pytest.approx(1.0, abs=1e-9)
         assert report.rate == pytest.approx(
@@ -300,7 +297,7 @@ class TestKeyRateBound:
         report = keyrate.key_rate_bound(skewed, renormalize=True)
         assert report.rate == pytest.approx(
             keyrate.key_rate_bound(
-                keyrate.symmetric_stats(ScenarioParams(0.05, 0.05, 0.0)),
+                keyrate.symmetric_stats(0.05, 0.05, 0.0),
             ).rate, abs=1e-3)
 
 
@@ -337,7 +334,7 @@ class TestStacks:
         # 500 pool attacks, bit for bit; the digest was taken before the
         # intermediates were folded into key_rate_bound.
         q = np.linspace(0.0, 0.1, 101)
-        parts = [keyrate.symmetric_stats(ScenarioParams(fwd(q), rev(q), ratio * q))
+        parts = [keyrate.symmetric_stats(fwd(q), rev(q), ratio * q)
                  for fwd, rev in keyrate.SCENARIOS.values() for ratio in (0.5, 1.0, 2.0)]
         parts += [attack.statistics(atk) for atk in attack_pool]
         stack = ChannelStatistics(p=np.concatenate([np.reshape(s.p, (-1, 2, 2, 2)) for s in parts]),
@@ -366,8 +363,7 @@ class TestThresholdAndSweep:
         fwd, rev = keyrate.SCENARIOS[scenario]
 
         def rate(q):
-            return keyrate.key_rate_bound(keyrate.symmetric_stats(
-                ScenarioParams(fwd(q), rev(q), ratio * q))).rate
+            return keyrate.key_rate_bound(keyrate.symmetric_stats(fwd(q), rev(q), ratio * q)).rate
 
         q = keyrate.noise_threshold(scenario, ratio)
         assert rate(q - 1e-6) > 0.0 >= rate(q + 1e-6)

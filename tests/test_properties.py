@@ -109,18 +109,18 @@ q_values = st.one_of(q_entries, st.lists(q_entries, max_size=3))
 
 @PROPERTY_SETTINGS
 @given(qs=st.tuples(q_values, q_values, q_values))
-def test_scenario_params_accepts_exactly_the_valid_ones(qs):
+def test_symmetric_stats_accepts_exactly_the_valid_ones(qs):
     # Valid: every entry in [0, 1/2], and list lengths other than 1 agree.
     entries = [x for q in qs for x in (q if isinstance(q, list) else [q])]
     lengths = {len(q) for q in qs if isinstance(q, list)} - {1}
     valid = all(0.0 <= x <= 0.5 for x in entries) and len(lengths) <= 1
     try:
-        params = keyrate.ScenarioParams(*qs)
+        stats = keyrate.symmetric_stats(*qs)
     except ValueError:
         assert not valid
         return
     assert valid
-    rate = keyrate.key_rate_bound(keyrate.symmetric_stats(params)).rate
+    rate = keyrate.key_rate_bound(stats).rate
     assert np.isfinite(rate).all()
 
 

@@ -1,5 +1,7 @@
 """The README's library example, run against the current API."""
 
+import functools
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -14,6 +16,21 @@ def test_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md: Library example", "exec"), {})
     assert capsys.readouterr().out.startswith("0.324")
+
+
+def test_cited_names_exist():
+    # A backticked `module.name` (such as `attack.audit` or
+    # `attack.statistics(atk)`) must name something the package defines, so
+    # the prose cannot outlive a rename or a deletion.
+    cited = set(re.findall(r"`(linalg|keyrate|attack|simulate|cli)((?:\.\w+)+)",
+                           README.read_text(encoding="utf-8")))
+    assert len(cited) >= 15
+    for module, path in cited:
+        root = importlib.import_module(f"sqkd.{module}")
+        try:
+            functools.reduce(getattr, path[1:].split("."), root)
+        except AttributeError:
+            raise AssertionError(f"README cites `{module}{path}`, which does not exist") from None
 
 
 def test_command_line_comments_match_output(capsys):

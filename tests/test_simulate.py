@@ -10,12 +10,11 @@ import pytest
 
 from oracles import born_rule_chunk
 from sqkd import attack, cli, keyrate, simulate
-from sqkd.simulate import ProtocolConfig, TallyCounts
+from sqkd.simulate import TallyCounts
 
 
 def run(atk, iterations, seed):
-    cfg = ProtocolConfig(iterations=iterations, seed=seed)
-    return simulate.run_protocol(attack.statistics(atk), cfg)
+    return simulate.run_protocol(attack.statistics(atk), iterations, seed)
 
 
 def chunk_tally(counts, n):
@@ -26,12 +25,12 @@ def chunk_tally(counts, n):
                        other_counts=n - int(z.sum()) - int(x.sum()), total=n)
 
 
-def serial_tally(stats, config):
+def serial_tally(stats, n, seed):
     """The tallies of a run with every chunk summed on this thread, in order."""
     thresholds = simulate._chunk_thresholds(stats)
-    size, n = simulate.CHUNK_SIZE, config.iterations
+    size = simulate.CHUNK_SIZE
     return chunk_tally(sum(simulate._simulate_chunk(
-        *thresholds, min(size, n - c * size), config.seed, c)
+        *thresholds, min(size, n - c * size), seed, c)
         for c in range(-(-n // size))), n)
 
 
@@ -157,7 +156,7 @@ class TestRunProtocol:
         p[0, 0, 0] = p000
         p[1, 1, 1] = 1.0
         stats = keyrate.ChannelStatistics(p=p, p_pm=p_pm, p_mp=0.0)
-        for check in (lambda: simulate.run_protocol(stats, ProtocolConfig(iterations=1000)),
+        for check in (lambda: simulate.run_protocol(stats, 1000),
                       lambda: keyrate.key_rate_bound(stats)):
             with pytest.raises(ValueError, match=match):
                 check()
@@ -216,11 +215,10 @@ class TestRunProtocol:
         # uint8 array; the old chunk's dozen 128 KiB temporaries peaked at
         # about 1 MiB.
         stats = attack.statistics(attack.symmetric_realizing_attack(0.05, 0.05))
-        config = ProtocolConfig(iterations=simulate.CHUNK_SIZE, seed=3)
-        simulate.run_protocol(stats, config)
+        simulate.run_protocol(stats, simulate.CHUNK_SIZE, 3)
         tracemalloc.start()
         try:
-            simulate.run_protocol(stats, config)
+            simulate.run_protocol(stats, simulate.CHUNK_SIZE, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,14 +244,13 @@ class TestRunProtocol:
         # Five threads on a shortened switch interval interleave their pulls
         # more finely than the cores alone would.
         stats = attack.statistics(attack.random_attack(4, 77))
-        config = ProtocolConfig(iterations=iterations, seed=12345)
-        want = serial_tally(stats, config)
+        want = serial_tally(stats, iterations, 12345)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 3, 5):
                 monkeypatch.setattr(simulate, "_workers", lambda: workers)
-                assert_same_tally(simulate.run_protocol(stats, config), want, workers)
+                assert_same_tally(simulate.run_protocol(stats, iterations, 12345), want, workers)
         finally:
             sys.setswitchinterval(interval)
 
@@ -264,9 +261,8 @@ class TestRunProtocol:
         # dealt out in fixed shares would leave the rest of chunk 0's share
         # undone, and the wait would time out.
         stats = attack.statistics(attack.random_attack(4, 77))
-        config = ProtocolConfig(iterations=1_000_000, seed=12345)
-        want = serial_tally(stats, config)
-        n_chunks = -(-config.iterations // simulate.CHUNK_SIZE)
+        want = serial_tally(stats, 1_000_000, 12345)
+        n_chunks = -(-1_000_000 // simulate.CHUNK_SIZE)
         finished, lock = [], threading.Lock()
         others_done = threading.Event()
         simulate_chunk = simulate._simulate_chunk
@@ -284,7 +280,7 @@ class TestRunProtocol:
 
         monkeypatch.setattr(simulate, "_workers", lambda: workers)
         monkeypatch.setattr(simulate, "_simulate_chunk", slow)
-        tally = simulate.run_protocol(stats, config)
+        tally = simulate.run_protocol(stats, 1_000_000, 12345)
         assert sorted(finished) == list(range(1, n_chunks))
         assert_same_tally(tally, want, workers)
 
@@ -369,7 +365,7 @@ class TestRunProtocol:
         stats = attack.statistics(attack.identity_attack())
         threads = threading.active_count()
         with pytest.raises(ValueError, match="boom"):
-            simulate.run_protocol(stats, ProtocolConfig(iterations=1_000_000))
+            simulate.run_protocol(stats, 1_000_000)
         assert threading.active_count() == threads
         # On one thread: chunks 0 to 31, the last failing.  On two: one chunk
         # of the other thread's before the failure, at most one after, and
@@ -389,25 +385,31 @@ class TestRunProtocol:
     def test_stack_of_statistics_rejected(self):
         stats = attack.statistics(attack.random_attacks(1, [[1, 0], [1, 1]]))
         with pytest.raises(ValueError, match=r"takes one member, not a stack \(2,\)"):
-            simulate.run_protocol(stats, ProtocolConfig(iterations=10))
+            simulate.run_protocol(stats, 10)
+
+    # Statistics that fail validation, so each config error below is shown
+    # to be raised before the statistics are checked.
+    BAD_STATS = keyrate.ChannelStatistics(p=np.zeros((2, 2, 2)), p_pm=0.0, p_mp=0.0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(iterations=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(iterations=10, seed=-1)
+        for iterations, seed, message in [(0, 0, "iterations must be positive"),
+                                          (10, -1, "seed must fit in 64 unsigned bits"),
+                                          (10, 2 ** 64, "seed must fit in 64 unsigned bits")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                simulate.run_protocol(self.BAD_STATS, iterations, seed)
 
     @pytest.mark.parametrize("field,value", [
         ("iterations", 2.5), ("iterations", True), ("iterations", "10"),
         ("seed", 1.5), ("seed", False)])
     def test_config_rejects_non_integers_by_name(self, field, value):
         kwargs = {"iterations": 10, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            ProtocolConfig(**kwargs)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            simulate.run_protocol(self.BAD_STATS, **kwargs)
 
     def test_config_accepts_numpy_integers(self):
-        cfg = ProtocolConfig(iterations=np.int64(10), seed=np.uint64(2 ** 63))
-        assert cfg.iterations == 10
+        stats = attack.statistics(attack.identity_attack())
+        tally = simulate.run_protocol(stats, np.int64(10), np.uint64(2 ** 63))
+        assert tally.total == 10
 
 
 class TestEstimateStatistics:
