@@ -75,9 +75,9 @@ MAX_ANCILLA_DIM = 32
 # number of threads: a stack should hold at most this many bytes of
 # unitaries, and a thread checks the Gram matrices of the sound attacks it
 # keeps in one pass once they take this many bytes; what the threads keep at
-# the end is checked in one pass.  A thread holds its last stack until its
-# next one is built, so memory grows with the number of threads: each holds
-# at most twice this many bytes of unitaries and twice this many of Gram
+# the end is checked in one pass.  A thread frees its last stack before it
+# builds the next, so memory grows with the number of threads: each holds
+# at most this many bytes of unitaries and twice this many of Gram
 # matrices.  What ``audit`` returns does not depend on the number of CPUs.
 STACK_BYTES = 1 << 19
 
@@ -367,9 +367,9 @@ def _check_pulled(pull) -> tuple:
     kept: list[tuple] = []
     checked, worst_residual, worst_slack = 0, 0.0, np.inf
     for positions, build in pull:
-        # The previous stack is freed only once this one is built.  Freed
-        # before, its memory would go back to the system and be faulted in
-        # again page by page (three times the minor faults per task).
+        # The previous stack is freed before this one is built: that lowers
+        # the peak memory, and the order does not change the minor faults.
+        stack = members = None
         stack = build()
         checked += len(positions)
         residual = stack.residual
@@ -493,15 +493,16 @@ def _haar_pairs(dim: int, seeds) -> np.ndarray:
     # standard complex Gaussian matrices with the phases of R's diagonal
     # moved into Q.  One draw per seed fills u_e's real part, u_e's
     # imaginary part, u_f's real part and u_f's imaginary part in that order.
+    # Scaled by the reciprocal of sqrt(2) as they are written: that is what
+    # numpy's complex division by sqrt(2) + 0j computes, bit for bit, while
+    # a real division by sqrt(2) can round the last bit differently.
+    scale = 1.0 / np.sqrt(2.0)
     z = np.empty((len(seeds), 2, dim, dim), dtype=complex)
     buf = np.empty((2, 2, dim, dim))
     for m, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=buf)
-        z[m].real = buf[:, 0]
-        z[m].imag = buf[:, 1]
-    # Dividing by the complex sqrt(2) + 0j, as before; multiplying by the
-    # reciprocal can round the last bit differently.
-    z /= np.sqrt(2.0)
+        np.multiply(buf[:, 0], scale, out=z[m].real)
+        np.multiply(buf[:, 1], scale, out=z[m].imag)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     # In place: a product would be one more stack-sized temporary.

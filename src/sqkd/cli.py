@@ -4,9 +4,11 @@ Commands raise; ``main`` alone turns an error into one stderr line, `error: ...`
 (exit 1) or `abort: ...` (exit 3).  Exit codes: 0 success / positive rate,
 1 input error, 2 non-positive rate, 3 abort (p000 <= 0), 4 validation failure.
 An input too large to allocate (MemoryError) is an input error.
+On glibc, ``sqkd`` keeps freed heap memory until it exits.
 """
 
 import argparse
+import ctypes
 import functools
 import sys
 
@@ -219,6 +221,10 @@ def cmd_validate(args) -> int:
     dims = [_parse_number(int, x, "--ancilla-dims") for x in args.ancilla_dims.split(",")]
     if args.attacks < 1 or any(d < 1 for d in dims):
         raise ValueError("need at least one attack and positive dimensions")
+    # The stack plan takes len() of ranges of positions up to attacks + 2,
+    # which must fit in a signed 64-bit int.
+    if args.attacks > 2 ** 62:
+        raise ValueError("--attacks must be at most 2**62")
     if max(dims) > attack_mod.MAX_ANCILLA_DIM:
         raise ValueError(f"ancilla_dim must be in [1, {attack_mod.MAX_ANCILLA_DIM}]")
     if args.seed < 0:
@@ -299,7 +305,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# glibc's mallopt parameters, from <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed heap memory rather than return it to the system.
+
+    By default glibc trims the free top of the heap once it exceeds twice
+    the largest block it has mapped on its own, so every ``validate`` stack
+    faulted its QR buffers in again page by page.  Setting either threshold
+    turns glibc's adjustment off and leaves the other at 128 KiB, so both
+    are set: 32 MiB, the ceiling of that adjustment, and 64 MiB, the trim
+    threshold it pairs with it.  The setting holds for the whole process, so
+    the command makes it and the library never does.  Without glibc's
+    ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse help/usage paths

@@ -220,15 +220,18 @@ def run_protocol(stats: ChannelStatistics, iterations: int, seed: int = 0) -> Ta
 
     Returns the per-class tallies, a pure function of the ten statistics,
     the iterations and the seed of every chunk's stream.  iterations and
-    seed must be integers, not bools, with iterations >= 1 and 0 <= seed <
-    2**64; these are checked first, then the statistics, which raise the
-    ValueError of ``keyrate.validate_statistics``, as does a stack.
+    seed must be integers, not bools, with 1 <= iterations < 2**63 (the
+    tallies are int64) and 0 <= seed < 2**64; these are checked first, then
+    the statistics, which raise the ValueError of
+    ``keyrate.validate_statistics``, as does a stack.
     """
     for name, v in (("iterations", iterations), ("seed", seed)):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {v!r}")
     if iterations < 1:
         raise ValueError("iterations must be positive")
+    if iterations >= 2 ** 63:
+        raise ValueError("iterations must be below 2**63")
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 unsigned bits")
     if stats.p.ndim != 3:

@@ -155,6 +155,10 @@ MUTATIONS = [
              "for m, seed in enumerate(seeds):", "for m, seed in enumerate(seeds[::-1]):",
              ("tests/test_attack.py",),
              "tests/test_attack.py::TestStacks::test_stack_equals_members_built_alone[1]"),
+    Mutation("haar-scale-sqrt-half", "src/sqkd/attack.py",
+             "scale = 1.0 / np.sqrt(2.0)", "scale = np.sqrt(0.5)",
+             ("tests/test_attack.py",),
+             "tests/test_attack.py::TestStacks::test_unitaries_match_recorded_digest[1]"),
     Mutation("entropy-of-e-as-one-operator", "src/sqkd/attack.py",
              "linalg.von_neumann_entropy(g[..., None, :, :])",
              "linalg.von_neumann_entropy(g)",
@@ -223,6 +227,19 @@ MUTATIONS = [
              "    if kept:\n        slacks +=", "    if False:\n        slacks +=",
              ("tests/test_acceptance.py",),
              "tests/test_acceptance.py::test_criterion_3_soundness"),
+    Mutation("run-protocol-takes-huge-iterations", "src/sqkd/simulate.py",
+             "if iterations >= 2 ** 63:", "if False:",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestErrorsReachMain::test_huge_count_named[simulate-iterations]"),
+    Mutation("validate-takes-huge-attacks", "src/sqkd/cli.py",
+             "if args.attacks > 2 ** 62:", "if False:",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestErrorsReachMain::test_huge_count_named[validate-attacks]"),
+    Mutation("heap-memory-returned", "src/sqkd/cli.py",
+             "    mallopt(_M_MMAP_THRESHOLD, 32 << 20)\n    mallopt(_M_TRIM_THRESHOLD, 64 << 20)\n",
+             "",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestHeapMemoryKept::test_freed_memory_is_reused_after_main"),
     Mutation("simulate-negative-seed-to-numpy", "src/sqkd/cli.py",
              "    if args.seed < 0:\n        raise ValueError(\"seed must fit in 64 unsigned bits\")\n",
              "",

@@ -1,3 +1,4 @@
+import hashlib
 import types
 
 import numpy as np
@@ -615,6 +616,19 @@ class TestStacks:
         for _ in range(2):
             atk, want = attack.random_attack(d, rng), haar_pair(2 * d, ref)
             assert np.array_equal(atk.u_e, want[0]) and np.array_equal(atk.u_f, want[1])
+
+    @pytest.mark.parametrize("d,digest", [
+        (1, "b6a228dbc11a0aee1560a900a5d3b1d5b64e1315b69b1ea2560ee8101224b4d8"),
+        (2, "bd5802a0edc22008fb6b6c96c6a176bea04d5187b606145346be1b5f655dba80"),
+        (4, "d0f91b660b98c04915fd4233977f195d1d996486589656ef9a053a92abc16e2b"),
+        (32, "598c3634f34d904d134d1a035af7e9c934a9911d00a8a39ff7778b7d099ac9d8"),
+    ], ids=["1", "2", "4", "32"])
+    def test_unitaries_match_recorded_digest(self, d, digest):
+        # The sha256 of u_e's bytes then u_f's, recorded when the draws were
+        # still scaled by a complex division of the whole stack: how the
+        # draws are scaled must not change a bit of the unitaries.
+        stack = attack.random_attacks(d, [[0, idx] for idx in range(5)])
+        assert hashlib.sha256(stack.u_e.tobytes() + stack.u_f.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("dims", [[1, 2, 4, 32], [1, 2, 1, 32]], ids=["1,2,4,32", "1,2,1,32"])
     def test_validate_stacks_cover_every_attack_once(self, dims):

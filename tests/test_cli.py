@@ -1,7 +1,13 @@
+import ctypes
 import dataclasses
 import hashlib
+import json
+import os
+import platform
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,6 +671,18 @@ class TestErrorsReachMain:
                        "--out", "unused.csv") == 1
         assert capsys.readouterr() == ("", f"error: {line}\n")
 
+    @pytest.mark.parametrize("argv,line", [
+        (lambda tmp: ["simulate", "--attack", "identity", "--iterations", "1" + "0" * 27,
+                      "--out", str(tmp / "x.txt")], "error: iterations must be below 2**63"),
+        (lambda tmp: ["validate", "--attacks", "1" + "0" * 27, "--ancilla-dims", "1"],
+         "error: --attacks must be at most 2**62"),
+    ], ids=["simulate-iterations", "validate-attacks"])
+    def test_huge_count_named(self, tmp_path, capsys, argv, line):
+        # Too large for a C ssize_t: rejected up front, not an OverflowError
+        # from len() of the chunks or of the stack plan.
+        assert run_cli(*argv(tmp_path)) == 1
+        assert capsys.readouterr() == ("", line + "\n")
+
     def test_error_inside_validate_loop(self, monkeypatch, capsys):
         def statistics(stack):
             raise ValueError("boom")
@@ -683,6 +701,59 @@ class TestErrorsReachMain:
                 assert capsys.readouterr() == ("", "error: boom\n")
         finally:
             sys.setswitchinterval(interval)
+
+
+# Faults of five rounds of "allocate three 1 MiB arrays, free them", after
+# one uncounted round, before and after ``cli.main`` in a fresh interpreter
+# (other tests have already run ``main`` in this one).
+HEAP_PROBE = """
+import json, resource
+import numpy as np
+from sqkd import cli
+
+def faults():
+    arrays = [np.ones(1 << 17) for _ in range(3)]
+    del arrays
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        arrays = [np.ones(1 << 17) for _ in range(3)]
+        del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+before = faults()
+code = cli.main(["rate", "--symmetric", "0.01,0.01,0.01"])
+print(json.dumps([code, before, faults()]))
+"""
+
+
+def _no_c_library(name):
+    raise OSError("cannot load the C library")
+
+
+class TestHeapMemoryKept:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_freed_memory_is_reused_after_main(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        run = subprocess.run([sys.executable, "-c", HEAP_PROBE], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        code, before, after = json.loads(run.stdout.splitlines()[-1])
+        # By default glibc hands the freed arrays back and every round
+        # faults their pages in again; once main has run, the rounds reuse
+        # the heap.
+        assert code == 0
+        assert before >= 5 * 256, before
+        assert after <= 16, after
+
+    @pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library],
+                             ids=["no-mallopt", "no-libc"])
+    def test_main_runs_without_mallopt(self, monkeypatch, capsys, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._keep_freed_memory.cache_clear()
+        try:
+            assert run_cli("rate", "--symmetric", "0.01,0.01,0.01") == 0
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert "rate" in capsys.readouterr().out
 
 
 class TestParser:

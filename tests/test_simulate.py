@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import tracemalloc
@@ -394,8 +395,9 @@ class TestRunProtocol:
     def test_config_validation(self):
         for iterations, seed, message in [(0, 0, "iterations must be positive"),
                                           (10, -1, "seed must fit in 64 unsigned bits"),
-                                          (10, 2 ** 64, "seed must fit in 64 unsigned bits")]:
-            with pytest.raises(ValueError, match=f"^{message}$"):
+                                          (10, 2 ** 64, "seed must fit in 64 unsigned bits"),
+                                          (2 ** 63, 0, "iterations must be below 2**63")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 simulate.run_protocol(self.BAD_STATS, iterations, seed)
 
     @pytest.mark.parametrize("field,value", [
