@@ -31,8 +31,9 @@ tests check that their unitaries pass the same gate.  A per-pass qubit
 channel becomes an attack only through ``channel_attack(kraus_fwd,
 kraus_rev)``: each pass's Stinespring unitary records its Kraus index in a
 register of its own, in the ancilla index order |t, a_fwd, a_rev>, so d =
-r_e * r_f.  ``z_measurement_attack`` and ``symmetric_realizing_attack`` are
-its Kraus lists; ``identity_attack`` is the identity of any d.
+r_e * r_f.  ``identity_attack``, ``z_measurement_attack`` and
+``symmetric_realizing_attack`` are its Kraus lists, so every named attack
+but the Haar draws is built by that one route.
 
 Eve's post-protocol states are mixtures of the eight records, |r><r|/2
 each, block diagonal in Bob's bit and the agreement register.  Their
@@ -413,12 +414,6 @@ def _check_sound(kept: list, failures: list) -> float:
     return float(np.min(exact - report.rate))
 
 
-def identity_attack(ancilla_dim: int = 1) -> CollectiveAttack:
-    """No-op attack: both unitaries are the identity."""
-    u = np.eye(2 * _checked_ancilla_dim(ancilla_dim), dtype=complex)
-    return CollectiveAttack(ancilla_dim, u, u)
-
-
 def _stinespring(kraus, name: str) -> np.ndarray:
     # Unitary (2, r, 2, r) on |t, a>, a in r = len(kraus) levels, with
     # U|t, 0> = sum_k K_k|t> (x) |k>: these two columns are the isometry V,
@@ -459,6 +454,11 @@ def channel_attack(kraus_fwd, kraus_rev) -> CollectiveAttack:
     np.einsum("sabtac->asbtc", u_f)[...] = w_f
     d = w_e.shape[1] * w_f.shape[1]
     return CollectiveAttack(d, u_e.reshape(2 * d, 2 * d), u_f.reshape(2 * d, 2 * d))
+
+
+def identity_attack() -> CollectiveAttack:
+    """No-op attack: ``channel_attack([I], [I])``, both unitaries the identity (d = 1)."""
+    return channel_attack([np.eye(2)], [np.eye(2)])
 
 
 def z_measurement_attack() -> CollectiveAttack:

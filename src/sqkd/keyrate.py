@@ -92,20 +92,15 @@ class ChannelStatistics:
                                                                    p.shape[:-3])))
 
 
-def validate_statistics(stats: ChannelStatistics, *,
-                        renormalize: bool = False) -> ChannelStatistics:
-    """Check entries (finite, in [0, 1]) and per-i sums; optionally rescale blocks.
+def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
+    """Check entries (finite, in [0, 1]) and per-i sums.
 
     Each block must sum to 1 within STATS_SUM_TOL, and the mean of the two
     block sums may exceed 1 by at most ``linalg.PROB_SUM_TOL``, the excess
-    the entropies accept.
-
-    Attack-derived statistics satisfy the constraints to rounding error;
-    Monte Carlo estimates satisfy them to sampling error, hence the
-    ``renormalize`` escape hatch that rescales each conditional block to sum
-    to exactly 1.
+    the entropies accept.  Returns the statistics with entries clipped into
+    [0, 1].
     """
-    return _validated(stats, renormalize)
+    return _validated(stats, False)
 
 
 def statistics_entries(stats) -> np.ndarray:
@@ -242,7 +237,14 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
     """Lower bound on the asymptotic key rate, with all intermediates.
 
     KeyRateReport defines each of them.  Raises TooNoisyError when
-    p[0,0,0] <= 0 and ValueError when the statistics fail validation.
+    p[0,0,0] <= 0 and ValueError when the statistics fail
+    ``validate_statistics``.
+
+    Statistics from an attack, or estimated from a simulation's tallies,
+    have blocks that sum to 1 within rounding.  ``renormalize`` is for
+    blocks that miss 1 by more than STATS_SUM_TOL, such as hand-rounded
+    files: it rescales each clipped block to sum to 1 instead of rejecting
+    it, and rejects an all-zero block.
     """
     stats = _validated(stats, renormalize,
                        (stats.p[..., 0, 0, 0] <= 0.0, TooNoisyError, lambda m: _TOO_NOISY))
@@ -261,7 +263,7 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
     # [0, 1], p000 > 0; cal_b is B^2 or 0.
     lam = _lambda_tilde(p[..., 0, 0, 0], p[..., 1, 1, 1], cal_b)
     flat = p.reshape(p.shape[:-3] + (8,))
-    entropy_bec = shannon_entropy(0.5 * flat)
+    entropy_bec = _floats(shannon_entropy(0.5 * flat))
     t = flat[..., _REGISTER_PAIRS].sum(axis=-1)
     entropy_ec = _floats(shannon_entropy(0.5 * t)
                          + 0.5 * (t[..., 1] + t[..., 2] + t[..., 3])
@@ -272,8 +274,8 @@ def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> Ke
     rate = entropy_bec - entropy_ec + h_a - h_ab
     return KeyRateReport(b=b, cal_b=cal_b, lambda_tilde=lam, s_bec=entropy_bec,
                          s_ec_upper=entropy_ec, p_a0=pa0,
-                         joint=tuple(joint.tolist()) if joint.ndim == 1 else joint,
-                         h_b_given_a=h_ab - h_a, rate=rate)
+                         joint=tuple(joint.tolist()) if joint.ndim == 1 else _floats(joint),
+                         h_b_given_a=_floats(h_ab - h_a), rate=_floats(rate))
 
 
 def symmetric_stats(q_fwd, q_rev, q_x) -> ChannelStatistics:

@@ -184,6 +184,15 @@ MUTATIONS = [
              "entropy_bec - entropy_ec + h_a - h_ab", "entropy_bec - entropy_ec - h_a + h_ab",
              ("tests/test_keyrate.py",),
              "tests/test_keyrate.py::TestEntropyPieces::test_s_bec_uniform"),
+    Mutation("stacked-rate-writable", "src/sqkd/keyrate.py",
+             "rate=_floats(rate))", "rate=rate)",
+             ("tests/test_keyrate.py",),
+             "tests/test_keyrate.py::TestStacks::test_report_arrays_are_read_only"),
+    Mutation("renormalize-swaps-block-sums", "src/sqkd/keyrate.py",
+             "p = p / sums[..., None, None]", "p = p / sums[..., ::-1, None, None]",
+             ("tests/test_keyrate.py",),
+             "tests/test_keyrate.py::TestKeyRateBound::"
+             "test_renormalize_equals_rescaling_by_hand[half-blocks]"),
     Mutation("validate-budget-4-mib", "src/sqkd/attack.py",
              "STACK_BYTES = 1 << 19", "STACK_BYTES = 1 << 22",
              ("tests/test_attack.py",),

@@ -56,17 +56,17 @@ class TestValidateAttack:
     def test_ancilla_dim_must_be_an_integer(self, d):
         # int() would truncate these to a dimension nobody asked for.
         for build in (lambda d: attack.validate_attack(np.eye(2), np.eye(2), d),
-                      attack.identity_attack, lambda d: attack.random_attack(d, 1),
+                      lambda d: attack.random_attack(d, 1),
                       lambda d: attack.random_attacks(d, [[0, 0]])):
             with pytest.raises(ValueError, match=f"^ancilla_dim must be an integer, got {d!r}$"):
                 build(d)
-        assert attack.identity_attack(np.int64(2)).ancilla_dim == 2
+        assert attack.validate_attack(np.eye(4), np.eye(4), np.int64(2)).ancilla_dim == 2
 
     @pytest.mark.parametrize("d", [-1, 0, 33, 10 ** 9])
     def test_ancilla_dim_checked_before_drawing(self, d):
         # A negative or huge dimension would otherwise reach numpy's
         # allocator; 10**9 asks for exabytes.
-        for build in (attack.identity_attack, lambda d: attack.random_attack(d, 0),
+        for build in (lambda d: attack.random_attack(d, 0),
                       lambda d: attack.random_attacks(d, [[0, 0], [0, 1]])):
             with pytest.raises(ValueError, match=r"^ancilla_dim must be in \[1, 32\]$"):
                 build(d)
@@ -141,8 +141,7 @@ def pauli_table_attack(q_fwd, q_rev, q_x):
 def builder_attacks():
     """One attack, or a stack, from each of the package's six builders."""
     rng = np.random.default_rng(2028)
-    return ([attack.identity_attack(1), attack.identity_attack(4),
-             attack.z_measurement_attack()]
+    return ([attack.identity_attack(), attack.z_measurement_attack()]
             + [attack.symmetric_realizing_attack(*(rng.random(2) * 0.5)) for _ in range(10)]
             + [attack.random_attack(d, [2028, d]) for d in (1, 2, 4, 32)]
             + [attack.random_attacks(2, [[2028, idx] for idx in range(6)])]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -64,14 +65,6 @@ class TestValidateStatistics:
             keyrate.validate_statistics(over)
         balanced = stats_from_blocks([0.9 + 5e-7, 0.1, 0, 0], [0, 0, 0.1, 0.9 - 5e-7])
         assert keyrate.key_rate_bound(balanced).rate == 0.4310044064105385
-
-    def test_renormalize_rescales(self):
-        bad = stats_from_blocks([0.45, 0.45, 0, 0], [0, 0, 0.5, 1.0])
-        fixed = keyrate.validate_statistics(bad, renormalize=True)
-        np.testing.assert_allclose(fixed.p.reshape(2, 4).sum(axis=1), 1.0,
-                                   atol=1e-15)
-        assert fixed.p[0, 0, 0] == pytest.approx(0.5)
-        assert fixed.p[1, 1, 1] == pytest.approx(2.0 / 3.0)
 
     @pytest.mark.parametrize("bad, match", [
         (stats_from_blocks([1.5, -0.5, 0, 0], [0, 0, 0, 1.0]), None),
@@ -300,6 +293,20 @@ class TestKeyRateBound:
                 keyrate.symmetric_stats(0.05, 0.05, 0.0),
             ).rate, abs=1e-3)
 
+    @pytest.mark.parametrize("blocks", [
+        ([0.45, 0.45, 0, 0], [0, 0, 0.5, 1.0]),
+        ([0.90252, 0.04751, 0.00251, 0.04751], [0.04750, 0.00250, 0.04750, 0.90250]),
+        ([0.7, 0.2, -1e-10, 0.2], [0.1, 0.1, 0.1, 0.6]),
+    ], ids=["half-blocks", "skewed", "clipped-entry"])
+    def test_renormalize_equals_rescaling_by_hand(self, blocks):
+        # Each block clipped into [0, 1] and divided by its sum, bit for bit.
+        stats = stats_from_blocks(*blocks, p_pm=0.02, p_mp=0.03)
+        p = np.clip(stats.p, 0.0, 1.0)
+        rescaled = ChannelStatistics(p=p / p.reshape(2, 4).sum(axis=1)[:, None, None],
+                                     p_pm=stats.p_pm, p_mp=stats.p_mp)
+        assert (report_bytes(keyrate.key_rate_bound(stats, renormalize=True))
+                == report_bytes(keyrate.key_rate_bound(rescaled)))
+
 
 class TestStacks:
     def test_layout_and_member_types(self):
@@ -352,6 +359,12 @@ class TestStacks:
         stack = ChannelStatistics(p=[NOISELESS.p, s.p], p_pm=0.0, p_mp=0.0)
         with pytest.warns(UserWarning, match=r"^member 1: lambda_tilde = .* clamped to 1"):
             keyrate.key_rate_bound(stack)
+
+    def test_report_arrays_are_read_only(self):
+        report = keyrate.key_rate_bound(keyrate.symmetric_stats([0.01, 0.05], 0.05, 0.05))
+        for f in dataclasses.fields(report):
+            value = getattr(report, f.name)
+            assert value.shape[:1] == (2,) and not value.flags.writeable, f.name
 
 
 class TestThresholdAndSweep:
