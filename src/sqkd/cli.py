@@ -113,7 +113,15 @@ def cmd_rate(args) -> int:
         stats = parse_stats_file(args.stats)
     else:
         stats = keyrate.symmetric_stats(*_parse_triple(args.symmetric))
-    report = keyrate.key_rate_bound(stats, renormalize=args.normalize)
+    if args.normalize:
+        # The one place that rescales, before the bound, which takes its
+        # statistics as given.  parse_stats_file and symmetric_stats keep
+        # every entry in [0, 1], so there is nothing to clip.
+        sums = stats.p.reshape(2, 4).sum(axis=1)
+        if sums.min() <= 0.0:
+            raise ValueError("cannot normalize an all-zero conditional block")
+        stats = ChannelStatistics(stats.p / sums[:, None, None], stats.p_pm, stats.p_mp)
+    report = keyrate.key_rate_bound(stats)
     _print_report(report)
     return EXIT_OK if report.rate > 0.0 else EXIT_NONPOSITIVE
 
@@ -167,7 +175,7 @@ def cmd_simulate(args) -> int:
     for key, s, a, e in zip(STATS_KEYS, *columns):
         print(f"{key:<14}{s:>14.9f}{a:>14.9f}{e:>12.2e}")
     print(f"empirical QBER = {simulate.qber(tally):.9f}")
-    report = keyrate.key_rate_bound(stats, renormalize=True)
+    report = keyrate.key_rate_bound(stats)
     print(f"key rate bound (empirical statistics) = {report.rate:.9g}")
     print(f"stats written to {args.out}")
     return EXIT_OK

@@ -25,8 +25,10 @@ import numpy as np
 
 from .linalg import PROB_SUM_TOL, binary_entropy, shannon_entropy
 
-# Per-i blocks of user-supplied statistics must sum to 1 within this.
+# Per-i blocks of user-supplied statistics must sum to 1 within this; the
+# rejection ends with the hint.
 STATS_SUM_TOL = 1e-6
+_RESCALE_HINT = "(rescale each block to sum to 1, as `sqkd rate --normalize` does)"
 
 # Agreement register: REGISTER_LABEL[i, j, k] labels the key round (sent i,
 # Bob j, Alice k) by whether Bob's and Alice's raw key bits agree and how
@@ -100,7 +102,7 @@ def validate_statistics(stats: ChannelStatistics) -> ChannelStatistics:
     the entropies accept.  Returns the statistics with entries clipped into
     [0, 1].
     """
-    return _validated(stats, False)
+    return _validated(stats)
 
 
 def statistics_entries(stats) -> np.ndarray:
@@ -109,7 +111,7 @@ def statistics_entries(stats) -> np.ndarray:
                            np.stack([stats.p_pm, stats.p_mp], axis=-1)], axis=-1)
 
 
-def _validated(stats: ChannelStatistics, renormalize: bool, *later) -> ChannelStatistics:
+def _validated(stats: ChannelStatistics, *later) -> ChannelStatistics:
     # validate_statistics, then the ``later`` checks of _raise_first.
     names = [f"p[{i},{j},{k}]" for i, j, k in np.ndindex(2, 2, 2)] + ["p_pm", "p_mp"]
     p = stats.p
@@ -122,20 +124,14 @@ def _validated(stats: ChannelStatistics, renormalize: bool, *later) -> ChannelSt
                ValueError, lambda m: "statistics entries must lie in [0, 1]")]
     p = np.clip(p, 0.0, 1.0)
     sums = p.reshape(lead + (2, 4)).sum(axis=-1)
-    if renormalize:
-        checks.append((sums.min(axis=-1) <= 0.0, ValueError,
-                       lambda m: "cannot renormalize an all-zero conditional block"))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = p / sums[..., None, None]
-    else:
-        # KeyRateReport.s_bec is the Shannon entropy of exactly these halved entries.
-        checks += [(np.max(np.abs(sums - 1.0), axis=-1) > STATS_SUM_TOL, ValueError,
-                    lambda m: f"conditional blocks sum to {sums[m][0]} and {sums[m][1]}, "
-                              f"expected 1 within {STATS_SUM_TOL} (pass renormalize to rescale)"),
-                   ((0.5 * p.reshape(lead + (8,))).sum(axis=-1) > 1.0 + PROB_SUM_TOL, ValueError,
-                    lambda m: f"conditional blocks p000..p011 and p100..p111 sum to "
-                              f"{sums[m][0]} and {sums[m][1]}; their mean may exceed 1 by at "
-                              f"most {PROB_SUM_TOL} (pass renormalize to rescale)")]
+    # KeyRateReport.s_bec is the Shannon entropy of exactly these halved entries.
+    checks += [(np.max(np.abs(sums - 1.0), axis=-1) > STATS_SUM_TOL, ValueError,
+                lambda m: f"conditional blocks sum to {sums[m][0]} and {sums[m][1]}, "
+                          f"expected 1 within {STATS_SUM_TOL} {_RESCALE_HINT}"),
+               ((0.5 * p.reshape(lead + (8,))).sum(axis=-1) > 1.0 + PROB_SUM_TOL, ValueError,
+                lambda m: f"conditional blocks p000..p011 and p100..p111 sum to "
+                          f"{sums[m][0]} and {sums[m][1]}; their mean may exceed 1 by at "
+                          f"most {PROB_SUM_TOL} {_RESCALE_HINT}")]
     _raise_first(checks + list(later))
     return ChannelStatistics(p=p, p_pm=np.clip(stats.p_pm, 0.0, 1.0),
                              p_mp=np.clip(stats.p_mp, 0.0, 1.0))
@@ -233,21 +229,20 @@ def h_b_given_a(stats: ChannelStatistics):
     return _floats(shannon_entropy(joint) - binary_entropy(pa0))
 
 
-def key_rate_bound(stats: ChannelStatistics, *, renormalize: bool = False) -> KeyRateReport:
+def key_rate_bound(stats: ChannelStatistics) -> KeyRateReport:
     """Lower bound on the asymptotic key rate, with all intermediates.
 
     KeyRateReport defines each of them.  Raises TooNoisyError when
     p[0,0,0] <= 0 and ValueError when the statistics fail
     ``validate_statistics``.
 
-    Statistics from an attack, or estimated from a simulation's tallies,
-    have blocks that sum to 1 within rounding.  ``renormalize`` is for
+    The statistics are taken as given.  Those from an attack, or estimated
+    from a simulation's tallies, have blocks that sum to 1 within rounding;
     blocks that miss 1 by more than STATS_SUM_TOL, such as hand-rounded
-    files: it rescales each clipped block to sum to 1 instead of rejecting
-    it, and rejects an all-zero block.
+    ones, must be rescaled first, as ``sqkd rate --normalize`` does.
     """
-    stats = _validated(stats, renormalize,
-                       (stats.p[..., 0, 0, 0] <= 0.0, TooNoisyError, lambda m: _TOO_NOISY))
+    stats = _validated(stats, (stats.p[..., 0, 0, 0] <= 0.0, TooNoisyError,
+                               lambda m: _TOO_NOISY))
     p = stats.p
     b = _floats(
         1.0 - stats.p_pm - stats.p_mp

@@ -188,11 +188,15 @@ MUTATIONS = [
              "rate=_floats(rate))", "rate=rate)",
              ("tests/test_keyrate.py",),
              "tests/test_keyrate.py::TestStacks::test_report_arrays_are_read_only"),
-    Mutation("renormalize-swaps-block-sums", "src/sqkd/keyrate.py",
-             "p = p / sums[..., None, None]", "p = p / sums[..., ::-1, None, None]",
-             ("tests/test_keyrate.py",),
-             "tests/test_keyrate.py::TestKeyRateBound::"
-             "test_renormalize_equals_rescaling_by_hand[half-blocks]"),
+    Mutation("renormalize-swaps-block-sums", "src/sqkd/cli.py",
+             "stats.p / sums[:, None, None]", "stats.p / sums[::-1, None, None]",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestRateCommand::"
+             "test_normalize_equals_rescaled_file[half-blocks]"),
+    Mutation("normalize-divides-zero-block", "src/sqkd/cli.py",
+             "if sums.min() <= 0.0:", "if sums.min() < 0.0:",
+             ("tests/test_cli.py",),
+             "tests/test_cli.py::TestRateCommand::test_normalize_rejects_an_all_zero_block"),
     Mutation("validate-budget-4-mib", "src/sqkd/attack.py",
              "STACK_BYTES = 1 << 19", "STACK_BYTES = 1 << 22",
              ("tests/test_attack.py",),

@@ -135,7 +135,7 @@ def born_x_flip_probabilities(u_e, u_f, d):
     return tuple(out)
 
 
-def born_rule_chunk(u_e, u_f, d, n, prob_z, prob_measure, seed, chunk):
+def born_rule_chunk(u_e, u_f, d, n, seed, chunk):
     """One Monte Carlo chunk by batched state-vector evolution.
 
     Same draws, in the same order, as ``simulate._simulate_chunk``, which
@@ -146,9 +146,9 @@ def born_rule_chunk(u_e, u_f, d, n, prob_z, prob_measure, seed, chunk):
     sifted key bits.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, chunk]))
-    z_mask = rng.random(n) < prob_z
+    z_mask = rng.random(n) < 0.5
     bits = rng.integers(0, 2, size=n).astype(np.uint8)
-    measure_mask = rng.random(n) < prob_measure
+    measure_mask = rng.random(n) < 0.5
     u_bob = rng.random(n)
     u_alice = rng.random(n)
 

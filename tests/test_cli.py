@@ -144,8 +144,37 @@ class TestRateCommand:
         cli.write_stats_file(str(path), ChannelStatistics(p=p, p_pm=0.05,
                                                           p_mp=0.05))
         assert run_cli("rate", "--stats", str(path)) == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error: conditional blocks sum to ") and err.count("\n") == 1
+        assert "--normalize" in err and "renormalize" not in err
         assert run_cli("rate", "--stats", str(path), "--normalize") == 0
+
+    @pytest.mark.parametrize("blocks", [
+        ([0.45, 0.45, 0, 0], [0, 0, 0.5, 1.0]),
+        ([0.90252, 0.04751, 0.00251, 0.04751], [0.04750, 0.00250, 0.04750, 0.90250]),
+    ], ids=["half-blocks", "skewed"])
+    def test_normalize_equals_rescaled_file(self, tmp_path, capsys, blocks):
+        # --normalize divides each block by its sum, bit for bit.
+        p = np.array(blocks, dtype=float).reshape(2, 2, 2)
+        hand, rescaled = tmp_path / "hand.txt", tmp_path / "rescaled.txt"
+        cli.write_stats_file(str(hand), ChannelStatistics(p=p, p_pm=0.02, p_mp=0.03))
+        cli.write_stats_file(str(rescaled), ChannelStatistics(
+            p=p / p.reshape(2, 4).sum(axis=1)[:, None, None], p_pm=0.02, p_mp=0.03))
+        assert run_cli("rate", "--stats", str(hand)) == 1
+        capsys.readouterr()
+        code = run_cli("rate", "--stats", str(hand), "--normalize")
+        out = capsys.readouterr()
+        assert run_cli("rate", "--stats", str(rescaled)) == code
+        assert capsys.readouterr() == out and out.out
+
+    def test_normalize_rejects_an_all_zero_block(self, tmp_path, capsys):
+        p = np.zeros((2, 2, 2))
+        p[1, 1, 1] = 1.0
+        path = tmp_path / "zeros.txt"
+        cli.write_stats_file(str(path), ChannelStatistics(p=p, p_pm=0.0, p_mp=0.0))
+        assert run_cli("rate", "--stats", str(path), "--normalize") == 1
+        assert capsys.readouterr() == (
+            "", "error: cannot normalize an all-zero conditional block\n")
 
     def test_block_sums_whose_mean_exceeds_one_named(self, tmp_path, capsys):
         # Each block is within the 1e-6 of the stats-file format, but the

@@ -282,31 +282,6 @@ class TestKeyRateBound:
         with pytest.raises(TooNoisyError):
             keyrate.key_rate_bound(s)
 
-    def test_renormalize_flag(self):
-        skewed = stats_from_blocks([0.90252, 0.04751, 0.00251, 0.04751],
-                                   [0.04750, 0.00250, 0.04750, 0.90250])
-        with pytest.raises(ValueError):
-            keyrate.key_rate_bound(skewed)
-        report = keyrate.key_rate_bound(skewed, renormalize=True)
-        assert report.rate == pytest.approx(
-            keyrate.key_rate_bound(
-                keyrate.symmetric_stats(0.05, 0.05, 0.0),
-            ).rate, abs=1e-3)
-
-    @pytest.mark.parametrize("blocks", [
-        ([0.45, 0.45, 0, 0], [0, 0, 0.5, 1.0]),
-        ([0.90252, 0.04751, 0.00251, 0.04751], [0.04750, 0.00250, 0.04750, 0.90250]),
-        ([0.7, 0.2, -1e-10, 0.2], [0.1, 0.1, 0.1, 0.6]),
-    ], ids=["half-blocks", "skewed", "clipped-entry"])
-    def test_renormalize_equals_rescaling_by_hand(self, blocks):
-        # Each block clipped into [0, 1] and divided by its sum, bit for bit.
-        stats = stats_from_blocks(*blocks, p_pm=0.02, p_mp=0.03)
-        p = np.clip(stats.p, 0.0, 1.0)
-        rescaled = ChannelStatistics(p=p / p.reshape(2, 4).sum(axis=1)[:, None, None],
-                                     p_pm=stats.p_pm, p_mp=stats.p_mp)
-        assert (report_bytes(keyrate.key_rate_bound(stats, renormalize=True))
-                == report_bytes(keyrate.key_rate_bound(rescaled)))
-
 
 class TestStacks:
     def test_layout_and_member_types(self):

@@ -58,9 +58,8 @@ def test_stats_file_round_trips_exactly(tmp_path, entries):
 
 
 @PROPERTY_SETTINGS
-@given(members=st.lists(channel_statistics(), min_size=1, max_size=5),
-       renormalize=st.booleans())
-def test_stack_gives_what_its_members_give(members, renormalize):
+@given(members=st.lists(channel_statistics(), min_size=1, max_size=5))
+def test_stack_gives_what_its_members_give(members):
     # Bit for bit each member's report, or the first failing member's error
     # with the member named.
     stack = ChannelStatistics(p=np.stack([s.p for s in members]),
@@ -72,11 +71,11 @@ def test_stack_gives_what_its_members_give(members, renormalize):
         alone = []
         for s in members:
             try:
-                alone.append(keyrate.key_rate_bound(s, renormalize=renormalize))
+                alone.append(keyrate.key_rate_bound(s))
             except (ValueError, TooNoisyError) as exc:
                 alone.append(exc)
         try:
-            report = keyrate.key_rate_bound(stack, renormalize=renormalize)
+            report = keyrate.key_rate_bound(stack)
         except (ValueError, TooNoisyError) as exc:
             report = exc
     failed = [m for m, r in enumerate(alone) if isinstance(r, Exception)]
@@ -90,14 +89,14 @@ def test_stack_gives_what_its_members_give(members, renormalize):
 
 
 @PROPERTY_SETTINGS
-@given(stats=channel_statistics(), renormalize=st.booleans())
-def test_bound_is_finite_or_a_typed_error(stats, renormalize):
+@given(stats=channel_statistics())
+def test_bound_is_finite_or_a_typed_error(stats):
     with warnings.catch_warnings():
         # The documented clamp for statistics no attack realises.
         warnings.filterwarnings("ignore", message="lambda_tilde = .* clamped to 1",
                                 category=UserWarning)
         try:
-            report = keyrate.key_rate_bound(stats, renormalize=renormalize)
+            report = keyrate.key_rate_bound(stats)
         except (ValueError, TooNoisyError):
             return
     assert math.isfinite(report.rate)
@@ -125,8 +124,8 @@ def test_symmetric_stats_accepts_exactly_the_valid_ones(qs):
 
 
 @PROPERTY_SETTINGS
-@given(stats=channel_statistics(), renormalize=st.booleans())
-def test_swapping_x_disturbances_keeps_the_bound(stats, renormalize):
+@given(stats=channel_statistics())
+def test_swapping_x_disturbances_keeps_the_bound(stats):
     # p_pm and p_mp enter only through 1 - p_pm - p_mp, which rounds
     # differently in the two orders: the rate may move by rounding alone.
     swapped = ChannelStatistics(p=stats.p, p_pm=stats.p_mp, p_mp=stats.p_pm)
@@ -136,7 +135,7 @@ def test_swapping_x_disturbances_keeps_the_bound(stats, renormalize):
                                 category=UserWarning)
         for s in (stats, swapped):
             try:
-                reports.append(keyrate.key_rate_bound(s, renormalize=renormalize))
+                reports.append(keyrate.key_rate_bound(s))
             except (ValueError, TooNoisyError) as exc:
                 reports.append(exc)
     a, b = reports

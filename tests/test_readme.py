@@ -6,7 +6,10 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from sqkd import cli
+from test_acceptance import MC_SEED
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,3 +61,16 @@ def test_exit_codes_documented():
         assert {int(code): meaning for code, meaning in items} == meanings
         for prefix, code in (("error", cli.EXIT_INPUT), ("abort", cli.EXIT_ABORT)):
             assert re.search(rf"`{prefix}: \.\.\.`\D*exit {code}\b", text), prefix
+
+
+@pytest.mark.parametrize("spec", ["random:32", "symmetric:0.05,0.05", "zmeasure"])
+def test_simulate_file_rates_the_same_with_or_without_normalize(tmp_path, capsys, spec):
+    # "A `simulate` file needs no rescaling": criterion 7's runs, whose
+    # blocks are counts over their totals.
+    path = str(tmp_path / "stats.txt")
+    assert cli.main(["simulate", "--attack", spec, "--iterations", "200000",
+                     "--seed", str(MC_SEED), "--out", path]) == 0
+    capsys.readouterr()
+    runs = [(cli.main(["rate", "--stats", path, *flag]), capsys.readouterr())
+            for flag in ([], ["--normalize"])]
+    assert runs[0] == runs[1] and runs[0][1].out

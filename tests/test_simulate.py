@@ -108,7 +108,7 @@ class TestRunProtocol:
                 assert counts.shape == (24,) and counts.dtype == np.int64
                 tally = chunk_tally(counts, n)
                 *want, a_bits, b_bits = born_rule_chunk(atk.u_e, atk.u_f, atk.ancilla_dim,
-                                                        n, 0.5, 0.5, 12345, chunk)
+                                                        n, 12345, chunk)
                 got = tally.z_counts, tally.x_reflect_counts, tally.other_counts
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
@@ -450,7 +450,7 @@ class TestEstimateStatistics:
         atk = attack.random_attack(2, 31)
         tally = run(atk, 400_000, seed=6)
         stats, err = simulate.estimate_statistics(tally)
-        got = keyrate.key_rate_bound(stats, renormalize=True).rate
+        got = keyrate.key_rate_bound(stats).rate
         want = keyrate.key_rate_bound(attack.statistics(atk)).rate
         # Crude propagation: the bound moves at most a few units per unit
         # of statistics error.
